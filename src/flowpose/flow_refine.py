@@ -11,6 +11,7 @@ budget) keeps the refined flow from collapsing onto the target's errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil
 
 import numpy as np
@@ -65,84 +66,53 @@ def _gauss_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _convolve_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    r = len(kernel) // 2
-    moved = np.moveaxis(arr, axis, 0)
-    n = moved.shape[0]
-    padded = np.zeros((n + 2 * r,) + moved.shape[1:])
-    padded[r:r + n] = moved
-    out = np.zeros_like(moved)
-    for i, w in enumerate(kernel):
-        out += w * padded[i:i + n]
-    return np.moveaxis(out, 0, axis)
+@lru_cache(maxsize=64)
+def _axis_operator(n_out: int, stride: int, n_in: int, sigma: float) -> np.ndarray:
+    """``(n_out, n_in)`` matrix ``M = U @ S`` of one image axis.
 
-
-def _axis_mass(n: int, kernel: np.ndarray) -> np.ndarray:
-    # Kernel mass falling inside the grid at each position (border renormalization).
-    return _convolve_axis(np.ones(n), kernel, 0)
-
-
-def _smooth(values: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur, renormalized at the borders.
-
-    Each output is the kernel-weighted average of the in-range neighbors, so
-    a constant grid stays exactly constant.
+    ``S`` is the Gaussian blur renormalized at the borders: each output is
+    the kernel-weighted average of the in-range neighbors, so a constant
+    grid stays constant (``sigma = 0`` is no blur).  ``U`` is the bilinear
+    upsampling that puts output pixel centers at ``(i + 0.5) / stride - 0.5``
+    in grid units, clamped to the grid.  The result is cached and read-only.
     """
-    if sigma <= 0:
-        return values
-    k = _gauss_kernel(sigma)
-    out = _convolve_axis(values, k, 0) / _axis_mass(values.shape[0], k)[:, None, None]
-    return _convolve_axis(out, k, 1) / _axis_mass(values.shape[1], k)[None, :, None]
-
-
-def _smooth_adjoint(values: np.ndarray, sigma: float) -> np.ndarray:
-    """Transpose of ``_smooth``: divide by the mass, then convolve."""
-    if sigma <= 0:
-        return values
-    k = _gauss_kernel(sigma)
-    out = _convolve_axis(values / _axis_mass(values.shape[0], k)[:, None, None], k, 0)
-    return _convolve_axis(out / _axis_mass(values.shape[1], k)[None, :, None], k, 1)
-
-
-def _bilinear_coeffs(n_out: int, stride: int, n_in: int):
-    # Output pixel centers land at (i + 0.5) / stride - 0.5 in grid units.
-    c = (np.arange(n_out, dtype=np.float64) + 0.5) / stride - 0.5
-    c = np.clip(c, 0.0, n_in - 1.0)
+    if sigma > 0:
+        k = _gauss_kernel(sigma)
+        r = len(k) // 2
+        i = np.arange(n_in)
+        offset = i[None, :] - i[:, None]
+        blur = np.where(np.abs(offset) <= r, k[np.clip(offset + r, 0, 2 * r)], 0.0)
+        blur /= blur.sum(axis=1, keepdims=True)
+    else:
+        blur = np.eye(n_in)
+    c = np.clip((np.arange(n_out) + 0.5) / stride - 0.5, 0.0, n_in - 1.0)
     i0 = np.minimum(np.floor(c).astype(np.intp), max(n_in - 2, 0))
-    return i0, c - i0
+    frac = c - i0
+    rows = np.arange(n_out)
+    upsample = np.zeros((n_out, n_in))
+    np.add.at(upsample, (rows, i0), 1.0 - frac)
+    np.add.at(upsample, (rows, np.minimum(i0 + 1, n_in - 1)), frac)
+    op = upsample @ blur
+    op.setflags(write=False)
+    return op
 
 
-def _upsample(values: np.ndarray, stride: int, height: int, width: int) -> np.ndarray:
-    gh, gw = values.shape[:2]
-    y0, fy = _bilinear_coeffs(height, stride, gh)
-    x0, fx = _bilinear_coeffs(width, stride, gw)
-    y1 = np.minimum(y0 + 1, gh - 1)
-    x1 = np.minimum(x0 + 1, gw - 1)
-    wy = fy[:, None, None]
-    wx = fx[None, :, None]
-    return ((1 - wy) * ((1 - wx) * values[y0][:, x0] + wx * values[y0][:, x1])
-            + wy * ((1 - wx) * values[y1][:, x0] + wx * values[y1][:, x1]))
+def _operators(height: int, width: int, grid_hw: tuple[int, int], stride: int,
+               sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    gh, gw = grid_hw
+    return (_axis_operator(height, int(stride), gh, float(sigma)),
+            _axis_operator(width, int(stride), gw, float(sigma)))
 
 
-def _upsample_adjoint(grad_pix: np.ndarray, stride: int, gh: int, gw: int) -> np.ndarray:
-    """Transpose of ``_upsample``: scatter-add pixel gradients into the grid."""
-    height, width = grad_pix.shape[:2]
-    y0, fy = _bilinear_coeffs(height, stride, gh)
-    x0, fx = _bilinear_coeffs(width, stride, gw)
-    y1 = np.minimum(y0 + 1, gh - 1)
-    x1 = np.minimum(x0 + 1, gw - 1)
-    out = np.zeros((gh, gw, 2))
-    yy0 = np.broadcast_to(y0[:, None], (height, width))
-    yy1 = np.broadcast_to(y1[:, None], (height, width))
-    xx0 = np.broadcast_to(x0[None, :], (height, width))
-    xx1 = np.broadcast_to(x1[None, :], (height, width))
-    wy = fy[:, None, None]
-    wx = fx[None, :, None]
-    np.add.at(out, (yy0, xx0), (1 - wy) * (1 - wx) * grad_pix)
-    np.add.at(out, (yy0, xx1), (1 - wy) * wx * grad_pix)
-    np.add.at(out, (yy1, xx0), wy * (1 - wx) * grad_pix)
-    np.add.at(out, (yy1, xx1), wy * wx * grad_pix)
-    return out
+def _correction(values: np.ndarray, m_y: np.ndarray, m_x: np.ndarray) -> np.ndarray:
+    """``m_y @ G @ m_x.T`` for each channel ``G`` of the ``(gh, gw, 2)`` grid."""
+    return (m_y @ values.transpose(2, 0, 1) @ m_x.T).transpose(1, 2, 0)
+
+
+def _correction_adjoint(grad_pix: np.ndarray, m_y: np.ndarray,
+                        m_x: np.ndarray) -> np.ndarray:
+    """Transpose of ``_correction``: ``m_y.T @ g @ m_x`` per channel."""
+    return (m_y.T @ grad_pix.transpose(2, 0, 1) @ m_x).transpose(1, 2, 0)
 
 
 def refiner_apply(grid: CorrectionGrid, base: FlowField) -> FlowField:
@@ -152,9 +122,8 @@ def refiner_apply(grid: CorrectionGrid, base: FlowField) -> FlowField:
         raise InvalidInputError(
             f"grid shape {grid.values.shape[:2]} does not match image "
             f"{base.width}x{base.height} at stride {grid.stride} (expected {expected})")
-    corr = _upsample(_smooth(grid.values, grid.sigma), grid.stride,
-                     base.height, base.width)
-    return FlowField(base.uv + corr)
+    m_y, m_x = _operators(base.height, base.width, expected, grid.stride, grid.sigma)
+    return FlowField(base.uv + _correction(grid.values, m_y, m_x))
 
 
 def flow_objective(grid_values: np.ndarray, base_uv: np.ndarray,
@@ -163,17 +132,15 @@ def flow_objective(grid_values: np.ndarray, base_uv: np.ndarray,
     """Mean smooth-L1 between the corrected and target flow, with its gradient.
 
     The mean runs over pixels (components summed per pixel); the gradient is
-    with respect to the grid values, backpropagated through the upsampling
-    weights and the (self-adjoint) Gaussian smoothing.
+    with respect to the grid values, backpropagated through the transposed
+    axis operators.
     """
     height, width = base_uv.shape[:2]
-    gh, gw = grid_values.shape[:2]
-    corr = _upsample(_smooth(grid_values, sigma), stride, height, width)
-    resid = base_uv + corr - target_uv
+    m_y, m_x = _operators(height, width, grid_values.shape[:2], stride, sigma)
+    resid = base_uv + _correction(grid_values, m_y, m_x) - target_uv
     n = height * width
     value, g = _huber(resid, beta)
-    grad = _smooth_adjoint(_upsample_adjoint(g / n, stride, gh, gw), sigma)
-    return value / n, grad
+    return value / n, _correction_adjoint(g / n, m_y, m_x)
 
 
 def refine_flow(base: FlowField, target: TargetFlow, epochs: int,

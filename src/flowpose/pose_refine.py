@@ -16,7 +16,7 @@ camera terms drop out, and the anchor term compares against the initial
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -76,16 +76,17 @@ def _project_backprop(gp: np.ndarray, X: np.ndarray, C: np.ndarray):
 
 
 def _sample_flow(uv: np.ndarray, pts: np.ndarray):
-    """Bilinear flow samples at ``(N, 2)`` pixel positions.
+    """Bilinear samples of stacked fields ``(P, H, W, 2)`` at ``(P, N, 2)`` pixels.
 
+    Field ``k`` is sampled at the points ``pts[k]``, all pairs in one gather.
     Positions are clamped to the field; where clamping was active the
     positional derivative in that axis is zero (the sample no longer moves
-    with the point).  Returns values ``(N, 2)``, d(value)/dx and d(value)/dy
-    (each ``(N, 2)``), and the number of clamped positions.
+    with the point).  Returns values ``(P, N, 2)``, d(value)/dx and
+    d(value)/dy (each ``(P, N, 2)``), and the number of clamped positions.
     """
-    h, w = uv.shape[:2]
-    x = pts[:, 0]
-    y = pts[:, 1]
+    pairs, h, w = uv.shape[:3]
+    x = pts[..., 0]
+    y = pts[..., 1]
     inside_x = (x >= 0.0) & (x <= w - 1.0)
     inside_y = (y >= 0.0) & (y <= h - 1.0)
     xc = np.clip(x, 0.0, w - 1.0)
@@ -94,12 +95,17 @@ def _sample_flow(uv: np.ndarray, pts: np.ndarray):
     y0 = np.minimum(np.floor(yc).astype(np.intp), max(h - 2, 0))
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = (xc - x0)[:, None]
-    fy = (yc - y0)[:, None]
-    v00 = uv[y0, x0]
-    v01 = uv[y0, x1]
-    v10 = uv[y1, x0]
-    v11 = uv[y1, x1]
+    fx = (xc - x0)[..., None]
+    fy = (yc - y0)[..., None]
+    # row offsets into the flattened (P * H * W, 2) stack
+    flat = uv.reshape(-1, 2)
+    base = (np.arange(pairs) * (h * w))[:, None]
+    row0 = base + y0 * w
+    row1 = base + y1 * w
+    v00 = flat[row0 + x0]
+    v01 = flat[row0 + x1]
+    v10 = flat[row1 + x0]
+    v11 = flat[row1 + x1]
     val = (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
     dvdx = (1 - fy) * (v01 - v00) + fy * (v11 - v10)
     dvdy = (1 - fx) * (v10 - v00) + fx * (v11 - v01)
@@ -109,28 +115,26 @@ def _sample_flow(uv: np.ndarray, pts: np.ndarray):
     return val, dvdx, dvdy, clamped
 
 
-def _flow_consistency(p: np.ndarray, flows_uv: Sequence[np.ndarray], beta: float):
+def _flow_consistency(p: np.ndarray, flows_uv: np.ndarray, beta: float):
     """Mean smooth-L1 of ``flow(p_t) - (p_{t+1} - p_t)`` over pairs and joints.
 
-    ``p`` is a ``(T, J, 2)`` pixel track.  Gradients flow into both frames of
-    each pair and through the sampling location.
+    ``p`` is a ``(T, J, 2)`` pixel track and ``flows_uv`` the stacked
+    ``(T-1, H, W, 2)`` fields.  Gradients flow into both frames of each pair
+    and through the sampling location.
     """
     frames, joints = p.shape[:2]
     n = (frames - 1) * joints
+    val, dvdx, dvdy, clamped = _sample_flow(flows_uv, p[:-1])
+    resid = val - (p[1:] - p[:-1])
+    vals, g = _huber_parts(resid, beta)
     gp = np.zeros_like(p)
-    total = 0.0
-    clamped = 0
-    for t in range(frames - 1):
-        val, dvdx, dvdy, cl = _sample_flow(flows_uv[t], p[t])
-        resid = val - (p[t + 1] - p[t])
-        v, g = _huber(resid, beta)
-        total += v
-        clamped += cl
-        gp[t + 1] -= g / n
-        # residual_u = val_u(x, y) + x - x_next, residual_v = val_v(x, y) + y - y_next
-        gp[t, :, 0] += (g[:, 0] * (dvdx[:, 0] + 1.0) + g[:, 1] * dvdx[:, 1]) / n
-        gp[t, :, 1] += (g[:, 0] * dvdy[:, 0] + g[:, 1] * (dvdy[:, 1] + 1.0)) / n
-    return total / n, gp, clamped
+    # residual_u = val_u(x, y) + x - x_next, residual_v = val_v(x, y) + y - y_next
+    gp[:-1, :, 0] += (g[..., 0] * (dvdx[..., 0] + 1.0) + g[..., 1] * dvdx[..., 1]) / n
+    gp[:-1, :, 1] += (g[..., 0] * dvdy[..., 0] + g[..., 1] * (dvdy[..., 1] + 1.0)) / n
+    gp[1:] -= g / n
+    # pair sums accumulated in frame order, as a per-pair loop adds them
+    total = np.cumsum(vals.reshape(frames - 1, -1).sum(axis=1))[-1]
+    return float(total) / n, gp, clamped
 
 
 def _anchor(X: np.ndarray, X0: np.ndarray, beta: float):
@@ -181,6 +185,13 @@ def _bone_consistency(X: np.ndarray, bones: np.ndarray, beta: float):
 # ---------------------------------------------------------------------------
 # public loss terms
 
+def _stack_flows(flows: Sequence[FlowField]) -> np.ndarray:
+    shapes = {f.uv.shape for f in flows}
+    if len(shapes) > 1:
+        raise InvalidInputError("flow fields have different dimensions")
+    return np.stack([f.uv for f in flows])
+
+
 def _check_sequence(pose: PoseTrack, camera: CameraTrack, flows=None):
     if pose.frames != camera.frames:
         raise InvalidInputError("pose and camera frame counts differ")
@@ -203,7 +214,7 @@ def loss_opt(pose: PoseTrack, camera: CameraTrack, flows: Sequence[FlowField],
     X = pose.positions
     C = camera.params
     p = _project(X, C)
-    value, gp, clamped = _flow_consistency(p, [f.uv for f in flows], beta)
+    value, gp, clamped = _flow_consistency(p, _stack_flows(flows), beta)
     gX, gC = _project_backprop(gp, X, C)
     return value, gX, gC, clamped
 
@@ -322,7 +333,7 @@ def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
     X0 = (anchor or pose_init).positions
     X = pose_init.positions.copy()
     C = camera_init.params.copy()
-    flows_uv = [f.uv for f in flows]
+    flows_uv = _stack_flows(flows)
     bones = topo.bone_array()
 
     n_x = X.size
@@ -345,6 +356,12 @@ def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
         history[e, 1:] = terms
         grad = np.concatenate([gX.ravel(), gC.ravel()])
         params, state = adam_step(state, params, grad, hp.lr)
+        # a non-positive scale is an optimizer failure, not a bad input
+        bad = np.flatnonzero(params[n_x::3] <= 0.0)
+        if bad.size:
+            raise NumericalError(
+                f"pose refinement drove the camera scale of frame {bad[0]} "
+                f"to {params[n_x + 3 * bad[0]]:g} at epoch {e}")
     return (PoseTrack(params[:n_x].reshape(X0.shape)),
             CameraTrack(params[n_x:].reshape(-1, 3)),
             history)
@@ -407,7 +424,7 @@ def refine_pose_2d(x_init: DetectionTrack, det: DetectionTrack,
         raise InvalidInputError("anchor does not match the track dimensions")
 
     x0 = (anchor or x_init).pixels
-    flows_uv = [f.uv for f in flows]
+    flows_uv = _stack_flows(flows)
     bones = topo.bone_array()
     params = x_init.pixels.copy().ravel()
     state = adam_init(params)

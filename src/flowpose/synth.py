@@ -19,6 +19,7 @@ from .errors import InvalidInputError
 from .geometry import (MODE_3D, CameraTrack, DetectionTrack, FlowField,
                        PoseTrack, SceneBundle, SkeletonTopology,
                        default_topology, project_track)
+from .pose_refine import _sample_flow
 from .raster import bone_flow, compose_target_flow
 
 
@@ -232,19 +233,6 @@ def mpjpe(pred: PoseTrack, gt: PoseTrack,
     return float(np.linalg.norm(a - b, axis=-1).mean())
 
 
-def _sample_bilinear(uv: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    h, w = uv.shape[:2]
-    x, y = pts[:, 0], pts[:, 1]
-    x0 = np.minimum(np.floor(x).astype(np.intp), max(w - 2, 0))
-    y0 = np.minimum(np.floor(y).astype(np.intp), max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (x - x0)[:, None]
-    fy = (y - y0)[:, None]
-    return ((1 - fy) * ((1 - fx) * uv[y0, x0] + fx * uv[y0, x1])
-            + fy * ((1 - fx) * uv[y1, x0] + fx * uv[y1, x1]))
-
-
 def epe(pred: FlowField, gt: FlowField, points=None) -> float:
     """Mean endpoint error in pixels, over all pixels or at given points.
 
@@ -261,7 +249,8 @@ def epe(pred: FlowField, gt: FlowField, points=None) -> float:
     if (np.any(pts[:, 0] < 0) or np.any(pts[:, 0] > pred.width - 1)
             or np.any(pts[:, 1] < 0) or np.any(pts[:, 1] > pred.height - 1)):
         raise InvalidInputError("points: position outside the flow field")
-    d = _sample_bilinear(pred.uv, pts) - _sample_bilinear(gt.uv, pts)
+    at = pts[None]
+    d = _sample_flow(pred.uv[None], at)[0][0] - _sample_flow(gt.uv[None], at)[0][0]
     return float(np.linalg.norm(d, axis=-1).mean())
 
 

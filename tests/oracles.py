@@ -95,3 +95,97 @@ def bilinear_oracle(grid, gh, gw, stride, x, y):
     fx, fy = cx - x0, cy - y0
     return ((1 - fy) * ((1 - fx) * grid[y0][x0] + fx * grid[y0][x1])
             + fy * ((1 - fx) * grid[y1][x0] + fx * grid[y1][x1]))
+
+
+def flow_sample_oracle(field, x, y):
+    """Reference clamped bilinear sample of an (H, W, 2) field at (x, y).
+
+    Returns (value, d/dx, d/dy, clamped); each of the first three is a
+    (u, v) pair, and the derivative along a clamped axis is zero.
+    """
+    h, w = len(field), len(field[0])
+    inside_x = 0.0 <= x <= w - 1.0
+    inside_y = 0.0 <= y <= h - 1.0
+    xc = min(max(x, 0.0), w - 1.0)
+    yc = min(max(y, 0.0), h - 1.0)
+    x0 = min(int(math.floor(xc)), max(w - 2, 0))
+    y0 = min(int(math.floor(yc)), max(h - 2, 0))
+    x1 = min(x0 + 1, w - 1)
+    y1 = min(y0 + 1, h - 1)
+    fx, fy = xc - x0, yc - y0
+    val, dx, dy = [], [], []
+    for c in range(2):
+        v00, v01 = field[y0][x0][c], field[y0][x1][c]
+        v10, v11 = field[y1][x0][c], field[y1][x1][c]
+        val.append((1 - fy) * ((1 - fx) * v00 + fx * v01)
+                   + fy * ((1 - fx) * v10 + fx * v11))
+        dx.append((1 - fy) * (v01 - v00) + fy * (v11 - v10) if inside_x else 0.0)
+        dy.append((1 - fx) * (v10 - v00) + fx * (v11 - v01) if inside_y else 0.0)
+    return val, dx, dy, not (inside_x and inside_y)
+
+
+def flow_consistency_oracle(track, fields, beta):
+    """Reference flow-consistency term, one frame pair and joint at a time.
+
+    ``track`` is a (T, J, 2) nested list of pixels and ``fields`` the T-1
+    (H, W, 2) nested lists.  Returns (value, gradient as a nested list,
+    clamped count): the mean smooth-L1 of flow(p_t) - (p_{t+1} - p_t).
+    """
+    frames, joints = len(track), len(track[0])
+    n = (frames - 1) * joints
+    grad = [[[0.0, 0.0] for _ in range(joints)] for _ in range(frames)]
+    total = 0.0
+    clamped = 0
+    for t in range(frames - 1):
+        for j in range(joints):
+            x, y = track[t][j]
+            val, dx, dy, cl = flow_sample_oracle(fields[t], x, y)
+            clamped += cl
+            g = []
+            for c in range(2):
+                r = val[c] - (track[t + 1][j][c] - track[t][j][c])
+                if abs(r) < beta:
+                    total += 0.5 * r * r / beta
+                    g.append(r / beta)
+                else:
+                    total += abs(r) - 0.5 * beta
+                    g.append(math.copysign(1.0, r))
+            for c in range(2):
+                grad[t + 1][j][c] -= g[c] / n
+            grad[t][j][0] += (g[0] * (dx[0] + 1.0) + g[1] * dx[1]) / n
+            grad[t][j][1] += (g[0] * dy[0] + g[1] * (dy[1] + 1.0)) / n
+    return total / n, grad, clamped
+
+
+def axis_operator_oracle(n_out, stride, n_in, sigma):
+    """Reference (n_out, n_in) matrix of one refiner axis, as nested lists.
+
+    Column j is the unit vector e_j blurred by the border-renormalized
+    Gaussian (no blur at sigma = 0) and then upsampled bilinearly.
+    """
+    if sigma > 0:
+        radius = max(1, math.ceil(3.0 * sigma))
+        kernel = [math.exp(-0.5 * (d / sigma) ** 2) for d in range(-radius, radius + 1)]
+        kernel = [k / sum(kernel) for k in kernel]
+    columns = []
+    for j in range(n_in):
+        unit = [1.0 if i == j else 0.0 for i in range(n_in)]
+        blurred = unit
+        if sigma > 0:
+            blurred = []
+            for i in range(n_in):
+                acc = mass = 0.0
+                for d in range(-radius, radius + 1):
+                    if 0 <= i + d < n_in:
+                        acc += kernel[d + radius] * unit[i + d]
+                        mass += kernel[d + radius]
+                blurred.append(acc / mass)
+        column = []
+        for o in range(n_out):
+            c = min(max((o + 0.5) / stride - 0.5, 0.0), n_in - 1.0)
+            i0 = min(int(math.floor(c)), max(n_in - 2, 0))
+            i1 = min(i0 + 1, n_in - 1)
+            f = c - i0
+            column.append((1 - f) * blurred[i0] + f * blurred[i1])
+        columns.append(column)
+    return [[columns[j][o] for j in range(n_in)] for o in range(n_out)]

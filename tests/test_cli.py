@@ -121,6 +121,17 @@ def test_format_error_exit_3(tmp_path):
                  "--gt", str(gt)]) == 3
 
 
+def test_numerical_failure_exit_4(tmp_path):
+    gt = _synth(tmp_path)
+    fp = __import__("flowpose")
+    cfg = fileio.RunConfig(schedule=fp.CycleSchedule((fp.PoseStage(50),)),
+                           pose_params=fp.PoseHyperParams(lr=50.0))
+    cfg_path = tmp_path / "cfg.json"
+    fileio.write_config(cfg_path, cfg)
+    assert main(["bootstrap", "--config", str(cfg_path), "--in", str(gt),
+                 "--out", str(tmp_path / "out")]) == 4
+
+
 def test_check_grads_command(tmp_path, capsys):
     assert main(["check-grads", "--scenes", "2"]) == 0
     out = capsys.readouterr().out

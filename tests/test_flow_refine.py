@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowpose import (FlowField, InvalidInputError, TargetFlow, init_refiner,
                       refine_flow, refiner_apply)
-from flowpose.flow_refine import CorrectionGrid
+from flowpose.flow_refine import (CorrectionGrid, _axis_operator, _correction,
+                                  _correction_adjoint, grid_shape)
 
-from oracles import bilinear_oracle
+from oracles import axis_operator_oracle, bilinear_oracle
 
 
 def _target(uv, mask=None):
@@ -131,3 +134,36 @@ def test_refine_flow_rejects_bad_input():
         refine_flow(base, _target(np.zeros((8, 9, 2))), epochs=1)
     with pytest.raises(InvalidInputError):
         refine_flow(base, _target(np.zeros((8, 8, 2))), epochs=-1)
+
+
+_SIGMAS = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 9), st.integers(1, 8), _SIGMAS,
+       st.integers(0, 2**32 - 1))
+def test_axis_operator_adjoint(n_out, stride, n_in, sigma, seed):
+    op = _axis_operator(n_out, stride, n_in, sigma)
+    assert op.shape == (n_out, n_in)
+    # the matrix is the blur-then-upsample pipeline it replaces
+    assert np.allclose(op, axis_operator_oracle(n_out, stride, n_in, sigma),
+                       rtol=0.0, atol=1e-12)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n_in)
+    y = rng.normal(size=n_out)
+    assert np.dot(op @ x, y) == pytest.approx(np.dot(x, op.T @ y), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 24), st.integers(1, 9), _SIGMAS,
+       st.integers(0, 2**32 - 1))
+def test_correction_adjoint(height, width, stride, sigma, seed):
+    gh, gw = grid_shape(width, height, stride)
+    m_y = _axis_operator(height, stride, gh, sigma)
+    m_x = _axis_operator(width, stride, gw, sigma)
+    rng = np.random.default_rng(seed)
+    grid = rng.normal(size=(gh, gw, 2))
+    pix = rng.normal(size=(height, width, 2))
+    lhs = np.sum(_correction(grid, m_y, m_x) * pix)
+    rhs = np.sum(grid * _correction_adjoint(pix, m_y, m_x))
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowpose import (CameraTrack, DetectionTrack, FlowField, InvalidInputError,
-                      PoseHyperParams, PoseTrack, SkeletonTopology, loss_2d,
-                      loss_3d, loss_opt, loss_temp, project_track, refine_pose,
-                      refine_pose_2d, standard_benchmark)
+                      NumericalError, PoseHyperParams, PoseTrack, SkeletonTopology,
+                      loss_2d, loss_3d, loss_opt, loss_temp, project_track,
+                      refine_pose, refine_pose_2d, standard_benchmark)
 from flowpose.gradcheck import make_random_scene
 from flowpose.optim import finite_diff_check
-from flowpose.pose_refine import _total_loss_2d, _total_loss_3d
+from flowpose.pose_refine import (_flow_consistency, _sample_flow, _total_loss_2d,
+                                  _total_loss_3d)
 from flowpose.synth import generate_scene, mpjpe
+
+from oracles import flow_consistency_oracle
 
 
 def _chain(joints):
@@ -187,7 +193,7 @@ def test_total_pose_loss_gradients():
     # the full weighted objective, not just the individual terms
     topo, pose, cam, det, flows = make_random_scene(12)
     hp = PoseHyperParams()
-    flows_uv = [f.uv for f in flows]
+    flows_uv = np.stack([f.uv for f in flows])
     bones = topo.bone_array()
     shape_x = pose.positions.shape
     n_x = pose.positions.size
@@ -213,7 +219,7 @@ def test_refine_pose_2d_gradients():
     x = DetectionTrack(det.pixels + rng.normal(0, 0.05, det.pixels.shape),
                        det.confidence)
     hp = PoseHyperParams()
-    flows_uv = [f.uv for f in flows]
+    flows_uv = np.stack([f.uv for f in flows])
     bones = topo.bone_array()
     shape = x.pixels.shape
 
@@ -224,3 +230,46 @@ def test_refine_pose_2d_gradients():
 
     err = finite_diff_check(f, x.pixels.ravel() + 0.001, step=1e-5)
     assert err < 1e-4
+
+
+def test_collapsing_camera_scale_is_a_numerical_error():
+    # an oversized step drives a scale through zero: the optimizer failed,
+    # the input was fine
+    _, noisy, _ = standard_benchmark()
+    with pytest.raises(NumericalError, match=r"camera scale of frame \d+ .* at epoch \d+"):
+        refine_pose(noisy.pose, noisy.camera, noisy.detections, noisy.flows,
+                    noisy.topology, PoseHyperParams(lr=50.0))
+
+
+@st.composite
+def _tracks_on_fields(draw):
+    frames = draw(st.integers(2, 5))
+    joints = draw(st.integers(1, 5))
+    h = draw(st.integers(1, 9))
+    w = draw(st.integers(1, 9))
+    # the range reaches past every border, so some joints are clamped
+    coords = st.floats(-3.0, 12.0, allow_nan=False)
+    track = draw(arrays(np.float64, (frames, joints, 2), elements=coords))
+    fields = draw(arrays(np.float64, (frames - 1, h, w, 2),
+                         elements=st.floats(-5.0, 5.0, allow_nan=False)))
+    beta = draw(st.floats(0.1, 2.0))
+    return track, fields, beta
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tracks_on_fields())
+def test_batched_flow_consistency_matches_per_pair_loop(case):
+    track, fields, beta = case
+    value, grad, clamped = _flow_consistency(track, fields, beta)
+    want_value, want_grad, want_clamped = flow_consistency_oracle(
+        track.tolist(), fields.tolist(), beta)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=1e-15)
+    assert np.array_equal(grad, np.array(want_grad))
+    assert clamped == want_clamped
+
+    # a clamped axis has a zero positional derivative
+    h, w = fields.shape[1:3]
+    x, y = track[:-1, :, 0], track[:-1, :, 1]
+    _, dvdx, dvdy, _ = _sample_flow(fields, track[:-1])
+    assert np.all(dvdx[(x < 0) | (x > w - 1)] == 0.0)
+    assert np.all(dvdy[(y < 0) | (y > h - 1)] == 0.0)
