@@ -16,7 +16,8 @@ import numpy as np
 from .geometry import CameraTrack, DetectionTrack, FlowField, PoseTrack, SkeletonTopology
 from .flow_refine import flow_objective, grid_shape
 from .optim import finite_diff_check
-from .pose_refine import _project, loss_2d, loss_3d, loss_opt, loss_temp
+from .pose_refine import (PoseHyperParams, _pose_objective, _project, loss_2d, loss_3d,
+                          loss_opt, loss_temp)
 
 
 @dataclass
@@ -82,7 +83,8 @@ def _unpack(vec: np.ndarray, shape_x, shape_c):
 
 
 def check_scene(seed: int, step: float = 1e-5) -> list[CheckResult]:
-    """Finite-difference checks of all loss terms on one random scene."""
+    """Finite-difference checks of all loss terms on one random scene, and of
+    the refiners' whole objective with default weights in both modes."""
     topo, pose, camera, det, flows = make_random_scene(seed)
     shape_x = pose.positions.shape
     shape_c = camera.params.shape
@@ -116,6 +118,23 @@ def check_scene(seed: int, step: float = 1e-5) -> list[CheckResult]:
     results.append(CheckResult("loss_3d", seed, finite_diff_check(f_3d, shifted, step)))
     results.append(CheckResult("loss_2d", seed, finite_diff_check(f_2d, params, step)))
     results.append(CheckResult("loss_temp", seed, finite_diff_check(f_temp, params, step)))
+
+    # The whole objective runs on a track that moves little between frames,
+    # as the refiners' tracks do: on the scene's frame-to-frame jumps its
+    # default-weighted total is about 1e3, and that value's rounding swamps
+    # any gradient component that cancels to about 1e-5.
+    moved = np.random.Generator(np.random.PCG64(seed + 20_000))
+    x = None
+    while x is None or _near_sampling_kink(x, flows[0].width, flows[0].height):
+        X = pose.positions[:1] + moved.normal(0.0, 0.01, shape_x)
+        x = _project(X, camera.params)
+    plan = dict(det=det, flows_uv=np.stack([f.uv for f in flows]), bones=topo.bone_array())
+    for name, camera_on, anchor, point in (
+            ("objective_3d", True, X + moved.normal(0.0, 0.05, X.shape),
+             _pack(PoseTrack(X), camera)),
+            ("objective_2d", False, x + moved.normal(0.0, 0.5, x.shape), x.ravel())):
+        objective = _pose_objective(PoseHyperParams(), 1.0, anchor, camera=camera_on, **plan)
+        results.append(CheckResult(name, seed, finite_diff_check(objective, point, step)))
 
     base = flows[0].uv
     target = flows[-1].uv

@@ -7,7 +7,7 @@ sequence length or image size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,12 +27,12 @@ class SmoothL1Config:
 
 
 def _huber_parts(r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    # No input validation: hot path shared by every loss term.
-    a = np.abs(r)
-    small = a < beta
-    vals = np.where(small, 0.5 * r * r / beta, a - 0.5 * beta)
-    grad = np.where(small, r / beta, np.sign(r))
-    return vals, grad
+    # No input validation: hot path shared by every loss term.  The clipped
+    # slope g is r / beta inside the threshold and sign(r) outside, and
+    # g * (r - beta * g / 2) is then 0.5 * r**2 / beta or |r| - beta / 2.
+    grad = np.divide(r, beta, out=np.empty_like(r))
+    np.clip(grad, -1.0, 1.0, out=grad)
+    return grad * (r - 0.5 * beta * grad), grad
 
 
 def _huber(r: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
@@ -90,7 +90,7 @@ def adam_step(state: AdamState, params, grads, lr: float):
     m_hat = m / (1.0 - state.beta1 ** t)
     v_hat = v / (1.0 - state.beta2 ** t)
     new_params = p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_params, replace(state, step=t, m=m, v=v)
+    return new_params, AdamState(t, m, v, state.beta1, state.beta2, state.eps)
 
 
 LossAndGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]

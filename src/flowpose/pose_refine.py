@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .geometry import (CameraTrack, DetectionTrack, FlowField, PoseTrack,
                        SkeletonTopology)
-from .optim import _huber, _huber_parts, adam_init, adam_step
+from .optim import _huber_parts, adam_init, adam_step
 
 _NORM_EPS = 1e-12  # guards the bone-direction derivative at zero length
 
@@ -58,21 +58,17 @@ class PoseHyperParams:
 # array-level building blocks
 
 def _project(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    s = C[:, 0][:, None]
-    return np.stack([s * X[..., 0] + C[:, 1][:, None],
-                     s * X[..., 1] + C[:, 2][:, None]], axis=-1)
+    """Weak-perspective pixels ``(s * x + tx, s * y + ty)`` of ``(T, J, 3)`` joints."""
+    return X[..., :2] * C[:, None, :1] + C[:, None, 1:]
 
 
-def _project_backprop(gp: np.ndarray, X: np.ndarray, C: np.ndarray):
-    s = C[:, 0][:, None]
-    gX = np.zeros_like(X)
-    gX[..., 0] = gp[..., 0] * s
-    gX[..., 1] = gp[..., 1] * s
-    gC = np.zeros_like(C)
-    gC[:, 0] = (gp[..., 0] * X[..., 0] + gp[..., 1] * X[..., 1]).sum(axis=1)
-    gC[:, 1] = gp[..., 0].sum(axis=1)
-    gC[:, 2] = gp[..., 1].sum(axis=1)
-    return gX, gC
+def _project_backprop(gp: np.ndarray, X: np.ndarray, C: np.ndarray,
+                      gX: np.ndarray, gC: np.ndarray) -> None:
+    """Add the chain rule of pixel gradients ``gp`` through ``_project`` to
+    the joint and camera gradients ``gX`` and ``gC``."""
+    gX[..., :2] += gp * C[:, None, :1]
+    gC[:, 0] += (gp * X[..., :2]).reshape(len(C), -1).sum(axis=1)
+    gC[:, 1:] += gp.sum(axis=1)
 
 
 def _sample_flow(uv: np.ndarray, pts: np.ndarray):
@@ -93,22 +89,20 @@ def _sample_flow(uv: np.ndarray, pts: np.ndarray):
     yc = np.clip(y, 0.0, h - 1.0)
     x0 = np.minimum(np.floor(xc).astype(np.intp), max(w - 2, 0))
     y0 = np.minimum(np.floor(yc).astype(np.intp), max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
     fx = (xc - x0)[..., None]
     fy = (yc - y0)[..., None]
-    # row offsets into the flattened (P * H * W, 2) stack
-    flat = uv.reshape(-1, 2)
-    base = (np.arange(pairs) * (h * w))[:, None]
-    row0 = base + y0 * w
-    row1 = base + y1 * w
-    v00 = flat[row0 + x0]
-    v01 = flat[row0 + x1]
-    v10 = flat[row1 + x0]
-    v11 = flat[row1 + x1]
-    val = (1 - fy) * ((1 - fx) * v00 + fx * v01) + fy * ((1 - fx) * v10 + fx * v11)
-    dvdx = (1 - fy) * (v01 - v00) + fy * (v11 - v10)
-    dvdy = (1 - fx) * (v10 - v00) + fx * (v11 - v01)
+    gx = 1 - fx
+    gy = 1 - fy
+    # corners (x0, y0), (x1, y0), (x0, y1), (x1, y1) from the flattened
+    # (P * H * W, 2) stack; a one-pixel axis has x1 = x0 (or y1 = y0)
+    dx = int(w > 1)
+    dy = w * int(h > 1)
+    corner = (np.arange(pairs) * (h * w))[:, None] + y0 * w + x0
+    offsets = np.array([0, dx, dy, dx + dy])[:, None, None]
+    v00, v01, v10, v11 = uv.reshape(-1, 2).take(corner + offsets, axis=0)
+    val = gy * (gx * v00 + fx * v01) + fy * (gx * v10 + fx * v11)
+    dvdx = gy * (v01 - v00) + fy * (v11 - v10)
+    dvdy = gx * (v10 - v00) + fx * (v11 - v01)
     dvdx[~inside_x] = 0.0
     dvdy[~inside_y] = 0.0
     clamped = int(np.count_nonzero(~(inside_x & inside_y)))
@@ -137,49 +131,137 @@ def _flow_consistency(p: np.ndarray, flows_uv: np.ndarray, beta: float):
     return float(total) / n, gp, clamped
 
 
-def _anchor(X: np.ndarray, X0: np.ndarray, beta: float):
-    n = X.shape[0] * X.shape[1]
-    v, g = _huber(X - X0, beta)
-    return v / n, g / n
+def _pose_objective(hp: PoseHyperParams, beta: float, x0: np.ndarray,
+                    det: DetectionTrack | None = None,
+                    flows_uv: np.ndarray | None = None,
+                    bones: np.ndarray | None = None, camera: bool = False):
+    """The weighted pose objective, built once; returns ``evaluate``.
+
+    The variables are a ``(T, J, D)`` track ``x`` and, with ``camera``,
+    per-frame cameras ``C`` that project it to pixels; otherwise the
+    projector is the identity and there is no camera term (2-D mode).
+    ``evaluate(params, row=None)`` takes ``[x.ravel(), C.ravel()]`` and
+    returns ``(total, grad)``, ``grad`` laid out like ``params``; it writes
+    ``[total, flow, anchor, detection, temporal]`` (each weighted) into
+    ``row``.  ``x0`` is the anchor.  Every term but the flow term is a
+    smooth-L1 of a residual written into one buffer whose elements carry
+    ``lam / n`` (times the detection confidence), so the penalty runs once.
+    A term whose weight is zero is left out.
+    """
+    frames, joints, dim = x0.shape
+    n_x = x0.size
+    nb = 0 if bones is None else len(bones)
+    # (name, history column, residual shape, weight of each element)
+    blocks = [b for b in (
+        ("anchor", 2, x0.shape, hp.lam_3d / (frames * joints)),
+        ("det", 3, (frames, joints, 2),
+         hp.lam_2d / (frames * joints) * det.confidence[..., None] if hp.lam_2d else 0.0),
+        ("pos", 4, (frames - 1, joints, dim), hp.lam_pos / ((frames - 1) * joints)),
+        ("cam", 4, (frames - 1, 3), hp.lam_cam / (frames - 1) if camera else 0.0),
+        ("bone", 4, (frames - 1, nb), hp.lam_bone / ((frames - 1) * nb) if nb else 0.0),
+    ) if np.any(b[3])]
+    sizes = [int(np.prod(shape)) for _, _, shape, _ in blocks]
+    resid, wgrad, weights = np.empty((3, sum(sizes)))
+    starts = np.cumsum([0] + sizes[:-1])
+    columns = [column for _, column, _, _ in blocks]
+    r, wg = {}, {}
+    for (name, _, shape, w), a, size in zip(blocks, starts, sizes):
+        r[name] = resid[a:a + size].reshape(shape)
+        wg[name] = wgrad[a:a + size].reshape(shape)
+        weights[a:a + size].reshape(shape)[...] = w
+    if "bone" in r:
+        incidence = np.zeros((joints, nb))             # bone b is x_j - x_k
+        incidence[bones[:, 0], np.arange(nb)] = 1.0
+        incidence[bones[:, 1], np.arange(nb)] = -1.0
+        incidence_t = incidence.T.copy()
+    flow = hp.lam_opt > 0
+    projected = camera and (flow or "det" in r)
+
+    def evaluate(params: np.ndarray, row: np.ndarray | None = None):
+        row = np.zeros(5) if row is None else row
+        row[:] = 0.0
+        x = params[:n_x].reshape(x0.shape)
+        grad = np.zeros(params.size)
+        gx = grad[:n_x].reshape(x0.shape)
+        if camera:
+            C = params[n_x:].reshape(frames, 3)
+            gC = grad[n_x:].reshape(frames, 3)
+        p = _project(x, C) if projected else x
+        if resid.size:
+            if "anchor" in r:
+                np.subtract(x, x0, out=r["anchor"])
+            if "det" in r:
+                np.subtract(p, det.pixels, out=r["det"])
+            if "pos" in r:
+                np.subtract(x[1:], x[:-1], out=r["pos"])
+            if "cam" in r:
+                np.subtract(C[1:], C[:-1], out=r["cam"])
+            if "bone" in r:
+                d = incidence_t @ x
+                lengths = np.sqrt((d * d).sum(axis=-1))
+                np.subtract(lengths[1:], lengths[:-1], out=r["bone"])
+            vals, g = _huber_parts(resid, beta)
+            np.multiply(weights, g, out=wgrad)
+            # each term summed on its own, the temporal ones then added in order
+            row += np.bincount(columns, np.add.reduceat(
+                np.multiply(weights, vals, out=vals), starts), minlength=5)
+            if "anchor" in r:
+                gx += wg["anchor"]
+            if "pos" in r:
+                gx[1:] += wg["pos"]
+                gx[:-1] -= wg["pos"]
+            if "cam" in r:
+                gC[1:] += wg["cam"]
+                gC[:-1] -= wg["cam"]
+            if "bone" in r:
+                # d|x_j - x_k| / dx_j is the unit bone vector
+                gl = np.zeros((frames, nb))
+                gl[1:] = wg["bone"]
+                gl[:-1] -= wg["bone"]
+                gl /= np.maximum(lengths, _NORM_EPS)
+                gx += incidence @ (d * gl[..., None])
+        gp = wg.get("det")
+        if flow:
+            v, g_flow, _ = _flow_consistency(p, flows_uv, beta)
+            row[1] = hp.lam_opt * v
+            gp = hp.lam_opt * g_flow if gp is None else hp.lam_opt * g_flow + gp
+        if gp is not None and camera:
+            _project_backprop(gp, x, C, gx, gC)
+        elif gp is not None:
+            gx += gp
+        row[0] = row[1] + row[2] + row[3] + row[4]
+        return row[0], grad
+
+    return evaluate
 
 
-def _weighted_match(p: np.ndarray, target: np.ndarray, w: np.ndarray, beta: float):
-    n = p.shape[0] * p.shape[1]
-    vals, g = _huber_parts(target - p, beta)
-    value = float((w[:, :, None] * vals).sum()) / n
-    return value, -(w[:, :, None] * g) / n
+def _descend(evaluate, params: np.ndarray, hp: PoseHyperParams, what: str,
+             n_x: int | None = None):
+    """``hp.epochs`` Adam steps on ``evaluate``; returns ``(params, history)``.
 
-
-def _temporal(A: np.ndarray, beta: float):
-    """Mean smooth-L1 of consecutive-frame differences; A is (T, N, D)."""
-    n = (A.shape[0] - 1) * A.shape[1]
-    v, g = _huber(A[1:] - A[:-1], beta)
-    grad = np.zeros_like(A)
-    grad[1:] += g / n
-    grad[:-1] -= g / n
-    return v / n, grad
-
-
-def _bone_consistency(X: np.ndarray, bones: np.ndarray, beta: float):
-    """Mean smooth-L1 of per-bone length changes between consecutive frames."""
-    frames = X.shape[0]
-    nb = bones.shape[0]
-    grad = np.zeros_like(X)
-    if nb == 0 or frames < 2:
-        return 0.0, grad
-    n = (frames - 1) * nb
-    d = X[:, bones[:, 0]] - X[:, bones[:, 1]]      # (T, B, D)
-    lengths = np.linalg.norm(d, axis=-1)           # (T, B)
-    units = d / np.maximum(lengths, _NORM_EPS)[:, :, None]
-    v, g = _huber(lengths[1:] - lengths[:-1], beta)  # g: (T-1, B)
-    coef = g[:, :, None] / n
-    # d|X_j - X_k| / dX_j is the unit bone vector; joints repeat across bones,
-    # hence the scatter-adds.
-    np.add.at(grad[1:], (slice(None), bones[:, 0]), coef * units[1:])
-    np.add.at(grad[1:], (slice(None), bones[:, 1]), -coef * units[1:])
-    np.add.at(grad[:-1], (slice(None), bones[:, 0]), -coef * units[:-1])
-    np.add.at(grad[:-1], (slice(None), bones[:, 1]), coef * units[:-1])
-    return v / n, grad
+    ``history`` holds each epoch's row before its step.  With ``n_x`` the
+    parameters from ``n_x`` on are ``(s, tx, ty)`` cameras, and a scale that
+    reaches zero raises ``NumericalError``.
+    """
+    state = adam_init(params)
+    history = np.zeros((hp.epochs, 5))
+    for e, row in enumerate(history):
+        # divergence is detected right below; silence the transient fp noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, grad = evaluate(params, row)
+        if not np.isfinite(total):
+            raise NumericalError(
+                f"{what} diverged at epoch {e}: "
+                f"flow={row[1]:g} anchor={row[2]:g} det={row[3]:g} temporal={row[4]:g}")
+        params, state = adam_step(state, params, grad, hp.lr)
+        if n_x is not None:
+            # a non-positive scale is an optimizer failure, not a bad input
+            bad = np.flatnonzero(params[n_x::3] <= 0.0)
+            if bad.size:
+                raise NumericalError(
+                    f"{what} drove the camera scale of frame {bad[0]} "
+                    f"to {params[n_x + 3 * bad[0]]:g} at epoch {e}")
+    return params, history
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +284,21 @@ def _check_sequence(pose: PoseTrack, camera: CameraTrack, flows=None):
             f"expected {pose.frames - 1} flow fields, got {len(flows)}")
 
 
+def _only(**lams) -> PoseHyperParams:
+    """Weights with every term switched off but the given ones."""
+    off = dict(lam_opt=0, lam_3d=0, lam_2d=0, lam_pos=0, lam_cam=0, lam_bone=0)
+    return PoseHyperParams(**{**off, **lams})
+
+
+def _evaluate_3d(hp: PoseHyperParams, beta: float, pose: PoseTrack,
+                 camera: CameraTrack, **plan):
+    """``(value, grad_positions, grad_camera)`` of the objective at one pose."""
+    X = pose.positions
+    value, grad = _pose_objective(hp, beta, X, camera=True, **plan)(
+        np.concatenate([X.ravel(), camera.params.ravel()]))
+    return float(value), grad[:X.size].reshape(X.shape), grad[X.size:].reshape(-1, 3)
+
+
 def loss_opt(pose: PoseTrack, camera: CameraTrack, flows: Sequence[FlowField],
              beta: float = 1.0):
     """Flow-consistency term.
@@ -213,9 +310,10 @@ def loss_opt(pose: PoseTrack, camera: CameraTrack, flows: Sequence[FlowField],
     _check_sequence(pose, camera, flows)
     X = pose.positions
     C = camera.params
-    p = _project(X, C)
-    value, gp, clamped = _flow_consistency(p, _stack_flows(flows), beta)
-    gX, gC = _project_backprop(gp, X, C)
+    value, gp, clamped = _flow_consistency(_project(X, C), _stack_flows(flows), beta)
+    gX = np.zeros_like(X)
+    gC = np.zeros_like(C)
+    _project_backprop(gp, X, C, gX, gC)
     return value, gX, gC, clamped
 
 
@@ -223,7 +321,9 @@ def loss_3d(pose: PoseTrack, pose_init: PoseTrack, beta: float = 1.0):
     """Deviation from the initial 3-D estimates: ``(value, grad_positions)``."""
     if pose.positions.shape != pose_init.positions.shape:
         raise InvalidInputError("pose tracks have different dimensions")
-    return _anchor(pose.positions, pose_init.positions, beta)
+    value, grad = _pose_objective(_only(lam_3d=1.0), beta, pose_init.positions)(
+        pose.positions.ravel())
+    return float(value), grad.reshape(pose.positions.shape)
 
 
 def loss_2d(pose: PoseTrack, camera: CameraTrack, det: DetectionTrack,
@@ -233,12 +333,7 @@ def loss_2d(pose: PoseTrack, camera: CameraTrack, det: DetectionTrack,
         raise InvalidInputError("pose and camera frame counts differ")
     if det.pixels.shape[:2] != pose.positions.shape[:2]:
         raise InvalidInputError("detections do not match the pose dimensions")
-    X = pose.positions
-    C = camera.params
-    p = _project(X, C)
-    value, gp = _weighted_match(p, det.pixels, det.confidence, beta)
-    gX, gC = _project_backprop(gp, X, C)
-    return value, gX, gC
+    return _evaluate_3d(_only(lam_2d=1.0), beta, pose, camera, det=det)
 
 
 def loss_temp(pose: PoseTrack, camera: CameraTrack, topo: SkeletonTopology,
@@ -252,60 +347,12 @@ def loss_temp(pose: PoseTrack, camera: CameraTrack, topo: SkeletonTopology,
     _check_sequence(pose, camera)
     if pose.joints != topo.joint_count:
         raise InvalidInputError("pose joint count does not match topology")
-    X = pose.positions
-    v_pos, g_pos = _temporal(X, beta)
-    v_cam, g_cam = _temporal(camera.params[:, None, :], beta)
-    v_bone, g_bone = _bone_consistency(X, topo.bone_array(), beta)
-    value = w_pos * v_pos + w_cam * v_cam + w_bone * v_bone
-    gX = w_pos * g_pos + w_bone * g_bone
-    gC = w_cam * g_cam[:, 0, :]
-    return value, gX, gC
+    return _evaluate_3d(_only(lam_pos=w_pos, lam_cam=w_cam, lam_bone=w_bone), beta,
+                        pose, camera, bones=topo.bone_array())
 
 
 # ---------------------------------------------------------------------------
 # refinement loops
-
-def _total_loss_3d(X, C, X0, det_px, det_w, flows_uv, bones, hp: PoseHyperParams,
-                   beta: float):
-    gX = np.zeros_like(X)
-    gC = np.zeros_like(C)
-    terms = np.zeros(4)
-    gp = np.zeros(X.shape[:2] + (2,))
-    if hp.lam_opt > 0 or hp.lam_2d > 0:
-        p = _project(X, C)
-    if hp.lam_opt > 0:
-        v, g, _ = _flow_consistency(p, flows_uv, beta)
-        gp += hp.lam_opt * g
-        terms[0] = hp.lam_opt * v
-    if hp.lam_3d > 0:
-        v, g = _anchor(X, X0, beta)
-        gX += hp.lam_3d * g
-        terms[1] = hp.lam_3d * v
-    if hp.lam_2d > 0:
-        v, g = _weighted_match(p, det_px, det_w, beta)
-        gp += hp.lam_2d * g
-        terms[2] = hp.lam_2d * v
-    if hp.lam_opt > 0 or hp.lam_2d > 0:
-        gXp, gCp = _project_backprop(gp, X, C)
-        gX += gXp
-        gC += gCp
-    v_temp = 0.0
-    if hp.lam_pos > 0:
-        v, g = _temporal(X, beta)
-        gX += hp.lam_pos * g
-        v_temp += hp.lam_pos * v
-    if hp.lam_cam > 0:
-        v, g = _temporal(C[:, None, :], beta)
-        gC += hp.lam_cam * g[:, 0, :]
-        v_temp += hp.lam_cam * v
-    if hp.lam_bone > 0:
-        v, g = _bone_consistency(X, bones, beta)
-        gX += hp.lam_bone * g
-        v_temp += hp.lam_bone * v
-    terms[3] = v_temp
-    total = terms[0] + terms[1] + terms[2] + terms[3]
-    return total, terms, gX, gC
-
 
 def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
                 det: DetectionTrack, flows: Sequence[FlowField],
@@ -331,70 +378,14 @@ def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
         raise InvalidInputError("anchor does not match the pose dimensions")
 
     X0 = (anchor or pose_init).positions
-    X = pose_init.positions.copy()
-    C = camera_init.params.copy()
-    flows_uv = _stack_flows(flows)
-    bones = topo.bone_array()
-
-    n_x = X.size
-    params = np.concatenate([X.ravel(), C.ravel()])
-    state = adam_init(params)
-    history = np.zeros((hp.epochs, 5))
-    for e in range(hp.epochs):
-        X = params[:n_x].reshape(X0.shape)
-        C = params[n_x:].reshape(-1, 3)
-        # divergence is detected right below; silence the transient fp noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            total, terms, gX, gC = _total_loss_3d(
-                X, C, X0, det.pixels, det.confidence, flows_uv, bones, hp, beta)
-        if not np.isfinite(total):
-            raise NumericalError(
-                f"pose refinement diverged at epoch {e}: "
-                f"flow={terms[0]:g} anchor={terms[1]:g} "
-                f"det={terms[2]:g} temporal={terms[3]:g}")
-        history[e, 0] = total
-        history[e, 1:] = terms
-        grad = np.concatenate([gX.ravel(), gC.ravel()])
-        params, state = adam_step(state, params, grad, hp.lr)
-        # a non-positive scale is an optimizer failure, not a bad input
-        bad = np.flatnonzero(params[n_x::3] <= 0.0)
-        if bad.size:
-            raise NumericalError(
-                f"pose refinement drove the camera scale of frame {bad[0]} "
-                f"to {params[n_x + 3 * bad[0]]:g} at epoch {e}")
+    n_x = X0.size
+    evaluate = _pose_objective(hp, beta, X0, det, _stack_flows(flows),
+                               topo.bone_array(), camera=True)
+    params = np.concatenate([pose_init.positions.ravel(), camera_init.params.ravel()])
+    params, history = _descend(evaluate, params, hp, "pose refinement", n_x)
     return (PoseTrack(params[:n_x].reshape(X0.shape)),
             CameraTrack(params[n_x:].reshape(-1, 3)),
             history)
-
-
-def _total_loss_2d(x, x0, det_px, det_w, flows_uv, bones, hp: PoseHyperParams,
-                   beta: float):
-    gx = np.zeros_like(x)
-    terms = np.zeros(4)
-    if hp.lam_opt > 0:
-        v, gp, _ = _flow_consistency(x, flows_uv, beta)
-        gx += hp.lam_opt * gp
-        terms[0] = hp.lam_opt * v
-    if hp.lam_3d > 0:
-        v, g = _anchor(x, x0, beta)
-        gx += hp.lam_3d * g
-        terms[1] = hp.lam_3d * v
-    if hp.lam_2d > 0:
-        v, gp = _weighted_match(x, det_px, det_w, beta)
-        gx += hp.lam_2d * gp
-        terms[2] = hp.lam_2d * v
-    v_temp = 0.0
-    if hp.lam_pos > 0:
-        v, g = _temporal(x, beta)
-        gx += hp.lam_pos * g
-        v_temp += hp.lam_pos * v
-    if hp.lam_bone > 0:
-        v, g = _bone_consistency(x, bones, beta)
-        gx += hp.lam_bone * g
-        v_temp += hp.lam_bone * v
-    terms[3] = v_temp
-    total = terms[0] + terms[1] + terms[2] + terms[3]
-    return total, terms, gx
 
 
 def refine_pose_2d(x_init: DetectionTrack, det: DetectionTrack,
@@ -424,22 +415,6 @@ def refine_pose_2d(x_init: DetectionTrack, det: DetectionTrack,
         raise InvalidInputError("anchor does not match the track dimensions")
 
     x0 = (anchor or x_init).pixels
-    flows_uv = _stack_flows(flows)
-    bones = topo.bone_array()
-    params = x_init.pixels.copy().ravel()
-    state = adam_init(params)
-    history = np.zeros((hp.epochs, 5))
-    for e in range(hp.epochs):
-        x = params.reshape(x0.shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total, terms, gx = _total_loss_2d(
-                x, x0, det.pixels, det.confidence, flows_uv, bones, hp, beta)
-        if not np.isfinite(total):
-            raise NumericalError(
-                f"2d refinement diverged at epoch {e}: "
-                f"flow={terms[0]:g} anchor={terms[1]:g} "
-                f"det={terms[2]:g} temporal={terms[3]:g}")
-        history[e, 0] = total
-        history[e, 1:] = terms
-        params, state = adam_step(state, params, gx.ravel(), hp.lr)
+    evaluate = _pose_objective(hp, beta, x0, det, _stack_flows(flows), topo.bone_array())
+    params, history = _descend(evaluate, x_init.pixels.ravel().copy(), hp, "2d refinement")
     return DetectionTrack(params.reshape(x0.shape), x_init.confidence), history

@@ -1,8 +1,12 @@
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowpose import (CameraTrack, DetectionTrack, FlowField, FormatError,
                       PoseTrack, SchemaError, default_topology)
@@ -27,6 +31,53 @@ def test_flo_roundtrip_bit_exact(tmp_path):
         blob = path.read_bytes()
         write_flo(tmp_path / "again.flo", back)
         assert (tmp_path / "again.flo").read_bytes() == blob
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(uv=st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda hw: arrays(np.float32, hw + (2,),
+                      elements=st.floats(allow_nan=False, allow_infinity=False,
+                                         width=32))))
+@example(uv=np.zeros((1, 1, 2), np.float32))
+def test_flo_roundtrip_property(tmp_path_factory, uv):
+    # every float32 value, signed zeros included, survives bit for bit
+    d = tmp_path_factory.mktemp("flo")
+    write_flo(d / "a.flo", FlowField(uv.astype(np.float64)))
+    back = read_flo(d / "a.flo")
+    assert back.uv.tobytes() == uv.astype(np.float64).tobytes()
+    write_flo(d / "b.flo", back)
+    assert (d / "b.flo").read_bytes() == (d / "a.flo").read_bytes()
+
+
+@st.composite
+def _tracks(draw):
+    frames = draw(st.integers(1, 4))
+    joints = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from([PoseTrack, CameraTrack, DetectionTrack]))
+    if kind is PoseTrack:
+        return PoseTrack(draw(arrays(np.float64, (frames, joints, 3), elements=_FINITE)))
+    if kind is CameraTrack:
+        params = draw(arrays(np.float64, (frames, 3), elements=_FINITE))
+        params[:, 0] = draw(arrays(np.float64, frames, elements=st.floats(
+            min_value=0.0, exclude_min=True, allow_infinity=False)))
+        return CameraTrack(params)
+    return DetectionTrack(
+        draw(arrays(np.float64, (frames, joints, 2), elements=_FINITE)),
+        draw(arrays(np.float64, (frames, joints), elements=st.floats(0.0, 1.0))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(track=_tracks())
+def test_track_roundtrip_property(tmp_path_factory, track):
+    path = tmp_path_factory.mktemp("track") / "t.json"
+    write_track(path, track)
+    back, _ = read_track(path)
+    assert type(back) is type(track)
+    for f in fields(track):
+        assert getattr(back, f.name).tobytes() == getattr(track, f.name).tobytes()
 
 
 def test_flo_1x1_file_is_20_bytes(tmp_path):

@@ -10,11 +10,11 @@ from flowpose import (CameraTrack, DetectionTrack, FlowField, InvalidInputError,
                       refine_pose, refine_pose_2d, standard_benchmark)
 from flowpose.gradcheck import make_random_scene
 from flowpose.optim import finite_diff_check
-from flowpose.pose_refine import (_flow_consistency, _sample_flow, _total_loss_2d,
-                                  _total_loss_3d)
+from flowpose.pose_refine import (_flow_consistency, _pose_objective, _project,
+                                  _sample_flow)
 from flowpose.synth import generate_scene, mpjpe
 
-from oracles import flow_consistency_oracle
+from oracles import flow_consistency_oracle, flow_sample_oracle
 
 
 def _chain(joints):
@@ -192,10 +192,9 @@ def test_refine_pose_2d_recovers_corrupted_joint():
 def test_total_pose_loss_gradients():
     # the full weighted objective, not just the individual terms
     topo, pose, cam, det, flows = make_random_scene(12)
-    hp = PoseHyperParams()
-    flows_uv = np.stack([f.uv for f in flows])
-    bones = topo.bone_array()
-    shape_x = pose.positions.shape
+    evaluate = _pose_objective(PoseHyperParams(), 1.0, pose.positions, det,
+                               np.stack([f.uv for f in flows]), topo.bone_array(),
+                               camera=True)
     n_x = pose.positions.size
     rng = np.random.Generator(np.random.PCG64(120))
     start = np.concatenate([
@@ -203,14 +202,7 @@ def test_total_pose_loss_gradients():
         cam.params.ravel(),
     ])
 
-    def f(vec):
-        X = vec[:n_x].reshape(shape_x)
-        C = vec[n_x:].reshape(-1, 3)
-        total, _, gX, gC = _total_loss_3d(X, C, pose.positions, det.pixels,
-                                          det.confidence, flows_uv, bones, hp, 1.0)
-        return total, np.concatenate([gX.ravel(), gC.ravel()])
-
-    assert finite_diff_check(f, start, step=1e-5) < 1e-4
+    assert finite_diff_check(evaluate, start, step=1e-5) < 1e-4
 
 
 def test_refine_pose_2d_gradients():
@@ -218,17 +210,9 @@ def test_refine_pose_2d_gradients():
     rng = np.random.Generator(np.random.PCG64(90))
     x = DetectionTrack(det.pixels + rng.normal(0, 0.05, det.pixels.shape),
                        det.confidence)
-    hp = PoseHyperParams()
-    flows_uv = np.stack([f.uv for f in flows])
-    bones = topo.bone_array()
-    shape = x.pixels.shape
-
-    def f(vec):
-        total, _, gx = _total_loss_2d(vec.reshape(shape), x.pixels, det.pixels,
-                                      det.confidence, flows_uv, bones, hp, 1.0)
-        return total, gx.ravel()
-
-    err = finite_diff_check(f, x.pixels.ravel() + 0.001, step=1e-5)
+    evaluate = _pose_objective(PoseHyperParams(), 1.0, x.pixels, det,
+                               np.stack([f.uv for f in flows]), topo.bone_array())
+    err = finite_diff_check(evaluate, x.pixels.ravel() + 0.001, step=1e-5)
     assert err < 1e-4
 
 
@@ -239,6 +223,43 @@ def test_collapsing_camera_scale_is_a_numerical_error():
     with pytest.raises(NumericalError, match=r"camera scale of frame \d+ .* at epoch \d+"):
         refine_pose(noisy.pose, noisy.camera, noisy.detections, noisy.flows,
                     noisy.topology, PoseHyperParams(lr=50.0))
+
+
+_LAMS = ("lam_opt", "lam_3d", "lam_2d", "lam_pos", "lam_cam", "lam_bone")
+_weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), camera=st.booleans(),
+       lams=st.tuples(*[_weight] * len(_LAMS)))
+def test_objective_is_sum_of_its_terms(seed, camera, lams):
+    topo, pose, cam, det, flows = make_random_scene(seed)
+    flows_uv = np.stack([f.uv for f in flows])
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if camera:
+        x = pose.positions
+        params = np.concatenate([x.ravel(), cam.params.ravel()])
+    else:
+        x = _project(pose.positions, cam.params)
+        params = x.ravel()
+    anchor = x + rng.normal(0.0, 0.05, x.shape)
+
+    def evaluate(**weights):
+        hp = PoseHyperParams(**{**dict.fromkeys(_LAMS, 0.0), **weights})
+        row = np.zeros(5)
+        _, grad = _pose_objective(hp, 1.0, anchor, det, flows_uv, topo.bone_array(),
+                                  camera)(params, row)
+        return row, grad
+
+    row, grad = evaluate(**dict(zip(_LAMS, lams)))
+    parts = [evaluate(**{name: lam}) for name, lam in zip(_LAMS, lams)]
+    value = sum(part[0][0] for part in parts)
+    assert abs(row[0] - value) <= 1e-12 * value
+    want = sum(part[1] for part in parts)
+    scale = sum(np.abs(part[1]) for part in parts)
+    assert np.all(np.abs(grad - want) <= 1e-12 * scale)
+    # each history column is the sum of the one-hot columns
+    assert np.allclose(row[1:], sum(part[0][1:] for part in parts), rtol=1e-12, atol=0)
 
 
 @st.composite
@@ -267,9 +288,16 @@ def test_batched_flow_consistency_matches_per_pair_loop(case):
     assert np.array_equal(grad, np.array(want_grad))
     assert clamped == want_clamped
 
+    # the sampler itself is exact against the per-point oracle
+    val, dvdx, dvdy, clamped = _sample_flow(fields, track[:-1])
+    want = [[flow_sample_oracle(fields[t].tolist(), *track[t, j].tolist())
+             for j in range(track.shape[1])] for t in range(track.shape[0] - 1)]
+    for k, got in enumerate((val, dvdx, dvdy)):
+        assert np.array_equal(got, np.array([[c[k] for c in pair] for pair in want]))
+    assert clamped == sum(c[3] for pair in want for c in pair)
+
     # a clamped axis has a zero positional derivative
     h, w = fields.shape[1:3]
     x, y = track[:-1, :, 0], track[:-1, :, 1]
-    _, dvdx, dvdy, _ = _sample_flow(fields, track[:-1])
     assert np.all(dvdx[(x < 0) | (x > w - 1)] == 0.0)
     assert np.all(dvdy[(y < 0) | (y > h - 1)] == 0.0)
