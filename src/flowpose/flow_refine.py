@@ -173,5 +173,8 @@ def refine_flow(base: FlowField, target: TargetFlow, epochs: int,
             raise NumericalError(f"flow refinement diverged at epoch {e}")
         losses[e] = loss
         values, state = adam_step(state, values, grad, lr)
+    # every other step is caught by the next epoch's evaluation
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"flow refinement diverged at epoch {epochs - 1}")
     refined = refiner_apply(CorrectionGrid(values, stride, sigma), base)
     return refined, losses

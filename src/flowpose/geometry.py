@@ -178,6 +178,8 @@ class DetectionTrack:
         px = _finite_array(self.pixels, np.float64, "pixels")
         if px.ndim != 3 or px.shape[2] != 2:
             raise InvalidInputError(f"pixels: expected (T, J, 2), got {px.shape}")
+        if px.shape[0] < 1 or px.shape[1] < 1:
+            raise InvalidInputError("pixels: frames and joints must be positive")
         w = _finite_array(self.confidence, np.float64, "confidence")
         if w.shape != px.shape[:2]:
             raise InvalidInputError(

@@ -241,7 +241,7 @@ def _descend(evaluate, params: np.ndarray, hp: PoseHyperParams, what: str,
 
     ``history`` holds each epoch's row before its step.  With ``n_x`` the
     parameters from ``n_x`` on are ``(s, tx, ty)`` cameras, and a scale that
-    reaches zero raises ``NumericalError``.
+    reaches zero raises ``NumericalError``; so do non-finite parameters.
     """
     state = adam_init(params)
     history = np.zeros((hp.epochs, 5))
@@ -261,6 +261,10 @@ def _descend(evaluate, params: np.ndarray, hp: PoseHyperParams, what: str,
                 raise NumericalError(
                     f"{what} drove the camera scale of frame {bad[0]} "
                     f"to {params[n_x + 3 * bad[0]]:g} at epoch {e}")
+    # every other step is caught by the next epoch's evaluation
+    if not np.all(np.isfinite(params)):
+        raise NumericalError(
+            f"{what} produced non-finite parameters at epoch {hp.epochs - 1}")
     return params, history
 
 

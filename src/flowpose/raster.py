@@ -6,6 +6,10 @@ with a plus-shaped structuring element whose arm length is the radius.
 Bones are clipped to the image before thickening, so a skeleton entirely
 outside the frame leaves the raster empty.
 
+Each bone is measured only inside its window, its bounding box grown by
+``radius + 1`` and clipped to the image; this gives the same bits as
+measuring every bone over the whole image (see ``rasterize_skeleton``).
+
 Every raster pixel knows its owning bone (the bone with the nearest
 centerline, ties to the lower bone index) and the arc-length fraction of
 the nearest centerline point, which is what lets bone motion be splatted
@@ -16,6 +20,7 @@ between the two frames.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,24 +101,34 @@ def rasterize_skeleton(joints2d, topo: SkeletonTopology, width: int, height: int
     owner = np.full((height, width), -1, dtype=np.int32)
     frac = np.full((height, width), np.nan)
 
-    # Per-pixel distance to every segment over the full image; fine at the
-    # image sizes this pipeline targets and trivially matched by an oracle.
-    yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
+    # The windows are exact: a masked pixel lies within radius + 0.5 of its
+    # nearest bone, so a bone whose window excludes it can neither own it nor
+    # tie, and the element-wise arithmetic gives the same bits in a window.
+    reach = radius + 1
     for b, (j, k) in enumerate(topo.bones):
         px, py = pts[j]
         qx, qy = pts[k]
+        x0 = max(math.floor(min(px, qx)) - reach, 0)
+        x1 = min(math.ceil(max(px, qx)) + reach + 1, width)
+        y0 = max(math.floor(min(py, qy)) - reach, 0)
+        y1 = min(math.ceil(max(py, qy)) + reach + 1, height)
+        if x0 >= x1 or y0 >= y1:
+            continue
+        xx = np.arange(x0, x1, dtype=np.float64)
+        yy = np.arange(y0, y1, dtype=np.float64)[:, None]
         d2 = (qx - px) ** 2 + (qy - py) ** 2
         if d2 > 0:
             t = ((xx - px) * (qx - px) + (yy - py) * (qy - py)) / d2
             t = np.clip(t, 0.0, 1.0)
         else:
-            t = np.zeros_like(xx)
+            t = np.zeros((y1 - y0, x1 - x0))
         dist = np.hypot(xx - (px + t * (qx - px)), yy - (py + t * (qy - py)))
-        centerline |= dist <= 0.5
-        closer = dist < best_d
-        best_d[closer] = dist[closer]
-        owner[closer] = b
-        frac[closer] = t[closer]
+        window = np.s_[y0:y1, x0:x1]
+        centerline[window] |= dist <= 0.5
+        closer = dist < best_d[window]
+        best_d[window][closer] = dist[closer]
+        owner[window][closer] = b
+        frac[window][closer] = t[closer]
 
     mask = centerline.copy()
     for r in range(1, radius + 1):

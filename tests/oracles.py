@@ -1,10 +1,14 @@
 """Brute-force reference implementations used to verify the fast paths.
 
 Everything here is written as plain per-pixel Python loops, independent of
-the vectorized library code.
+the vectorized library code, except ``raster_full_image``, a numpy
+reference that is too slow for the library but fast enough for property
+tests at full image sizes.
 """
 
 import math
+
+import numpy as np
 
 
 def seg_distance_and_frac(px, py, ax, ay, bx, by):
@@ -62,6 +66,45 @@ def raster_oracle(joints, bones, width, height, radius):
                     best_d, best_b, best_t = d, b, t
             owner[y][x] = best_b
             frac[y][x] = best_t
+    return mask, owner, frac
+
+
+def raster_full_image(joints, bones, width, height, radius):
+    """Numpy reference of the thick-skeleton raster: every bone's distance
+    field over the full image.
+
+    Returns (mask, owner, frac) arrays; owner is -1 and frac NaN outside the
+    mask.  The library must match it bit for bit.
+    """
+    pts = np.asarray(joints, dtype=np.float64)
+    centerline = np.zeros((height, width), dtype=bool)
+    best_d = np.full((height, width), np.inf)
+    owner = np.full((height, width), -1, dtype=np.int32)
+    frac = np.full((height, width), np.nan)
+    yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
+    for b, (j, k) in enumerate(bones):
+        px, py = pts[j]
+        qx, qy = pts[k]
+        d2 = (qx - px) ** 2 + (qy - py) ** 2
+        if d2 > 0:
+            t = ((xx - px) * (qx - px) + (yy - py) * (qy - py)) / d2
+            t = np.clip(t, 0.0, 1.0)
+        else:
+            t = np.zeros_like(xx)
+        dist = np.hypot(xx - (px + t * (qx - px)), yy - (py + t * (qy - py)))
+        centerline |= dist <= 0.5
+        closer = dist < best_d
+        best_d[closer] = dist[closer]
+        owner[closer] = b
+        frac[closer] = t[closer]
+    mask = centerline.copy()
+    for r in range(1, radius + 1):
+        mask[:, r:] |= centerline[:, :-r]
+        mask[:, :-r] |= centerline[:, r:]
+        mask[r:, :] |= centerline[:-r, :]
+        mask[:-r, :] |= centerline[r:, :]
+    owner = np.where(mask, owner, np.int32(-1))
+    frac = np.where(mask, frac, np.nan)
     return mask, owner, frac
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flowpose import (CameraTrack, DetectionTrack, FlowField, FormatError,
-                      PoseTrack, SchemaError, default_topology)
+                      InvalidInputError, PoseTrack, SchemaError, default_topology)
 from flowpose import fileio
 from flowpose.fileio import (RunConfig, config_from_dict, config_to_dict,
                              read_bundle, read_config, read_flo, read_topology,
@@ -54,24 +54,31 @@ def test_flo_roundtrip_property(tmp_path_factory, uv):
 
 @st.composite
 def _tracks(draw):
-    frames = draw(st.integers(1, 4))
-    joints = draw(st.integers(1, 5))
+    """``(kind, args)`` of a track; frames or joints may be zero."""
+    frames = draw(st.integers(0, 4))
+    joints = draw(st.integers(0, 5))
     kind = draw(st.sampled_from([PoseTrack, CameraTrack, DetectionTrack]))
     if kind is PoseTrack:
-        return PoseTrack(draw(arrays(np.float64, (frames, joints, 3), elements=_FINITE)))
+        return kind, (draw(arrays(np.float64, (frames, joints, 3), elements=_FINITE)),)
     if kind is CameraTrack:
         params = draw(arrays(np.float64, (frames, 3), elements=_FINITE))
         params[:, 0] = draw(arrays(np.float64, frames, elements=st.floats(
             min_value=0.0, exclude_min=True, allow_infinity=False)))
-        return CameraTrack(params)
-    return DetectionTrack(
-        draw(arrays(np.float64, (frames, joints, 2), elements=_FINITE)),
-        draw(arrays(np.float64, (frames, joints), elements=st.floats(0.0, 1.0))))
+        return kind, (params,)
+    return kind, (draw(arrays(np.float64, (frames, joints, 2), elements=_FINITE)),
+                  draw(arrays(np.float64, (frames, joints), elements=st.floats(0.0, 1.0))))
 
 
 @settings(max_examples=60, deadline=None)
-@given(track=_tracks())
-def test_track_roundtrip_property(tmp_path_factory, track):
+@given(case=_tracks())
+def test_track_roundtrip_property(tmp_path_factory, case):
+    kind, args = case
+    if args[0].size == 0:
+        # an empty track is rejected up front, so it is never written
+        with pytest.raises(InvalidInputError):
+            kind(*args)
+        return
+    track = kind(*args)
     path = tmp_path_factory.mktemp("track") / "t.json"
     write_track(path, track)
     back, _ = read_track(path)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowpose import (FlowField, InvalidInputError, TargetFlow, init_refiner,
-                      refine_flow, refiner_apply)
+from flowpose import (FlowField, InvalidInputError, NumericalError, TargetFlow,
+                      init_refiner, refine_flow, refiner_apply)
 from flowpose.flow_refine import (CorrectionGrid, _axis_operator, _correction,
                                   _correction_adjoint, grid_shape)
 
@@ -134,6 +134,17 @@ def test_refine_flow_rejects_bad_input():
         refine_flow(base, _target(np.zeros((8, 9, 2))), epochs=1)
     with pytest.raises(InvalidInputError):
         refine_flow(base, _target(np.zeros((8, 8, 2))), epochs=-1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_last_step_overflow_is_a_numerical_error():
+    # the target is so far off that both steps push the single grid cell the
+    # same way: the first lands near the largest float and the last overflows,
+    # with no later evaluation to see it
+    base = FlowField(np.zeros((1, 1, 2)))
+    target = _target(np.array([[[1.5e308, 0.0]]]))
+    with pytest.raises(NumericalError, match="diverged at epoch 1"):
+        refine_flow(base, target, epochs=2, lr=1e308)
 
 
 _SIGMAS = st.one_of(st.just(0.0), st.floats(0.05, 3.0))

@@ -225,6 +225,24 @@ def test_collapsing_camera_scale_is_a_numerical_error():
                     noisy.topology, PoseHyperParams(lr=50.0))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("mode", ["3d", "2d"])
+def test_last_step_overflow_is_a_numerical_error(mode):
+    # the only epoch's step overflows, and no later evaluation would see it
+    _, noisy, _ = standard_benchmark(77)
+    det = noisy.detections
+    with pytest.raises(NumericalError, match=r"non-finite parameters at epoch 0"):
+        if mode == "2d":
+            refine_pose_2d(det, det, noisy.flows, noisy.topology,
+                           PoseHyperParams(lr=1e308, epochs=1))
+        else:
+            # no camera term has weight, so the scales stay put and only
+            # the positions overflow
+            refine_pose(noisy.pose, noisy.camera, det, noisy.flows, noisy.topology,
+                        PoseHyperParams(lr=1e308, epochs=1, lam_opt=0, lam_2d=0,
+                                        lam_cam=0))
+
+
 _LAMS = ("lam_opt", "lam_3d", "lam_2d", "lam_pos", "lam_cam", "lam_bone")
 _weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e4))
 

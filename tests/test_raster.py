@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowpose import (FlowField, InvalidInputError, SkeletonTopology,
                       bone_flow, compose_target_flow, rasterize_skeleton)
 
-from oracles import bone_flow_oracle, raster_oracle
+from oracles import bone_flow_oracle, raster_full_image, raster_oracle
 
 
 def _line_topo():
@@ -73,6 +75,59 @@ def test_raster_matches_oracle(seed):
             if mask[y][x]:
                 assert raster.owner[y, x] == owner[y][x]
                 assert abs(raster.frac[y, x] - frac[y][x]) < 1e-9
+
+
+@st.composite
+def _skeletons(draw):
+    """Random trees on images up to 96x96, radius 0-15.
+
+    Coordinates mix free floats reaching past every side of the image,
+    integers and half-integers (where pixels tie between bones), points in
+    the band just outside an edge, and joints that coincide with an
+    earlier one (zero-length bones).
+    """
+    width, height = draw(st.integers(1, 96)), draw(st.integers(1, 96))
+    radius = draw(st.integers(0, 15))
+    joints_n = draw(st.integers(1, 8))
+    bones = tuple((draw(st.integers(0, j - 1)), j) for j in range(1, joints_n))
+
+    def coord(size):
+        reach = radius + 30
+        return draw(st.one_of(
+            st.floats(-reach, size - 1 + reach),
+            st.integers(-reach, size - 1 + reach).map(float),
+            st.integers(-reach, size - 1 + reach).map(lambda v: v + 0.5),
+            st.floats(0.0, radius + 1.0).map(lambda d: -d),
+            st.floats(0.0, radius + 1.0).map(lambda d: size - 1 + d)))
+
+    joints = []
+    for j in range(joints_n):
+        if j and draw(st.integers(0, 4)) == 0:
+            joints.append(joints[draw(st.integers(0, j - 1))])
+        else:
+            joints.append((coord(width), coord(height)))
+    return width, height, radius, bones, joints
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_skeletons())
+# a bone just off each edge, within the radius of it
+@example(case=(40, 30, 6, ((0, 1),), [(-3.0, 2.0), (-5.5, 25.0)]))
+@example(case=(40, 30, 6, ((0, 1),), [(43.0, 2.0), (44.5, 25.0)]))
+@example(case=(40, 30, 6, ((0, 1),), [(2.0, -6.5), (37.0, -1.0)]))
+@example(case=(40, 30, 6, ((0, 1),), [(2.0, 30.0), (37.0, 35.5)]))
+# coincident joints and exact ties between crossing bones on the lattice
+@example(case=(24, 24, 3, ((0, 1), (0, 2), (2, 3)),
+               [(12.0, 12.0), (12.0, 12.0), (4.0, 12.0), (12.0, 4.0)]))
+@example(case=(17, 9, 0, ((0, 1), (1, 2)), [(0.5, 0.5), (8.5, 8.5), (16.5, 0.5)]))
+def test_raster_matches_full_image_reference(case):
+    width, height, radius, bones, joints = case
+    topo = SkeletonTopology(joint_count=len(joints), bones=bones)
+    raster = rasterize_skeleton(np.array(joints), topo, width, height, radius)
+    mask, owner, frac = raster_full_image(joints, bones, width, height, radius)
+    assert np.array_equal(raster.mask, mask)
+    assert np.array_equal(raster.owner, owner)
+    assert np.array_equal(raster.frac.view(np.int64), frac.view(np.int64))
 
 
 def test_bone_flow_static_skeleton_zero():
