@@ -74,9 +74,21 @@ def _load_json(path):
 
 
 def _require(doc: dict, key: str, context: str):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{context}: expected a JSON object, got {type(doc).__name__}")
     if key not in doc:
         raise SchemaError(f"{context}: missing field '{key}'")
     return doc[key]
+
+
+def _integer(doc: dict, key: str, context: str, default: int | None = None) -> int:
+    """Integer field ``key`` of ``doc``: a JSON number with an integral value."""
+    value = _require(doc, key, context) if default is None else doc.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{context}: field '{key}' is not an integer: {value!r}")
+    return value
 
 
 def _numeric_array(doc: dict, key: str, context: str) -> np.ndarray:
@@ -176,10 +188,10 @@ def read_track(path):
         raise SchemaError(f"{ctx}: unsupported format {doc['format']!r}")
     kind = _require(doc, "kind", ctx)
     units = str(_require(doc, "units", ctx))
-    frames = _require(doc, "frames", ctx)
+    frames = _integer(doc, "frames", ctx)
     try:
         if kind == "pose":
-            joints = _require(doc, "joints", ctx)
+            joints = _integer(doc, "joints", ctx)
             arr = _numeric_array(doc, "positions", ctx)
             if arr.shape != (frames, joints, 3):
                 raise SchemaError(
@@ -193,7 +205,7 @@ def read_track(path):
                     f"{ctx}: params shape {arr.shape} does not match frames={frames}")
             return CameraTrack(arr), units
         if kind == "detections":
-            joints = _require(doc, "joints", ctx)
+            joints = _integer(doc, "joints", ctx)
             px = _numeric_array(doc, "pixels", ctx)
             w = _numeric_array(doc, "confidence", ctx)
             if px.shape != (frames, joints, 2):
@@ -224,7 +236,7 @@ def read_topology(path) -> SkeletonTopology:
         raise SchemaError(f"{ctx}: unsupported format {doc['format']!r}")
     try:
         return SkeletonTopology(
-            joint_count=int(_require(doc, "joint_count", ctx)),
+            joint_count=_integer(doc, "joint_count", ctx),
             bones=tuple(tuple(b) for b in _require(doc, "bones", ctx)),
             names=tuple(doc["names"]) if doc.get("names") else None,
             eval_subset=tuple(doc["eval_subset"]) if doc.get("eval_subset") else None)
@@ -275,8 +287,8 @@ def read_bundle(dirpath) -> SceneBundle:
             raise SchemaError(f"{d / 'camera.json'}: expected a camera track")
     flows = read_flow_dir(d / "flows")
     try:
-        return SceneBundle(topology=topo, width=int(_require(meta, "width", ctx)),
-                           height=int(_require(meta, "height", ctx)),
+        return SceneBundle(topology=topo, width=_integer(meta, "width", ctx),
+                           height=_integer(meta, "height", ctx),
                            detections=detections, flows=tuple(flows), mode=mode,
                            pose=pose, camera=camera)
     except InvalidInputError as exc:
@@ -343,7 +355,7 @@ def config_from_dict(doc: dict, context: str = "config") -> RunConfig:
         stages = []
         for i, s in enumerate(_require(doc, "schedule", context)):
             kind = _require(s, "kind", f"{context}: schedule[{i}]")
-            epochs = int(_require(s, "epochs", f"{context}: schedule[{i}]"))
+            epochs = _integer(s, "epochs", f"{context}: schedule[{i}]")
             if kind == "flow":
                 stages.append(FlowStage(epochs))
             elif kind == "pose":
@@ -355,7 +367,7 @@ def config_from_dict(doc: dict, context: str = "config") -> RunConfig:
         paths_doc = doc.get("paths") or {}
         return RunConfig(
             mode=_require(doc, "mode", context),
-            seed=int(doc.get("seed", 0)),
+            seed=_integer(doc, "seed", context, default=0),
             schedule=CycleSchedule(tuple(stages)),
             pose_params=PoseHyperParams(**hp_doc),
             flow_params=FlowRefineParams(**fp_doc),

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraTrack, DetectionTrack, FlowField, PoseTrack, SkeletonTopology
+from .geometry import (CameraTrack, DetectionTrack, FlowField, PoseTrack, SkeletonTopology,
+                       project)
 from .flow_refine import flow_objective, grid_shape
 from .optim import finite_diff_check
-from .pose_refine import (PoseHyperParams, _pose_objective, _project, loss_2d, loss_3d,
-                          loss_opt, loss_temp)
+from .pose_refine import (PoseHyperParams, _planes, _pose_objective, _to_params, loss_2d,
+                          loss_3d, loss_opt, loss_temp)
 
 
 @dataclass
@@ -61,7 +62,7 @@ def make_random_scene(seed: int, frames: int = 3, joints: int = 5,
         ], axis=1)
         pose = PoseTrack(X)
         camera = CameraTrack(cams)
-        proj = _project(X, cams)
+        proj = project(X, cams[:, None])
         if _near_sampling_kink(proj, width, height):
             continue
         det = DetectionTrack(rng.normal(width / 2.0, 4.0, size=(frames, joints, 2)),
@@ -86,9 +87,23 @@ def check_scene(seed: int, step: float = 1e-5) -> list[CheckResult]:
     """Finite-difference checks of all loss terms on one random scene, and of
     the refiners' whole objective with default weights in both modes."""
     topo, pose, camera, det, flows = make_random_scene(seed)
-    shape_x = pose.positions.shape
+    # Every check runs on a track that moves little between frames, as the
+    # refiners' tracks do: on the scene's independent frames the temporal
+    # term is about 1e3, and that value's rounding swamps any gradient
+    # component that cancels to about 1e-5.
+    moved = np.random.Generator(np.random.PCG64(seed + 20_000))
+    x = None
+    while x is None or _near_sampling_kink(x, flows[0].width, flows[0].height):
+        X = pose.positions[:1] + moved.normal(0.0, 0.01, pose.positions.shape)
+        x = project(X, camera.params[:, None])
+    anchor_3d = X + moved.normal(0.0, 0.05, X.shape)
+    anchor_2d = x + moved.normal(0.0, 0.5, x.shape)
+    # The temporal term's cameras move little too: across a camera jump past
+    # the smooth-L1 threshold its camera slopes cancel to exactly zero.
+    still = CameraTrack(camera.params[:1] + moved.normal(0.0, 0.1, camera.params.shape))
+    shape_x = X.shape
     shape_c = camera.params.shape
-    params = _pack(pose, camera)
+    params = _pack(PoseTrack(X), camera)
     results = []
 
     def f_opt(vec):
@@ -97,7 +112,7 @@ def check_scene(seed: int, step: float = 1e-5) -> list[CheckResult]:
         return v, np.concatenate([gx.ravel(), gc.ravel()])
 
     def f_3d(vec):
-        v, gx = loss_3d(PoseTrack(vec.reshape(shape_x)), pose)
+        v, gx = loss_3d(PoseTrack(vec.reshape(shape_x)), PoseTrack(X))
         return v, gx.ravel()
 
     def f_2d(vec):
@@ -112,28 +127,19 @@ def check_scene(seed: int, step: float = 1e-5) -> list[CheckResult]:
 
     # Perturb the anchor check away from the (zero-gradient) initial pose.
     rng = np.random.Generator(np.random.PCG64(seed + 10_000))
-    shifted = params[:pose.positions.size] + rng.normal(0.0, 0.05,
-                                                        pose.positions.size)
+    shifted = X.ravel() + rng.normal(0.0, 0.05, X.size)
     results.append(CheckResult("loss_opt", seed, finite_diff_check(f_opt, params, step)))
     results.append(CheckResult("loss_3d", seed, finite_diff_check(f_3d, shifted, step)))
     results.append(CheckResult("loss_2d", seed, finite_diff_check(f_2d, params, step)))
-    results.append(CheckResult("loss_temp", seed, finite_diff_check(f_temp, params, step)))
+    results.append(CheckResult("loss_temp", seed, finite_diff_check(
+        f_temp, _pack(PoseTrack(X), still), step)))
 
-    # The whole objective runs on a track that moves little between frames,
-    # as the refiners' tracks do: on the scene's frame-to-frame jumps its
-    # default-weighted total is about 1e3, and that value's rounding swamps
-    # any gradient component that cancels to about 1e-5.
-    moved = np.random.Generator(np.random.PCG64(seed + 20_000))
-    x = None
-    while x is None or _near_sampling_kink(x, flows[0].width, flows[0].height):
-        X = pose.positions[:1] + moved.normal(0.0, 0.01, shape_x)
-        x = _project(X, camera.params)
     plan = dict(det=det, flows_uv=np.stack([f.uv for f in flows]), bones=topo.bone_array())
     for name, camera_on, anchor, point in (
-            ("objective_3d", True, X + moved.normal(0.0, 0.05, X.shape),
-             _pack(PoseTrack(X), camera)),
-            ("objective_2d", False, x + moved.normal(0.0, 0.5, x.shape), x.ravel())):
-        objective = _pose_objective(PoseHyperParams(), 1.0, anchor, camera=camera_on, **plan)
+            ("objective_3d", True, anchor_3d, _to_params(X, camera.params)),
+            ("objective_2d", False, anchor_2d, _to_params(x))):
+        objective = _pose_objective(PoseHyperParams(), 1.0, _planes(anchor),
+                                    camera=camera_on, **plan)
         results.append(CheckResult(name, seed, finite_diff_check(objective, point, step)))
 
     base = flows[0].uv

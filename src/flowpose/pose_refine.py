@@ -1,12 +1,22 @@
-"""Pose refinement: the four-term objective and its analytic gradients.
+"""Pose refinement: one weighted objective and its analytic gradient.
 
-The objective ties a 3-D joint track and its per-frame cameras to the
+The objective ties a joint track and, in 3-D, its per-frame cameras to the
 scene's optical flow (projected joint displacements must follow the flow
 sampled at the joint pixels), to the initial estimates, to 2-D detections
 weighted by confidence, and to temporal consistency of positions, cameras
 and bone lengths.  Every term is an arithmetic mean over its indices and
 every gradient is closed-form, including the path through the bilinear
 flow sampling location.
+
+Inside the objective the variables are coordinate planes: the track is
+``(D, T, J)`` and the cameras ``(3, T)`` rows of ``(s, tx, ty)``, so each
+coordinate is one contiguous plane and no operation broadcasts over a
+trailing axis of two or three.  The refiners convert the public
+``(T, J, D)`` and ``(T, 3)`` layouts once on entry and once on exit.  The
+six residuals (flow, anchor, detection, and the changes of positions,
+cameras and bone lengths between frames) share one buffer whose elements
+carry their term's weight ``lam / n``, so one smooth-L1 pass and one
+segmented sum evaluate every term.
 
 A 2-D fallback optimizes pixel tracks directly when no trustworthy 3-D
 estimate exists: projected points are replaced by the 2-D variables, the
@@ -57,78 +67,71 @@ class PoseHyperParams:
 # ---------------------------------------------------------------------------
 # array-level building blocks
 
-def _project(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Weak-perspective pixels ``(s * x + tx, s * y + ty)`` of ``(T, J, 3)`` joints."""
-    return X[..., :2] * C[:, None, :1] + C[:, None, 1:]
+def _planes(a: np.ndarray) -> np.ndarray:
+    """The ``(..., D)`` coordinates of ``a`` as contiguous ``(D, ...)`` planes."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
 
-def _project_backprop(gp: np.ndarray, X: np.ndarray, C: np.ndarray,
-                      gX: np.ndarray, gC: np.ndarray) -> None:
+def _interleaved(planes: np.ndarray) -> np.ndarray:
+    """``(D, ...)`` planes back as a C-ordered ``(..., D)`` array."""
+    return np.moveaxis(planes, 0, -1).copy()
+
+
+def _to_params(*arrays: np.ndarray) -> np.ndarray:
+    """The objective's flat parameters: each array's planes, in order."""
+    return np.concatenate([_planes(a).ravel() for a in arrays])
+
+
+def _project(x: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Weak-perspective pixel planes ``(s * x + tx, s * y + ty)`` of a
+    ``(3, T, J)`` track under ``(3, T)`` cameras."""
+    return x[:2] * C[0, :, None] + C[1:, :, None]
+
+
+def _project_backprop(gp: np.ndarray, x: np.ndarray, C: np.ndarray,
+                      gx: np.ndarray, gC: np.ndarray) -> None:
     """Add the chain rule of pixel gradients ``gp`` through ``_project`` to
-    the joint and camera gradients ``gX`` and ``gC``."""
-    gX[..., :2] += gp * C[:, None, :1]
-    gC[:, 0] += (gp * X[..., :2]).reshape(len(C), -1).sum(axis=1)
-    gC[:, 1:] += gp.sum(axis=1)
+    the track and camera gradients ``gx`` and ``gC``."""
+    gx[:2] += gp * C[0, :, None]
+    gC[0] += (gp * x[:2]).sum(axis=(0, 2))
+    gC[1:] += gp.sum(axis=2)
 
 
-def _sample_flow(uv: np.ndarray, pts: np.ndarray):
-    """Bilinear samples of stacked fields ``(P, H, W, 2)`` at ``(P, N, 2)`` pixels.
+def _sample_flow(uv: np.ndarray, q: np.ndarray):
+    """Bilinear samples of stacked fields ``(P, H, W, 2)`` at ``(2, P, N)`` pixels.
 
-    Field ``k`` is sampled at the points ``pts[k]``, all pairs in one gather.
-    Positions are clamped to the field; where clamping was active the
-    positional derivative in that axis is zero (the sample no longer moves
-    with the point).  Returns values ``(P, N, 2)``, d(value)/dx and
-    d(value)/dy (each ``(P, N, 2)``), and the number of clamped positions.
+    Field ``k`` is sampled at the points ``q[:, k]``, all pairs in one
+    gather.  Positions are clamped to the field; where clamping was active
+    the positional derivative in that axis is zero (the sample no longer
+    moves with the point).  Returns the ``(2, P, N)`` planes of the value
+    ``(u, v)``, its ``(2, 2, P, N)`` Jacobian (``jac[0]`` is d(value)/dx and
+    ``jac[1]`` d(value)/dy) and the ``(2, P, N)`` mask of clamped x and y
+    coordinates.
     """
     pairs, h, w = uv.shape[:3]
-    x = pts[..., 0]
-    y = pts[..., 1]
-    inside_x = (x >= 0.0) & (x <= w - 1.0)
-    inside_y = (y >= 0.0) & (y <= h - 1.0)
-    xc = np.clip(x, 0.0, w - 1.0)
-    yc = np.clip(y, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(xc).astype(np.intp), max(w - 2, 0))
-    y0 = np.minimum(np.floor(yc).astype(np.intp), max(h - 2, 0))
-    fx = (xc - x0)[..., None]
-    fy = (yc - y0)[..., None]
-    gx = 1 - fx
-    gy = 1 - fy
-    # corners (x0, y0), (x1, y0), (x0, y1), (x1, y1) from the flattened
-    # (P * H * W, 2) stack; a one-pixel axis has x1 = x0 (or y1 = y0)
-    dx = int(w > 1)
-    dy = w * int(h > 1)
-    corner = (np.arange(pairs) * (h * w))[:, None] + y0 * w + x0
-    offsets = np.array([0, dx, dy, dx + dy])[:, None, None]
-    v00, v01, v10, v11 = uv.reshape(-1, 2).take(corner + offsets, axis=0)
-    val = gy * (gx * v00 + fx * v01) + fy * (gx * v10 + fx * v11)
-    dvdx = gy * (v01 - v00) + fy * (v11 - v10)
-    dvdy = gx * (v10 - v00) + fx * (v11 - v01)
-    dvdx[~inside_x] = 0.0
-    dvdy[~inside_y] = 0.0
-    clamped = int(np.count_nonzero(~(inside_x & inside_y)))
-    return val, dvdx, dvdy, clamped
-
-
-def _flow_consistency(p: np.ndarray, flows_uv: np.ndarray, beta: float):
-    """Mean smooth-L1 of ``flow(p_t) - (p_{t+1} - p_t)`` over pairs and joints.
-
-    ``p`` is a ``(T, J, 2)`` pixel track and ``flows_uv`` the stacked
-    ``(T-1, H, W, 2)`` fields.  Gradients flow into both frames of each pair
-    and through the sampling location.
-    """
-    frames, joints = p.shape[:2]
-    n = (frames - 1) * joints
-    val, dvdx, dvdy, clamped = _sample_flow(flows_uv, p[:-1])
-    resid = val - (p[1:] - p[:-1])
-    vals, g = _huber_parts(resid, beta)
-    gp = np.zeros_like(p)
-    # residual_u = val_u(x, y) + x - x_next, residual_v = val_v(x, y) + y - y_next
-    gp[:-1, :, 0] += (g[..., 0] * (dvdx[..., 0] + 1.0) + g[..., 1] * dvdx[..., 1]) / n
-    gp[:-1, :, 1] += (g[..., 0] * dvdy[..., 0] + g[..., 1] * (dvdy[..., 1] + 1.0)) / n
-    gp[1:] -= g / n
-    # pair sums accumulated in frame order, as a per-pair loop adds them
-    total = np.cumsum(vals.reshape(frames - 1, -1).sum(axis=1))[-1]
-    return float(total) / n, gp, clamped
+    c = np.clip(q, 0.0, np.array([w - 1.0, h - 1.0]).reshape(2, 1, 1))
+    clamped = c != q
+    i0 = np.minimum(np.floor(c).astype(np.intp),
+                    np.array([max(w - 2, 0), max(h - 2, 0)]).reshape(2, 1, 1))
+    f = c - i0
+    g = 1 - f
+    # corners (x0, y0), (x1, y0), (x0, y1), (x1, y1), each as its u and v
+    # entries of the flat (P * H * W * 2) stack; a one-pixel axis has
+    # x1 = x0 (or y1 = y0)
+    dx = 2 * int(w > 1)
+    dy = 2 * w * int(h > 1)
+    corner = i0[1] * (2 * w) + 2 * i0[0] + np.arange(0, 2 * pairs * h * w, 2 * h * w)[:, None]
+    offsets = np.array([0, 1, dx, dx + 1, dy, dy + 1, dx + dy, dx + dy + 1])
+    v = uv.reshape(-1).take(corner + offsets.reshape(4, 2, 1, 1))
+    rows = g[0] * v[0::2] + f[0] * v[1::2]
+    val = g[1] * rows[0] + f[1] * rows[1]
+    # jac[0] = gy * (v01 - v00) + fy * (v11 - v10), and jac[1] alike in y
+    diff = np.empty((2,) + v[:2].shape)
+    np.subtract(v[1::2], v[0::2], out=diff[0])
+    np.subtract(v[2:], v[:2], out=diff[1])
+    jac = g[::-1, None] * diff[:, 0] + f[::-1, None] * diff[:, 1]
+    np.copyto(jac, 0.0, where=clamped[:, None])
+    return val, jac, clamped
 
 
 def _pose_objective(hp: PoseHyperParams, beta: float, x0: np.ndarray,
@@ -137,27 +140,29 @@ def _pose_objective(hp: PoseHyperParams, beta: float, x0: np.ndarray,
                     bones: np.ndarray | None = None, camera: bool = False):
     """The weighted pose objective, built once; returns ``evaluate``.
 
-    The variables are a ``(T, J, D)`` track ``x`` and, with ``camera``,
-    per-frame cameras ``C`` that project it to pixels; otherwise the
-    projector is the identity and there is no camera term (2-D mode).
-    ``evaluate(params, row=None)`` takes ``[x.ravel(), C.ravel()]`` and
-    returns ``(total, grad)``, ``grad`` laid out like ``params``; it writes
-    ``[total, flow, anchor, detection, temporal]`` (each weighted) into
-    ``row``.  ``x0`` is the anchor.  Every term but the flow term is a
-    smooth-L1 of a residual written into one buffer whose elements carry
-    ``lam / n`` (times the detection confidence), so the penalty runs once.
-    A term whose weight is zero is left out.
+    The variables are a track ``x`` of ``(D, T, J)`` coordinate planes and,
+    with ``camera``, ``(3, T)`` camera planes ``C`` that project it to
+    pixels; otherwise the projector is the identity and there is no camera
+    term (2-D mode).  ``evaluate(params, row=None)`` takes
+    ``[x.ravel(), C.ravel()]`` and returns ``(total, grad)``, ``grad`` laid
+    out like ``params``; it writes ``[total, flow, anchor, detection,
+    temporal]`` (each weighted) into ``row``.  ``x0`` is the anchor, in
+    planes like ``x``; ``flows_uv`` stacks the ``(T-1, H, W, 2)`` fields.
+    Every term is a smooth-L1 of a residual written into one buffer whose
+    elements carry ``lam / n`` (times the detection confidence), so the
+    penalty runs once.  A term whose weight is zero is left out.
     """
-    frames, joints, dim = x0.shape
+    dim, frames, joints = x0.shape
     n_x = x0.size
     nb = 0 if bones is None else len(bones)
     # (name, history column, residual shape, weight of each element)
     blocks = [b for b in (
+        ("flow", 1, (2, frames - 1, joints), hp.lam_opt / ((frames - 1) * joints)),
         ("anchor", 2, x0.shape, hp.lam_3d / (frames * joints)),
-        ("det", 3, (frames, joints, 2),
-         hp.lam_2d / (frames * joints) * det.confidence[..., None] if hp.lam_2d else 0.0),
-        ("pos", 4, (frames - 1, joints, dim), hp.lam_pos / ((frames - 1) * joints)),
-        ("cam", 4, (frames - 1, 3), hp.lam_cam / (frames - 1) if camera else 0.0),
+        ("det", 3, (2, frames, joints),
+         hp.lam_2d / (frames * joints) * det.confidence if hp.lam_2d else 0.0),
+        ("pos", 4, (dim, frames - 1, joints), hp.lam_pos / ((frames - 1) * joints)),
+        ("cam", 4, (3, frames - 1), hp.lam_cam / (frames - 1) if camera else 0.0),
         ("bone", 4, (frames - 1, nb), hp.lam_bone / ((frames - 1) * nb) if nb else 0.0),
     ) if np.any(b[3])]
     sizes = [int(np.prod(shape)) for _, _, shape, _ in blocks]
@@ -169,79 +174,89 @@ def _pose_objective(hp: PoseHyperParams, beta: float, x0: np.ndarray,
         r[name] = resid[a:a + size].reshape(shape)
         wg[name] = wgrad[a:a + size].reshape(shape)
         weights[a:a + size].reshape(shape)[...] = w
+    if "det" in r:
+        det_pixels = _planes(det.pixels)
     if "bone" in r:
         incidence = np.zeros((joints, nb))             # bone b is x_j - x_k
         incidence[bones[:, 0], np.arange(nb)] = 1.0
         incidence[bones[:, 1], np.arange(nb)] = -1.0
         incidence_t = incidence.T.copy()
-    flow = hp.lam_opt > 0
-    projected = camera and (flow or "det" in r)
+    projected = camera and ("flow" in r or "det" in r)
 
     def evaluate(params: np.ndarray, row: np.ndarray | None = None):
         row = np.zeros(5) if row is None else row
         row[:] = 0.0
-        x = params[:n_x].reshape(x0.shape)
         grad = np.zeros(params.size)
+        if not resid.size:
+            return row[0], grad
+        x = params[:n_x].reshape(x0.shape)
         gx = grad[:n_x].reshape(x0.shape)
         if camera:
-            C = params[n_x:].reshape(frames, 3)
-            gC = grad[n_x:].reshape(frames, 3)
+            C = params[n_x:].reshape(3, frames)
+            gC = grad[n_x:].reshape(3, frames)
         p = _project(x, C) if projected else x
-        if resid.size:
-            if "anchor" in r:
-                np.subtract(x, x0, out=r["anchor"])
-            if "det" in r:
-                np.subtract(p, det.pixels, out=r["det"])
-            if "pos" in r:
-                np.subtract(x[1:], x[:-1], out=r["pos"])
-            if "cam" in r:
-                np.subtract(C[1:], C[:-1], out=r["cam"])
-            if "bone" in r:
-                d = incidence_t @ x
-                lengths = np.sqrt((d * d).sum(axis=-1))
-                np.subtract(lengths[1:], lengths[:-1], out=r["bone"])
-            vals, g = _huber_parts(resid, beta)
-            np.multiply(weights, g, out=wgrad)
-            # each term summed on its own, the temporal ones then added in order
-            row += np.bincount(columns, np.add.reduceat(
-                np.multiply(weights, vals, out=vals), starts), minlength=5)
-            if "anchor" in r:
-                gx += wg["anchor"]
-            if "pos" in r:
-                gx[1:] += wg["pos"]
-                gx[:-1] -= wg["pos"]
-            if "cam" in r:
-                gC[1:] += wg["cam"]
-                gC[:-1] -= wg["cam"]
-            if "bone" in r:
-                # d|x_j - x_k| / dx_j is the unit bone vector
-                gl = np.zeros((frames, nb))
-                gl[1:] = wg["bone"]
-                gl[:-1] -= wg["bone"]
-                gl /= np.maximum(lengths, _NORM_EPS)
-                gx += incidence @ (d * gl[..., None])
+        if "flow" in r:
+            val, jac, _ = _sample_flow(flows_uv, p[:, :-1])
+            np.subtract(p[:, 1:], p[:, :-1], out=r["flow"])
+            np.subtract(val, r["flow"], out=r["flow"])
+        if "anchor" in r:
+            np.subtract(x, x0, out=r["anchor"])
+        if "det" in r:
+            np.subtract(p, det_pixels, out=r["det"])
+        if "pos" in r:
+            np.subtract(x[:, 1:], x[:, :-1], out=r["pos"])
+        if "cam" in r:
+            np.subtract(C[:, 1:], C[:, :-1], out=r["cam"])
+        if "bone" in r:
+            d = (x.reshape(-1, joints) @ incidence).reshape(dim, frames, nb)
+            lengths = np.sqrt((d * d).sum(axis=0))
+            np.subtract(lengths[1:], lengths[:-1], out=r["bone"])
+        vals, g = _huber_parts(resid, beta)
+        np.multiply(weights, g, out=wgrad)
+        # each term summed on its own, the temporal ones then added in order
+        row += np.bincount(columns, np.add.reduceat(
+            np.multiply(weights, vals, out=vals), starts), minlength=5)
+        row[0] = row[1] + row[2] + row[3] + row[4]
+        if "anchor" in r:
+            gx += wg["anchor"]
+        if "pos" in r:
+            gx[:, 1:] += wg["pos"]
+            gx[:, :-1] -= wg["pos"]
+        if "cam" in r:
+            gC[:, 1:] += wg["cam"]
+            gC[:, :-1] -= wg["cam"]
+        if "bone" in r:
+            # d|x_j - x_k| / dx_j is the unit bone vector
+            gl = np.zeros((frames, nb))
+            gl[1:] = wg["bone"]
+            gl[:-1] -= wg["bone"]
+            gl /= np.maximum(lengths, _NORM_EPS)
+            gx += ((d * gl).reshape(-1, nb) @ incidence_t).reshape(x0.shape)
         gp = wg.get("det")
-        if flow:
-            v, g_flow, _ = _flow_consistency(p, flows_uv, beta)
-            row[1] = hp.lam_opt * v
-            gp = hp.lam_opt * g_flow if gp is None else hp.lam_opt * g_flow + gp
+        if "flow" in r:
+            # residual = flow(p_t) + p_t - p_{t+1}, a (u, v) pair per joint
+            wf = wg["flow"]
+            gp = np.zeros((2, frames, joints)) if gp is None else gp
+            gp[:, :-1] += wf
+            gp[:, 1:] -= wf
+            gp[:, :-1] += (wf * jac).sum(axis=1)
         if gp is not None and camera:
             _project_backprop(gp, x, C, gx, gC)
         elif gp is not None:
             gx += gp
-        row[0] = row[1] + row[2] + row[3] + row[4]
         return row[0], grad
 
     return evaluate
 
 
 def _descend(evaluate, params: np.ndarray, hp: PoseHyperParams, what: str,
-             n_x: int | None = None):
+             scales: slice | None = None):
     """``hp.epochs`` Adam steps on ``evaluate``; returns ``(params, history)``.
 
-    ``history`` holds each epoch's row before its step.  With ``n_x`` the
-    parameters from ``n_x`` on are ``(s, tx, ty)`` cameras, and a scale that
-    reaches zero raises ``NumericalError``; so do non-finite parameters.
+    ``history`` holds each epoch's row before its step.  ``scales`` is the
+    slice of ``params`` holding the per-frame camera scales, if any; a scale
+    that reaches zero raises ``NumericalError``, and so do non-finite
+    parameters.
     """
     state = adam_init(params)
     history = np.zeros((hp.epochs, 5))
@@ -254,13 +269,13 @@ def _descend(evaluate, params: np.ndarray, hp: PoseHyperParams, what: str,
                 f"{what} diverged at epoch {e}: "
                 f"flow={row[1]:g} anchor={row[2]:g} det={row[3]:g} temporal={row[4]:g}")
         params, state = adam_step(state, params, grad, hp.lr)
-        if n_x is not None:
+        if scales is not None:
             # a non-positive scale is an optimizer failure, not a bad input
-            bad = np.flatnonzero(params[n_x::3] <= 0.0)
+            bad = np.flatnonzero(params[scales] <= 0.0)
             if bad.size:
                 raise NumericalError(
                     f"{what} drove the camera scale of frame {bad[0]} "
-                    f"to {params[n_x + 3 * bad[0]]:g} at epoch {e}")
+                    f"to {params[scales][bad[0]]:g} at epoch {e}")
     # every other step is caught by the next epoch's evaluation
     if not np.all(np.isfinite(params)):
         raise NumericalError(
@@ -297,10 +312,11 @@ def _only(**lams) -> PoseHyperParams:
 def _evaluate_3d(hp: PoseHyperParams, beta: float, pose: PoseTrack,
                  camera: CameraTrack, **plan):
     """``(value, grad_positions, grad_camera)`` of the objective at one pose."""
-    X = pose.positions
-    value, grad = _pose_objective(hp, beta, X, camera=True, **plan)(
-        np.concatenate([X.ravel(), camera.params.ravel()]))
-    return float(value), grad[:X.size].reshape(X.shape), grad[X.size:].reshape(-1, 3)
+    x = _planes(pose.positions)
+    value, grad = _pose_objective(hp, beta, x, camera=True, **plan)(
+        _to_params(pose.positions, camera.params))
+    return (float(value), _interleaved(grad[:x.size].reshape(x.shape)),
+            _interleaved(grad[x.size:].reshape(3, -1)))
 
 
 def loss_opt(pose: PoseTrack, camera: CameraTrack, flows: Sequence[FlowField],
@@ -312,22 +328,21 @@ def loss_opt(pose: PoseTrack, camera: CameraTrack, flows: Sequence[FlowField],
     and were sampled at the border.
     """
     _check_sequence(pose, camera, flows)
-    X = pose.positions
-    C = camera.params
-    value, gp, clamped = _flow_consistency(_project(X, C), _stack_flows(flows), beta)
-    gX = np.zeros_like(X)
-    gC = np.zeros_like(C)
-    _project_backprop(gp, X, C, gX, gC)
-    return value, gX, gC, clamped
+    flows_uv = _stack_flows(flows)
+    value, gX, gC = _evaluate_3d(_only(lam_opt=1.0), beta, pose, camera,
+                                 flows_uv=flows_uv)
+    p = _project(_planes(pose.positions), _planes(camera.params))
+    clamped = _sample_flow(flows_uv, p[:, :-1])[2]
+    return value, gX, gC, int(np.count_nonzero(clamped.any(axis=0)))
 
 
 def loss_3d(pose: PoseTrack, pose_init: PoseTrack, beta: float = 1.0):
     """Deviation from the initial 3-D estimates: ``(value, grad_positions)``."""
     if pose.positions.shape != pose_init.positions.shape:
         raise InvalidInputError("pose tracks have different dimensions")
-    value, grad = _pose_objective(_only(lam_3d=1.0), beta, pose_init.positions)(
-        pose.positions.ravel())
-    return float(value), grad.reshape(pose.positions.shape)
+    x0 = _planes(pose_init.positions)
+    value, grad = _pose_objective(_only(lam_3d=1.0), beta, x0)(_to_params(pose.positions))
+    return float(value), _interleaved(grad.reshape(x0.shape))
 
 
 def loss_2d(pose: PoseTrack, camera: CameraTrack, det: DetectionTrack,
@@ -365,12 +380,11 @@ def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
     """Jointly refine 3-D joints and cameras over the whole sequence.
 
     Starts at the initial estimates and runs ``hp.epochs`` Adam steps on the
-    full four-term objective.  The deviation term compares against
-    ``anchor`` (the original off-the-shelf estimates), which defaults to the
-    starting pose.  Returns ``(pose, camera, history)`` where ``history``
-    has one row per epoch: ``[total, flow, anchor3d, detection2d,
-    temporal]`` loss values (each already weighted) evaluated before that
-    epoch's step.
+    full objective.  The deviation term compares against ``anchor`` (the
+    original off-the-shelf estimates), which defaults to the starting pose.
+    Returns ``(pose, camera, history)`` where ``history`` has one row per
+    epoch: ``[total, flow, anchor3d, detection2d, temporal]`` loss values
+    (each already weighted) evaluated before that epoch's step.
     """
     hp = hp or PoseHyperParams()
     _check_sequence(pose_init, camera_init, flows)
@@ -381,14 +395,15 @@ def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
     if anchor is not None and anchor.positions.shape != pose_init.positions.shape:
         raise InvalidInputError("anchor does not match the pose dimensions")
 
-    X0 = (anchor or pose_init).positions
-    n_x = X0.size
-    evaluate = _pose_objective(hp, beta, X0, det, _stack_flows(flows),
+    x0 = _planes((anchor or pose_init).positions)
+    n_x = x0.size
+    evaluate = _pose_objective(hp, beta, x0, det, _stack_flows(flows),
                                topo.bone_array(), camera=True)
-    params = np.concatenate([pose_init.positions.ravel(), camera_init.params.ravel()])
-    params, history = _descend(evaluate, params, hp, "pose refinement", n_x)
-    return (PoseTrack(params[:n_x].reshape(X0.shape)),
-            CameraTrack(params[n_x:].reshape(-1, 3)),
+    params = _to_params(pose_init.positions, camera_init.params)
+    params, history = _descend(evaluate, params, hp, "pose refinement",
+                               slice(n_x, n_x + pose_init.frames))
+    return (PoseTrack(_interleaved(params[:n_x].reshape(x0.shape))),
+            CameraTrack(_interleaved(params[n_x:].reshape(3, -1))),
             history)
 
 
@@ -418,7 +433,7 @@ def refine_pose_2d(x_init: DetectionTrack, det: DetectionTrack,
     if anchor is not None and anchor.pixels.shape != x_init.pixels.shape:
         raise InvalidInputError("anchor does not match the track dimensions")
 
-    x0 = (anchor or x_init).pixels
+    x0 = _planes((anchor or x_init).pixels)
     evaluate = _pose_objective(hp, beta, x0, det, _stack_flows(flows), topo.bone_array())
-    params, history = _descend(evaluate, x_init.pixels.ravel().copy(), hp, "2d refinement")
-    return DetectionTrack(params.reshape(x0.shape), x_init.confidence), history
+    params, history = _descend(evaluate, _to_params(x_init.pixels), hp, "2d refinement")
+    return DetectionTrack(_interleaved(params.reshape(x0.shape)), x_init.confidence), history

@@ -249,9 +249,9 @@ def epe(pred: FlowField, gt: FlowField, points=None) -> float:
     if (np.any(pts[:, 0] < 0) or np.any(pts[:, 0] > pred.width - 1)
             or np.any(pts[:, 1] < 0) or np.any(pts[:, 1] > pred.height - 1)):
         raise InvalidInputError("points: position outside the flow field")
-    at = pts[None]
-    d = _sample_flow(pred.uv[None], at)[0][0] - _sample_flow(gt.uv[None], at)[0][0]
-    return float(np.linalg.norm(d, axis=-1).mean())
+    at = pts.T[:, None]
+    d = _sample_flow(pred.uv[None], at)[0] - _sample_flow(gt.uv[None], at)[0]
+    return float(np.linalg.norm(d, axis=0).mean())
 
 
 def sequence_joint_epe(pred_flows, gt_flows, joints2d) -> float:

@@ -1,14 +1,17 @@
 """Brute-force reference implementations used to verify the fast paths.
 
 Everything here is written as plain per-pixel Python loops, independent of
-the vectorized library code, except ``raster_full_image``, a numpy
-reference that is too slow for the library but fast enough for property
-tests at full image sizes.
+the vectorized library code, except two numpy references: ``raster_full_image``,
+too slow for the library but fast enough for property tests at full image
+sizes, and ``interleaved_pose_objective``, the pose objective on the public
+``(T, J, D)`` layout with the flow term from the per-pair loop.
 """
 
 import math
 
 import numpy as np
+
+from flowpose.optim import _huber_parts
 
 
 def seg_distance_and_frac(px, py, ax, ay, bx, by):
@@ -232,3 +235,102 @@ def axis_operator_oracle(n_out, stride, n_in, sigma):
             column.append((1 - f) * blurred[i0] + f * blurred[i1])
         columns.append(column)
     return [[columns[j][o] for j in range(n_in)] for o in range(n_out)]
+
+
+def interleaved_pose_objective(hp, beta, x0, det=None, flows_uv=None, bones=None,
+                               camera=False):
+    """Reference pose objective on the interleaved layout; returns ``evaluate``.
+
+    ``x0`` is the ``(T, J, D)`` anchor and ``evaluate(params, row=None)``
+    takes ``[x.ravel(), C.ravel()]`` with ``x`` a ``(T, J, D)`` track and
+    ``C`` the ``(T, 3)`` cameras (3-D mode only).  It returns
+    ``(total, grad)`` and writes ``[total, flow, anchor, detection,
+    temporal]`` into ``row``, as the library objective does on planes.  The
+    flow term is ``flow_consistency_oracle``, scaled after its mean; the
+    other terms share one weighted buffer.
+    """
+    frames, joints, dim = x0.shape
+    n_x = x0.size
+    nb = 0 if bones is None else len(bones)
+    blocks = [b for b in (
+        ("anchor", 2, x0.shape, hp.lam_3d / (frames * joints)),
+        ("det", 3, (frames, joints, 2),
+         hp.lam_2d / (frames * joints) * det.confidence[..., None] if hp.lam_2d else 0.0),
+        ("pos", 4, (frames - 1, joints, dim), hp.lam_pos / ((frames - 1) * joints)),
+        ("cam", 4, (frames - 1, 3), hp.lam_cam / (frames - 1) if camera else 0.0),
+        ("bone", 4, (frames - 1, nb), hp.lam_bone / ((frames - 1) * nb) if nb else 0.0),
+    ) if np.any(b[3])]
+    sizes = [int(np.prod(shape)) for _, _, shape, _ in blocks]
+    resid, wgrad, weights = np.empty((3, sum(sizes)))
+    starts = np.cumsum([0] + sizes[:-1])
+    columns = [column for _, column, _, _ in blocks]
+    r, wg = {}, {}
+    for (name, _, shape, w), a, size in zip(blocks, starts, sizes):
+        r[name] = resid[a:a + size].reshape(shape)
+        wg[name] = wgrad[a:a + size].reshape(shape)
+        weights[a:a + size].reshape(shape)[...] = w
+    if "bone" in r:
+        incidence = np.zeros((joints, nb))
+        incidence[bones[:, 0], np.arange(nb)] = 1.0
+        incidence[bones[:, 1], np.arange(nb)] = -1.0
+        incidence_t = incidence.T.copy()
+    flow = hp.lam_opt > 0
+    projected = camera and (flow or "det" in r)
+
+    def evaluate(params, row=None):
+        row = np.zeros(5) if row is None else row
+        row[:] = 0.0
+        x = params[:n_x].reshape(x0.shape)
+        grad = np.zeros(params.size)
+        gx = grad[:n_x].reshape(x0.shape)
+        if camera:
+            C = params[n_x:].reshape(frames, 3)
+            gC = grad[n_x:].reshape(frames, 3)
+        p = x[..., :2] * C[:, None, :1] + C[:, None, 1:] if projected else x
+        if resid.size:
+            if "anchor" in r:
+                np.subtract(x, x0, out=r["anchor"])
+            if "det" in r:
+                np.subtract(p, det.pixels, out=r["det"])
+            if "pos" in r:
+                np.subtract(x[1:], x[:-1], out=r["pos"])
+            if "cam" in r:
+                np.subtract(C[1:], C[:-1], out=r["cam"])
+            if "bone" in r:
+                d = incidence_t @ x
+                lengths = np.sqrt((d * d).sum(axis=-1))
+                np.subtract(lengths[1:], lengths[:-1], out=r["bone"])
+            vals, g = _huber_parts(resid, beta)
+            np.multiply(weights, g, out=wgrad)
+            row += np.bincount(columns, np.add.reduceat(
+                np.multiply(weights, vals, out=vals), starts), minlength=5)
+            if "anchor" in r:
+                gx += wg["anchor"]
+            if "pos" in r:
+                gx[1:] += wg["pos"]
+                gx[:-1] -= wg["pos"]
+            if "cam" in r:
+                gC[1:] += wg["cam"]
+                gC[:-1] -= wg["cam"]
+            if "bone" in r:
+                gl = np.zeros((frames, nb))
+                gl[1:] = wg["bone"]
+                gl[:-1] -= wg["bone"]
+                gl /= np.maximum(lengths, 1e-12)
+                gx += incidence @ (d * gl[..., None])
+        gp = wg.get("det")
+        if flow:
+            v, g_flow, _ = flow_consistency_oracle(p.tolist(), flows_uv.tolist(), beta)
+            row[1] = hp.lam_opt * v
+            g_flow = np.array(g_flow)
+            gp = hp.lam_opt * g_flow if gp is None else hp.lam_opt * g_flow + gp
+        if gp is not None and camera:
+            gx[..., :2] += gp * C[:, None, :1]
+            gC[:, 0] += (gp * x[..., :2]).reshape(len(C), -1).sum(axis=1)
+            gC[:, 1:] += gp.sum(axis=1)
+        elif gp is not None:
+            gx += gp
+        row[0] = row[1] + row[2] + row[3] + row[4]
+        return row[0], grad
+
+    return evaluate

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,21 @@ def test_format_error_exit_3(tmp_path):
     assert main(["bootstrap", "--in", str(gt), "--out", str(out)]) == 3
     assert main(["eval", "--pred", str(tmp_path / "missing"),
                  "--gt", str(gt)]) == 3
+
+
+@pytest.mark.parametrize("name, pattern, replacement", [
+    ("meta.json", r'"width": \d+', '"width": "abc"'),
+    ("meta.json", r"(?s).*", "16"),
+    ("pose.json", r"(?s).*", "16"),
+    ("topology.json", r'"joint_count": \d+', '"joint_count": 1e400'),
+], ids=["width-string", "meta-number", "pose-number", "joint-count-overflow"])
+def test_malformed_scene_json_exit_3(tmp_path, name, pattern, replacement):
+    gt = _synth(tmp_path, size=16)
+    path = gt / name
+    text, count = re.subn(pattern, replacement, path.read_text(), count=1)
+    assert count == 1
+    path.write_text(text)
+    assert main(["eval", "--pred", str(gt), "--gt", str(gt)]) == 3
 
 
 def test_numerical_failure_exit_4(tmp_path):

@@ -10,11 +10,11 @@ from flowpose import (CameraTrack, DetectionTrack, FlowField, InvalidInputError,
                       refine_pose, refine_pose_2d, standard_benchmark)
 from flowpose.gradcheck import make_random_scene
 from flowpose.optim import finite_diff_check
-from flowpose.pose_refine import (_flow_consistency, _pose_objective, _project,
-                                  _sample_flow)
+from flowpose.pose_refine import (_interleaved, _only, _planes, _pose_objective,
+                                  _sample_flow, _to_params)
 from flowpose.synth import generate_scene, mpjpe
 
-from oracles import flow_consistency_oracle, flow_sample_oracle
+from oracles import flow_consistency_oracle, flow_sample_oracle, interleaved_pose_objective
 
 
 def _chain(joints):
@@ -192,15 +192,12 @@ def test_refine_pose_2d_recovers_corrupted_joint():
 def test_total_pose_loss_gradients():
     # the full weighted objective, not just the individual terms
     topo, pose, cam, det, flows = make_random_scene(12)
-    evaluate = _pose_objective(PoseHyperParams(), 1.0, pose.positions, det,
+    evaluate = _pose_objective(PoseHyperParams(), 1.0, _planes(pose.positions), det,
                                np.stack([f.uv for f in flows]), topo.bone_array(),
                                camera=True)
-    n_x = pose.positions.size
+    X = pose.positions
     rng = np.random.Generator(np.random.PCG64(120))
-    start = np.concatenate([
-        pose.positions.ravel() + rng.normal(0.0, 0.02, n_x),
-        cam.params.ravel(),
-    ])
+    start = _to_params(X + rng.normal(0.0, 0.02, X.size).reshape(X.shape), cam.params)
 
     assert finite_diff_check(evaluate, start, step=1e-5) < 1e-4
 
@@ -210,9 +207,9 @@ def test_refine_pose_2d_gradients():
     rng = np.random.Generator(np.random.PCG64(90))
     x = DetectionTrack(det.pixels + rng.normal(0, 0.05, det.pixels.shape),
                        det.confidence)
-    evaluate = _pose_objective(PoseHyperParams(), 1.0, x.pixels, det,
+    evaluate = _pose_objective(PoseHyperParams(), 1.0, _planes(x.pixels), det,
                                np.stack([f.uv for f in flows]), topo.bone_array())
-    err = finite_diff_check(evaluate, x.pixels.ravel() + 0.001, step=1e-5)
+    err = finite_diff_check(evaluate, _to_params(x.pixels + 0.001), step=1e-5)
     assert err < 1e-4
 
 
@@ -247,26 +244,29 @@ _LAMS = ("lam_opt", "lam_3d", "lam_2d", "lam_pos", "lam_cam", "lam_bone")
 _weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e4))
 
 
+def _scene_point(seed, camera):
+    """A random scene, its track (3-D or projected), the objective's plan and
+    an anchor offset from the track."""
+    topo, pose, cam, det, flows = make_random_scene(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = pose.positions if camera else project_track(pose, cam)
+    anchor = x + rng.normal(0.0, 0.05, x.shape)
+    plan = dict(det=det, flows_uv=np.stack([f.uv for f in flows]), bones=topo.bone_array(),
+                camera=camera)
+    return x, cam.params, anchor, plan
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), camera=st.booleans(),
        lams=st.tuples(*[_weight] * len(_LAMS)))
 def test_objective_is_sum_of_its_terms(seed, camera, lams):
-    topo, pose, cam, det, flows = make_random_scene(seed)
-    flows_uv = np.stack([f.uv for f in flows])
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if camera:
-        x = pose.positions
-        params = np.concatenate([x.ravel(), cam.params.ravel()])
-    else:
-        x = _project(pose.positions, cam.params)
-        params = x.ravel()
-    anchor = x + rng.normal(0.0, 0.05, x.shape)
+    x, cams, anchor, plan = _scene_point(seed, camera)
+    params = _to_params(x, cams) if camera else _to_params(x)
 
     def evaluate(**weights):
         hp = PoseHyperParams(**{**dict.fromkeys(_LAMS, 0.0), **weights})
         row = np.zeros(5)
-        _, grad = _pose_objective(hp, 1.0, anchor, det, flows_uv, topo.bone_array(),
-                                  camera)(params, row)
+        _, grad = _pose_objective(hp, 1.0, _planes(anchor), **plan)(params, row)
         return row, grad
 
     row, grad = evaluate(**dict(zip(_LAMS, lams)))
@@ -278,6 +278,27 @@ def test_objective_is_sum_of_its_terms(seed, camera, lams):
     assert np.all(np.abs(grad - want) <= 1e-12 * scale)
     # each history column is the sum of the one-hot columns
     assert np.allclose(row[1:], sum(part[0][1:] for part in parts), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), camera=st.booleans(),
+       lams=st.tuples(*[_weight] * len(_LAMS)))
+def test_planar_objective_matches_interleaved_reference(seed, camera, lams):
+    x, cams, anchor, plan = _scene_point(seed, camera)
+    hp = PoseHyperParams(**dict(zip(_LAMS, lams)))
+    row, want_row = np.zeros(5), np.zeros(5)
+    value, grad = _pose_objective(hp, 1.0, _planes(anchor), **plan)(
+        _to_params(x, cams) if camera else _to_params(x), row)
+    want_value, want = interleaved_pose_objective(hp, 1.0, anchor, **plan)(
+        np.concatenate([x.ravel(), cams.ravel()]) if camera else x.ravel(), want_row)
+    assert abs(value - want_value) <= 1e-12 * want_value
+    assert np.all(np.abs(row - want_row) <= 1e-12 * want_row)
+    # the planar gradient, mapped back to (T, J, D) and (T, 3), is the
+    # reference's within 1e-12 of its largest component
+    got = [_interleaved(grad[:x.size].reshape(_planes(x).shape)).ravel()]
+    if camera:
+        got.append(_interleaved(grad[x.size:].reshape(3, -1)).ravel())
+    assert np.all(np.abs(np.concatenate(got) - want) <= 1e-12 * np.abs(want).max())
 
 
 @st.composite
@@ -298,24 +319,55 @@ def _tracks_on_fields(draw):
 @settings(max_examples=60, deadline=None)
 @given(_tracks_on_fields())
 def test_batched_flow_consistency_matches_per_pair_loop(case):
+    # the objective's flow term alone, in 2-D mode, against a per-pair loop
     track, fields, beta = case
-    value, grad, clamped = _flow_consistency(track, fields, beta)
+    value, grad = _pose_objective(_only(lam_opt=1.0), beta, _planes(track),
+                                  flows_uv=fields)(_to_params(track))
     want_value, want_grad, want_clamped = flow_consistency_oracle(
         track.tolist(), fields.tolist(), beta)
     assert value == pytest.approx(want_value, rel=1e-12, abs=1e-15)
-    assert np.array_equal(grad, np.array(want_grad))
-    assert clamped == want_clamped
+    # the weight 1/n is folded into each residual's slope, so the gradient
+    # agrees to rounding, within 1e-12 of its largest component
+    grad = _interleaved(grad.reshape(_planes(track).shape))
+    want = np.array(want_grad)
+    assert np.all(np.abs(grad - want) <= 1e-12 * np.abs(want).max())
+    clamped = _sample_flow(fields, _planes(track)[:, :-1])[2]
+    assert np.count_nonzero(clamped.any(axis=0)) == want_clamped
 
-    # the sampler itself is exact against the per-point oracle
-    val, dvdx, dvdy, clamped = _sample_flow(fields, track[:-1])
-    want = [[flow_sample_oracle(fields[t].tolist(), *track[t, j].tolist())
-             for j in range(track.shape[1])] for t in range(track.shape[0] - 1)]
-    for k, got in enumerate((val, dvdx, dvdy)):
-        assert np.array_equal(got, np.array([[c[k] for c in pair] for pair in want]))
-    assert clamped == sum(c[3] for pair in want for c in pair)
 
-    # a clamped axis has a zero positional derivative
+@st.composite
+def _points_on_fields(draw):
+    pairs = draw(st.integers(1, 4))
+    points = draw(st.integers(1, 5))
+    h = draw(st.integers(1, 9))
+    w = draw(st.integers(1, 9))
+
+    def coords(n):
+        # off the field on both sides, exact borders, integers, signed zeros
+        return st.one_of(st.floats(-3.0, n + 2.0), st.integers(-2, n + 1).map(float),
+                         st.sampled_from([-0.0, 0.0, n - 1.0, -1e-300, n - 1.0 + 1e-12]))
+
+    q = np.stack([draw(arrays(np.float64, (pairs, points), elements=coords(n)))
+                  for n in (w, h)])
+    fields = draw(arrays(np.float64, (pairs, h, w, 2),
+                         elements=st.floats(-5.0, 5.0, allow_nan=False)))
+    return q, fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(_points_on_fields())
+def test_planar_sampler_matches_oracle(case):
+    q, fields = case
+    val, jac, clamped = _sample_flow(fields, q)
+    want = [[flow_sample_oracle(fields[k].tolist(), *q[:, k, i].tolist())
+             for i in range(q.shape[2])] for k in range(q.shape[1])]
+    for got, part in ((val, 0), (jac[0], 1), (jac[1], 2)):
+        planes = np.moveaxis(np.array([[c[part] for c in pair] for pair in want]), -1, 0)
+        assert np.array_equal(got, planes)
+    assert np.array_equal(clamped.any(axis=0), [[c[3] for c in pair] for pair in want])
+    # the mask is per axis, and a clamped axis has a zero positional derivative
     h, w = fields.shape[1:3]
-    x, y = track[:-1, :, 0], track[:-1, :, 1]
-    assert np.all(dvdx[(x < 0) | (x > w - 1)] == 0.0)
-    assert np.all(dvdy[(y < 0) | (y > h - 1)] == 0.0)
+    x, y = q
+    assert np.array_equal(clamped, [(x < 0) | (x > w - 1), (y < 0) | (y > h - 1)])
+    assert np.all(jac[0][:, clamped[0]] == 0.0)
+    assert np.all(jac[1][:, clamped[1]] == 0.0)
