@@ -59,8 +59,10 @@ def init_refiner(width: int, height: int, stride: int = 8,
     return CorrectionGrid(np.zeros((gh, gw, 2)), stride, sigma)
 
 
-def _gauss_kernel(sigma: float) -> np.ndarray:
-    radius = max(1, ceil(3.0 * sigma))
+def _gauss_kernel(sigma: float, reach: int) -> np.ndarray:
+    """Normalized Gaussian taps out to ``3 * sigma``, but no farther than
+    ``reach`` on either side."""
+    radius = max(1, min(ceil(3.0 * sigma), reach))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum()
@@ -77,7 +79,8 @@ def _axis_operator(n_out: int, stride: int, n_in: int, sigma: float) -> np.ndarr
     in grid units, clamped to the grid.  The result is cached and read-only.
     """
     if sigma > 0:
-        k = _gauss_kernel(sigma)
+        # a tap farther than n_in - 1 cells never lands on the grid
+        k = _gauss_kernel(sigma, n_in - 1)
         r = len(k) // 2
         i = np.arange(n_in)
         offset = i[None, :] - i[:, None]

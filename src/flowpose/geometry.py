@@ -8,6 +8,8 @@ coordinate does not enter the projection.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,27 @@ def _finite_array(data, dtype, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name}: non-finite value at index {tuple(int(i) for i in bad)}")
     arr.setflags(write=False)
     return arr
+
+
+def _finite_number(value, name: str):
+    """``value`` itself if it is a finite real number; a bool, a non-number or
+    an integer beyond float range is invalid input."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _count(value, name: str) -> int:
+    """A finite, integral, non-negative number as an ``int``."""
+    if _finite_number(value, name) < 0 or value != math.floor(value):
+        raise InvalidInputError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)

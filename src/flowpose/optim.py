@@ -31,7 +31,7 @@ def _huber_parts(r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     # slope g is r / beta inside the threshold and sign(r) outside, and
     # g * (r - beta * g / 2) is then 0.5 * r**2 / beta or |r| - beta / 2.
     grad = np.divide(r, beta, out=np.empty_like(r))
-    np.clip(grad, -1.0, 1.0, out=grad)
+    grad.clip(-1.0, 1.0, out=grad)
     return grad * (r - 0.5 * beta * grad), grad
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .geometry import MODE_2D, MODE_3D, SceneBundle, project_track
+from .geometry import MODE_2D, MODE_3D, SceneBundle, _count, _finite_number, project_track
 from .flow_refine import refine_flow
 from .pose_refine import PoseHyperParams, refine_pose, refine_pose_2d
 from .raster import bone_flow, compose_target_flow
@@ -76,12 +76,13 @@ class FlowRefineParams:
     radius: int = 15
 
     def __post_init__(self):
-        if int(self.stride) < 1:
+        if _count(self.stride, "stride") < 1:
             raise InvalidInputError("stride must be >= 1")
-        if self.sigma < 0 or int(self.radius) < 0:
-            raise InvalidInputError("sigma and radius must be >= 0")
+        if _finite_number(self.sigma, "sigma") < 0:
+            raise InvalidInputError("sigma must be >= 0")
+        _finite_number(self.lr, "learning rate")
         object.__setattr__(self, "stride", int(self.stride))
-        object.__setattr__(self, "radius", int(self.radius))
+        object.__setattr__(self, "radius", _count(self.radius, "radius"))
 
 
 @dataclass

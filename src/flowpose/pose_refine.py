@@ -18,6 +18,16 @@ cameras and bone lengths between frames) share one buffer whose elements
 carry their term's weight ``lam / n``, so one smooth-L1 pass and one
 segmented sum evaluate every term.
 
+A refinement runs about 1500 epochs on arrays of a few hundred elements, so
+an epoch costs numpy calls, not arithmetic.  The objective is therefore
+built once per refinement as a workspace: a parameter buffer that each
+evaluation copies its input into, the projected pixels, the residuals, the
+bone buffers and the gradient, with every slice the epoch uses made once as
+a view, plus a sampling plan for the stacked flow fields (clamp bounds and
+one table of gather offsets).  Each evaluation writes through these buffers
+and returns a copy of the gradient; it gives the same bits as building
+every array afresh.
+
 A 2-D fallback optimizes pixel tracks directly when no trustworthy 3-D
 estimate exists: projected points are replaced by the 2-D variables, the
 camera terms drop out, and the anchor term compares against the initial
@@ -26,6 +36,7 @@ camera terms drop out, and the anchor term compares against the initial
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +44,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .geometry import (CameraTrack, DetectionTrack, FlowField, PoseTrack,
-                       SkeletonTopology)
+                       SkeletonTopology, _count, _finite_number)
 from .optim import _huber_parts, adam_init, adam_step
 
 _NORM_EPS = 1e-12  # guards the bone-direction derivative at zero length
@@ -53,15 +64,11 @@ class PoseHyperParams:
     epochs: int = 1500
 
     def __post_init__(self):
-        lams = (self.lam_opt, self.lam_3d, self.lam_2d,
-                self.lam_pos, self.lam_cam, self.lam_bone)
-        if any(not np.isfinite(l) or l < 0 for l in lams):
-            raise InvalidInputError("loss weights must be finite and >= 0")
-        if not np.isfinite(self.lr):
-            raise InvalidInputError("learning rate must be finite")
-        if int(self.epochs) < 0:
-            raise InvalidInputError("epochs must be >= 0")
-        object.__setattr__(self, "epochs", int(self.epochs))
+        for name in ("lam_opt", "lam_3d", "lam_2d", "lam_pos", "lam_cam", "lam_bone"):
+            if _finite_number(getattr(self, name), name) < 0:
+                raise InvalidInputError("loss weights must be finite and >= 0")
+        _finite_number(self.lr, "learning rate")
+        object.__setattr__(self, "epochs", _count(self.epochs, "epochs"))
 
 
 # ---------------------------------------------------------------------------
@@ -88,50 +95,64 @@ def _project(x: np.ndarray, C: np.ndarray) -> np.ndarray:
     return x[:2] * C[0, :, None] + C[1:, :, None]
 
 
-def _project_backprop(gp: np.ndarray, x: np.ndarray, C: np.ndarray,
-                      gx: np.ndarray, gC: np.ndarray) -> None:
-    """Add the chain rule of pixel gradients ``gp`` through ``_project`` to
-    the track and camera gradients ``gx`` and ``gC``."""
-    gx[:2] += gp * C[0, :, None]
-    gC[0] += (gp * x[:2]).sum(axis=(0, 2))
-    gC[1:] += gp.sum(axis=2)
-
-
-def _sample_flow(uv: np.ndarray, q: np.ndarray):
-    """Bilinear samples of stacked fields ``(P, H, W, 2)`` at ``(2, P, N)`` pixels.
+def _sampler(uv: np.ndarray):
+    """Bilinear sampling plan for stacked fields ``(P, H, W, 2)``; returns
+    ``sample(q)`` for ``(2, P, N)`` pixels.
 
     Field ``k`` is sampled at the points ``q[:, k]``, all pairs in one
     gather.  Positions are clamped to the field; where clamping was active
     the positional derivative in that axis is zero (the sample no longer
-    moves with the point).  Returns the ``(2, P, N)`` planes of the value
-    ``(u, v)``, its ``(2, 2, P, N)`` Jacobian (``jac[0]`` is d(value)/dx and
-    ``jac[1]`` d(value)/dy) and the ``(2, P, N)`` mask of clamped x and y
-    coordinates.
+    moves with the point).  ``sample`` returns the ``(2, P, N)`` planes of
+    the value ``(u, v)``, its ``(2, 2, P, N)`` Jacobian (``jac[0]`` is
+    d(value)/dx and ``jac[1]`` d(value)/dy) and the ``(2, P, N)`` mask of
+    clamped x and y coordinates.  The plan holds what does not depend on
+    ``q``: the clamp bounds, the corner cap, the flat field and a table of
+    the gather offsets of each pair and corner.
     """
     pairs, h, w = uv.shape[:3]
-    c = np.clip(q, 0.0, np.array([w - 1.0, h - 1.0]).reshape(2, 1, 1))
-    clamped = c != q
-    i0 = np.minimum(np.floor(c).astype(np.intp),
-                    np.array([max(w - 2, 0), max(h - 2, 0)]).reshape(2, 1, 1))
-    f = c - i0
-    g = 1 - f
+    hi = np.array([w - 1.0, h - 1.0]).reshape(2, 1, 1)
+    cap = np.array([max(w - 2.0, 0.0), max(h - 2.0, 0.0)]).reshape(2, 1, 1)
+    # corner (x0, y0) of pair k is u entry 2 * x0 + 2 * w * y0 of field k in
+    # the flat (P * H * W * 2) stack; the products and sums are exact
+    step = np.array([2.0, 2.0 * w])
+    flat = uv.reshape(-1)
     # corners (x0, y0), (x1, y0), (x0, y1), (x1, y1), each as its u and v
-    # entries of the flat (P * H * W * 2) stack; a one-pixel axis has
-    # x1 = x0 (or y1 = y0)
+    # entries, plus each pair's offset; a one-pixel axis has x1 = x0 (or y1 = y0)
     dx = 2 * int(w > 1)
     dy = 2 * w * int(h > 1)
-    corner = i0[1] * (2 * w) + 2 * i0[0] + np.arange(0, 2 * pairs * h * w, 2 * h * w)[:, None]
-    offsets = np.array([0, 1, dx, dx + 1, dy, dy + 1, dx + dy, dx + dy + 1])
-    v = uv.reshape(-1).take(corner + offsets.reshape(4, 2, 1, 1))
-    rows = g[0] * v[0::2] + f[0] * v[1::2]
-    val = g[1] * rows[0] + f[1] * rows[1]
-    # jac[0] = gy * (v01 - v00) + fy * (v11 - v10), and jac[1] alike in y
-    diff = np.empty((2,) + v[:2].shape)
-    np.subtract(v[1::2], v[0::2], out=diff[0])
-    np.subtract(v[2:], v[:2], out=diff[1])
-    jac = g[::-1, None] * diff[:, 0] + f[::-1, None] * diff[:, 1]
-    np.copyto(jac, 0.0, where=clamped[:, None])
-    return val, jac, clamped
+    table = (np.array([0, 1, dx, dx + 1, dy, dy + 1, dx + dy, dx + dy + 1]).reshape(4, 2, 1, 1)
+             + np.arange(0, 2 * pairs * h * w, 2 * h * w)[:, None])
+
+    def sample(q: np.ndarray):
+        c = q.clip(0.0, hi)
+        clamped = c != q
+        # fmin keeps a NaN point's corner in range: its sample is NaN, not an index error
+        i0 = np.floor(np.fmin(c, cap))
+        gf = np.empty((2,) + c.shape)          # (1 - f, f), each an (x, y) pair of planes
+        f = np.subtract(c, i0, out=gf[1])
+        np.subtract(1, f, out=gf[0])
+        corner = (step @ i0.reshape(2, -1)).astype(np.intp).reshape(c.shape[1:])
+        v = flat.take(corner + table).reshape((2, 2) + c.shape)   # (y, x, u|v, P, N)
+        # rows[y] = gx * v[y, 0] + fx * v[y, 1], then val = gy * rows[0] + fy * rows[1]
+        t = v * gf[:, 0, None]
+        rows = np.add(t[:, 0], t[:, 1])
+        t = rows * gf[:, 1, None]
+        val = np.add(t[0], t[1])
+        # jac[0] = gy * (v01 - v00) + fy * (v11 - v10), and jac[1] alike in y
+        diff = np.empty((2,) + v.shape[1:])
+        np.subtract(v[:, 1], v[:, 0], out=diff[0])
+        np.subtract(v[1], v[0], out=diff[1])
+        np.multiply(diff, gf[:, ::-1].swapaxes(0, 1)[:, :, None], out=diff)
+        jac = np.add(diff[:, 0], diff[:, 1])
+        np.copyto(jac, 0.0, where=clamped[:, None])
+        return val, jac, clamped
+
+    return sample
+
+
+def _sample_flow(uv: np.ndarray, q: np.ndarray):
+    """One bilinear sample of the fields ``uv`` at ``q``; see ``_sampler``."""
+    return _sampler(uv)(q)
 
 
 def _pose_objective(hp: PoseHyperParams, beta: float, x0: np.ndarray,
@@ -150,30 +171,58 @@ def _pose_objective(hp: PoseHyperParams, beta: float, x0: np.ndarray,
     planes like ``x``; ``flows_uv`` stacks the ``(T-1, H, W, 2)`` fields.
     Every term is a smooth-L1 of a residual written into one buffer whose
     elements carry ``lam / n`` (times the detection confidence), so the
-    penalty runs once.  A term whose weight is zero is left out.
+    penalty runs once.  A term whose weight is zero, or that has no
+    elements (one frame, no bones), is left out.
+
+    ``evaluate`` works in the workspace built here (see the module
+    docstring): it copies ``params`` in, never writes to them, and returns
+    a copy of the gradient, so a later call leaves an earlier result alone.
     """
     dim, frames, joints = x0.shape
     n_x = x0.size
     nb = 0 if bones is None else len(bones)
+    moves = frames - 1   # frame pairs; the flow and temporal terms need one
     # (name, history column, residual shape, weight of each element)
     blocks = [b for b in (
-        ("flow", 1, (2, frames - 1, joints), hp.lam_opt / ((frames - 1) * joints)),
+        ("flow", 1, (2, moves, joints), hp.lam_opt / (moves * joints) if moves else 0.0),
         ("anchor", 2, x0.shape, hp.lam_3d / (frames * joints)),
         ("det", 3, (2, frames, joints),
          hp.lam_2d / (frames * joints) * det.confidence if hp.lam_2d else 0.0),
-        ("pos", 4, (dim, frames - 1, joints), hp.lam_pos / ((frames - 1) * joints)),
-        ("cam", 4, (3, frames - 1), hp.lam_cam / (frames - 1) if camera else 0.0),
-        ("bone", 4, (frames - 1, nb), hp.lam_bone / ((frames - 1) * nb) if nb else 0.0),
+        ("pos", 4, (dim, moves, joints), hp.lam_pos / (moves * joints) if moves else 0.0),
+        ("cam", 4, (3, moves), hp.lam_cam / moves if camera and moves else 0.0),
+        ("bone", 4, (moves, nb), hp.lam_bone / (moves * nb) if moves and nb else 0.0),
     ) if np.any(b[3])]
     sizes = [int(np.prod(shape)) for _, _, shape, _ in blocks]
     resid, wgrad, weights = np.empty((3, sum(sizes)))
     starts = np.cumsum([0] + sizes[:-1])
-    columns = [column for _, column, _, _ in blocks]
+    columns = np.array([column for _, column, _, _ in blocks], dtype=np.intp)
     r, wg = {}, {}
     for (name, _, shape, w), a, size in zip(blocks, starts, sizes):
         r[name] = resid[a:a + size].reshape(shape)
         wg[name] = wgrad[a:a + size].reshape(shape)
         weights[a:a + size].reshape(shape)[...] = w
+    projected = camera and ("flow" in r or "det" in r)
+    # the workspace, and every view an evaluation uses
+    work = np.empty(n_x + 3 * frames * camera)
+    grad = np.empty_like(work)
+    x = work[:n_x].reshape(x0.shape)
+    gx = grad[:n_x].reshape(x0.shape)
+    x_head, x_tail, gx_head, gx_tail = x[:, :-1], x[:, 1:], gx[:, :-1], gx[:, 1:]
+    if camera:
+        C = work[n_x:].reshape(3, frames)
+        gC = grad[n_x:].reshape(3, frames)
+        C_head, C_tail, gC_head, gC_tail = C[:, :-1], C[:, 1:], gC[:, :-1], gC[:, 1:]
+        scale, shift, g_scale, g_shift = C[0, :, None], C[1:, :, None], gC[0], gC[1:]
+        xy, gxy = x[:2], gx[:2]
+    p = np.empty((2, frames, joints)) if projected else x
+    p_head, p_tail = p[:, :-1], p[:, 1:]
+    # the pixel gradient: the detection slopes, or a buffer zeroed per call
+    gp = wg.get("det", np.empty((2, frames, joints)))
+    gp_head, gp_tail = gp[:, :-1], gp[:, 1:]
+    if projected:
+        gp_scaled = np.empty((2, frames, joints))
+    if "flow" in r:
+        sample = _sampler(flows_uv)
     if "det" in r:
         det_pixels = _planes(det.pixels)
     if "bone" in r:
@@ -181,70 +230,82 @@ def _pose_objective(hp: PoseHyperParams, beta: float, x0: np.ndarray,
         incidence[bones[:, 0], np.arange(nb)] = 1.0
         incidence[bones[:, 1], np.arange(nb)] = -1.0
         incidence_t = incidence.T.copy()
-    projected = camera and ("flow" in r or "det" in r)
+        d = np.empty((dim, frames, nb))                # bone vectors
+        d_g = np.empty_like(d)                         # their squares, then d * gl
+        lengths = np.empty((frames, nb))
+        gl = np.empty((frames, nb))                    # d(loss) / d(length)
+        gx_bone = np.empty(x0.shape)
+        x_rows, d_rows, d_g_rows = x.reshape(-1, joints), d.reshape(-1, nb), d_g.reshape(-1, nb)
+        gx_bone_rows = gx_bone.reshape(-1, joints)
+        lengths_head, lengths_tail, gl_head, gl_tail = lengths[:-1], lengths[1:], gl[:-1], gl[1:]
 
     def evaluate(params: np.ndarray, row: np.ndarray | None = None):
         row = np.zeros(5) if row is None else row
-        row[:] = 0.0
-        grad = np.zeros(params.size)
+        grad.fill(0.0)
         if not resid.size:
-            return row[0], grad
-        x = params[:n_x].reshape(x0.shape)
-        gx = grad[:n_x].reshape(x0.shape)
-        if camera:
-            C = params[n_x:].reshape(3, frames)
-            gC = grad[n_x:].reshape(3, frames)
-        p = _project(x, C) if projected else x
+            row[:] = 0.0
+            return row[0], grad.copy()
+        np.copyto(work, params)
+        if projected:
+            np.multiply(xy, scale, out=p)
+            np.add(p, shift, out=p)
         if "flow" in r:
-            val, jac, _ = _sample_flow(flows_uv, p[:, :-1])
-            np.subtract(p[:, 1:], p[:, :-1], out=r["flow"])
+            val, jac, _ = sample(p_head)
+            np.subtract(p_tail, p_head, out=r["flow"])
             np.subtract(val, r["flow"], out=r["flow"])
         if "anchor" in r:
             np.subtract(x, x0, out=r["anchor"])
         if "det" in r:
             np.subtract(p, det_pixels, out=r["det"])
         if "pos" in r:
-            np.subtract(x[:, 1:], x[:, :-1], out=r["pos"])
+            np.subtract(x_tail, x_head, out=r["pos"])
         if "cam" in r:
-            np.subtract(C[:, 1:], C[:, :-1], out=r["cam"])
+            np.subtract(C_tail, C_head, out=r["cam"])
         if "bone" in r:
-            d = (x.reshape(-1, joints) @ incidence).reshape(dim, frames, nb)
-            lengths = np.sqrt((d * d).sum(axis=0))
-            np.subtract(lengths[1:], lengths[:-1], out=r["bone"])
+            np.matmul(x_rows, incidence, out=d_rows)
+            np.add.reduce(np.multiply(d, d, out=d_g), axis=0, out=lengths)
+            np.sqrt(lengths, out=lengths)
+            np.subtract(lengths_tail, lengths_head, out=r["bone"])
         vals, g = _huber_parts(resid, beta)
         np.multiply(weights, g, out=wgrad)
         # each term summed on its own, the temporal ones then added in order
-        row += np.bincount(columns, np.add.reduceat(
+        row[:] = np.bincount(columns, np.add.reduceat(
             np.multiply(weights, vals, out=vals), starts), minlength=5)
         row[0] = row[1] + row[2] + row[3] + row[4]
         if "anchor" in r:
-            gx += wg["anchor"]
+            np.add(gx, wg["anchor"], out=gx)
         if "pos" in r:
-            gx[:, 1:] += wg["pos"]
-            gx[:, :-1] -= wg["pos"]
+            np.add(gx_tail, wg["pos"], out=gx_tail)
+            np.subtract(gx_head, wg["pos"], out=gx_head)
         if "cam" in r:
-            gC[:, 1:] += wg["cam"]
-            gC[:, :-1] -= wg["cam"]
+            np.add(gC_tail, wg["cam"], out=gC_tail)
+            np.subtract(gC_head, wg["cam"], out=gC_head)
         if "bone" in r:
             # d|x_j - x_k| / dx_j is the unit bone vector
-            gl = np.zeros((frames, nb))
-            gl[1:] = wg["bone"]
-            gl[:-1] -= wg["bone"]
-            gl /= np.maximum(lengths, _NORM_EPS)
-            gx += ((d * gl).reshape(-1, nb) @ incidence_t).reshape(x0.shape)
-        gp = wg.get("det")
+            gl[0] = 0.0
+            np.copyto(gl_tail, wg["bone"])
+            np.subtract(gl_head, wg["bone"], out=gl_head)
+            np.divide(gl, np.maximum(lengths, _NORM_EPS, out=lengths), out=gl)
+            np.multiply(d, gl, out=d_g)
+            np.matmul(d_g_rows, incidence_t, out=gx_bone_rows)
+            np.add(gx, gx_bone, out=gx)
         if "flow" in r:
             # residual = flow(p_t) + p_t - p_{t+1}, a (u, v) pair per joint
             wf = wg["flow"]
-            gp = np.zeros((2, frames, joints)) if gp is None else gp
-            gp[:, :-1] += wf
-            gp[:, 1:] -= wf
-            gp[:, :-1] += (wf * jac).sum(axis=1)
-        if gp is not None and camera:
-            _project_backprop(gp, x, C, gx, gC)
-        elif gp is not None:
-            gx += gp
-        return row[0], grad
+            if "det" not in r:
+                gp.fill(0.0)
+            np.add(gp_head, wf, out=gp_head)
+            np.subtract(gp_tail, wf, out=gp_tail)
+            np.add(gp_head, np.add.reduce(np.multiply(jac, wf, out=jac), axis=1),
+                   out=gp_head)
+        if projected:
+            np.add(gxy, np.multiply(gp, scale, out=gp_scaled), out=gxy)
+            np.add(g_scale, np.add.reduce(np.multiply(gp, xy, out=gp_scaled), axis=(0, 2)),
+                   out=g_scale)
+            np.add(g_shift, np.add.reduce(gp, axis=2), out=g_shift)
+        elif "flow" in r or "det" in r:
+            np.add(gx, gp, out=gx)
+        return row[0], grad.copy()
 
     return evaluate
 
@@ -260,22 +321,22 @@ def _descend(evaluate, params: np.ndarray, hp: PoseHyperParams, what: str,
     """
     state = adam_init(params)
     history = np.zeros((hp.epochs, 5))
-    for e, row in enumerate(history):
-        # divergence is detected right below; silence the transient fp noise
-        with np.errstate(over="ignore", invalid="ignore"):
+    # divergence is detected right below; silence the transient fp noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e, row in enumerate(history):
             total, grad = evaluate(params, row)
-        if not np.isfinite(total):
-            raise NumericalError(
-                f"{what} diverged at epoch {e}: "
-                f"flow={row[1]:g} anchor={row[2]:g} det={row[3]:g} temporal={row[4]:g}")
-        params, state = adam_step(state, params, grad, hp.lr)
-        if scales is not None:
-            # a non-positive scale is an optimizer failure, not a bad input
-            bad = np.flatnonzero(params[scales] <= 0.0)
-            if bad.size:
+            if not math.isfinite(total):
                 raise NumericalError(
-                    f"{what} drove the camera scale of frame {bad[0]} "
-                    f"to {params[scales][bad[0]]:g} at epoch {e}")
+                    f"{what} diverged at epoch {e}: "
+                    f"flow={row[1]:g} anchor={row[2]:g} det={row[3]:g} temporal={row[4]:g}")
+            params, state = adam_step(state, params, grad, hp.lr)
+            # a non-positive scale is an optimizer failure, not a bad input;
+            # fmin passes over a NaN scale, which the next evaluation reports
+            if scales is not None and np.fmin.reduce(params[scales]) <= 0.0:
+                bad = np.flatnonzero(params[scales] <= 0.0)[0]
+                raise NumericalError(
+                    f"{what} drove the camera scale of frame {bad} "
+                    f"to {params[scales][bad]:g} at epoch {e}")
     # every other step is caught by the next epoch's evaluation
     if not np.all(np.isfinite(params)):
         raise NumericalError(

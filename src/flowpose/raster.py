@@ -131,7 +131,8 @@ def rasterize_skeleton(joints2d, topo: SkeletonTopology, width: int, height: int
         frac[window][closer] = t[closer]
 
     mask = centerline.copy()
-    for r in range(1, radius + 1):
+    # an arm as long as the image reaches every pixel of its row and column
+    for r in range(1, min(radius, max(width, height)) + 1):
         mask[:, r:] |= centerline[:, :-r]
         mask[:, :-r] |= centerline[:, r:]
         mask[r:, :] |= centerline[:-r, :]

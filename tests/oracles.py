@@ -1,10 +1,13 @@
 """Brute-force reference implementations used to verify the fast paths.
 
 Everything here is written as plain per-pixel Python loops, independent of
-the vectorized library code, except two numpy references: ``raster_full_image``,
-too slow for the library but fast enough for property tests at full image
-sizes, and ``interleaved_pose_objective``, the pose objective on the public
-``(T, J, D)`` layout with the flow term from the per-pair loop.
+the vectorized library code, except three numpy references:
+``raster_full_image``, too slow for the library but fast enough for property
+tests at full image sizes; ``interleaved_pose_objective``, the pose
+objective on the public ``(T, J, D)`` layout with the flow term from the
+per-pair loop; and ``allocating_pose_objective``, the planar objective
+written plainly, every array built per call, which the library's workspace
+objective must match bit for bit.
 """
 
 import math
@@ -331,6 +334,176 @@ def interleaved_pose_objective(hp, beta, x0, det=None, flows_uv=None, bones=None
         elif gp is not None:
             gx += gp
         row[0] = row[1] + row[2] + row[3] + row[4]
+        return row[0], grad
+
+    return evaluate
+
+
+def _planar_project(x: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Weak-perspective pixel planes ``(s * x + tx, s * y + ty)`` of a
+    ``(3, T, J)`` track under ``(3, T)`` cameras."""
+    return x[:2] * C[0, :, None] + C[1:, :, None]
+
+
+def _planar_backprop(gp: np.ndarray, x: np.ndarray, C: np.ndarray,
+                      gx: np.ndarray, gC: np.ndarray) -> None:
+    """Add the chain rule of pixel gradients ``gp`` through
+    ``_planar_project`` to the track and camera gradients ``gx`` and ``gC``."""
+    gx[:2] += gp * C[0, :, None]
+    gC[0] += (gp * x[:2]).sum(axis=(0, 2))
+    gC[1:] += gp.sum(axis=2)
+
+
+def allocating_sample_flow(uv, q):
+    """Reference planar sampler: bilinear samples of stacked fields
+    ``(P, H, W, 2)`` at ``(2, P, N)`` pixels, built from scratch per call.
+
+    Field ``k`` is sampled at the points ``q[:, k]``, all pairs in one
+    gather.  Positions are clamped to the field; where clamping was active
+    the positional derivative in that axis is zero (the sample no longer
+    moves with the point).  Returns the ``(2, P, N)`` planes of the value
+    ``(u, v)``, its ``(2, 2, P, N)`` Jacobian (``jac[0]`` is d(value)/dx and
+    ``jac[1]`` d(value)/dy) and the ``(2, P, N)`` mask of clamped x and y
+    coordinates.
+    """
+    pairs, h, w = uv.shape[:3]
+    c = np.clip(q, 0.0, np.array([w - 1.0, h - 1.0]).reshape(2, 1, 1))
+    clamped = c != q
+    i0 = np.minimum(np.floor(c).astype(np.intp),
+                    np.array([max(w - 2, 0), max(h - 2, 0)]).reshape(2, 1, 1))
+    f = c - i0
+    g = 1 - f
+    # corners (x0, y0), (x1, y0), (x0, y1), (x1, y1), each as its u and v
+    # entries of the flat (P * H * W * 2) stack; a one-pixel axis has
+    # x1 = x0 (or y1 = y0)
+    dx = 2 * int(w > 1)
+    dy = 2 * w * int(h > 1)
+    corner = i0[1] * (2 * w) + 2 * i0[0] + np.arange(0, 2 * pairs * h * w, 2 * h * w)[:, None]
+    offsets = np.array([0, 1, dx, dx + 1, dy, dy + 1, dx + dy, dx + dy + 1])
+    v = uv.reshape(-1).take(corner + offsets.reshape(4, 2, 1, 1))
+    rows = g[0] * v[0::2] + f[0] * v[1::2]
+    val = g[1] * rows[0] + f[1] * rows[1]
+    # jac[0] = gy * (v01 - v00) + fy * (v11 - v10), and jac[1] alike in y
+    diff = np.empty((2,) + v[:2].shape)
+    np.subtract(v[1::2], v[0::2], out=diff[0])
+    np.subtract(v[2:], v[:2], out=diff[1])
+    jac = g[::-1, None] * diff[:, 0] + f[::-1, None] * diff[:, 1]
+    np.copyto(jac, 0.0, where=clamped[:, None])
+    return val, jac, clamped
+
+
+def allocating_pose_objective(hp, beta, x0, det=None, flows_uv=None, bones=None,
+                              camera=False):
+    """Reference planar pose objective that allocates every array per call;
+    returns ``evaluate``.
+
+    The library's objective must match it bit for bit: value, gradient and
+    history row.  Needs at least two frames.
+
+    The variables are a track ``x`` of ``(D, T, J)`` coordinate planes and,
+    with ``camera``, ``(3, T)`` camera planes ``C`` that project it to
+    pixels; otherwise the projector is the identity and there is no camera
+    term (2-D mode).  ``evaluate(params, row=None)`` takes
+    ``[x.ravel(), C.ravel()]`` and returns ``(total, grad)``, ``grad`` laid
+    out like ``params``; it writes ``[total, flow, anchor, detection,
+    temporal]`` (each weighted) into ``row``.  ``x0`` is the anchor, in
+    planes like ``x``; ``flows_uv`` stacks the ``(T-1, H, W, 2)`` fields.
+    Every term is a smooth-L1 of a residual written into one buffer whose
+    elements carry ``lam / n`` (times the detection confidence), so the
+    penalty runs once.  A term whose weight is zero is left out.
+    """
+    dim, frames, joints = x0.shape
+    n_x = x0.size
+    nb = 0 if bones is None else len(bones)
+    # (name, history column, residual shape, weight of each element)
+    blocks = [b for b in (
+        ("flow", 1, (2, frames - 1, joints), hp.lam_opt / ((frames - 1) * joints)),
+        ("anchor", 2, x0.shape, hp.lam_3d / (frames * joints)),
+        ("det", 3, (2, frames, joints),
+         hp.lam_2d / (frames * joints) * det.confidence if hp.lam_2d else 0.0),
+        ("pos", 4, (dim, frames - 1, joints), hp.lam_pos / ((frames - 1) * joints)),
+        ("cam", 4, (3, frames - 1), hp.lam_cam / (frames - 1) if camera else 0.0),
+        ("bone", 4, (frames - 1, nb), hp.lam_bone / ((frames - 1) * nb) if nb else 0.0),
+    ) if np.any(b[3])]
+    sizes = [int(np.prod(shape)) for _, _, shape, _ in blocks]
+    resid, wgrad, weights = np.empty((3, sum(sizes)))
+    starts = np.cumsum([0] + sizes[:-1])
+    columns = [column for _, column, _, _ in blocks]
+    r, wg = {}, {}
+    for (name, _, shape, w), a, size in zip(blocks, starts, sizes):
+        r[name] = resid[a:a + size].reshape(shape)
+        wg[name] = wgrad[a:a + size].reshape(shape)
+        weights[a:a + size].reshape(shape)[...] = w
+    if "det" in r:
+        det_pixels = np.ascontiguousarray(np.moveaxis(det.pixels, -1, 0))
+    if "bone" in r:
+        incidence = np.zeros((joints, nb))             # bone b is x_j - x_k
+        incidence[bones[:, 0], np.arange(nb)] = 1.0
+        incidence[bones[:, 1], np.arange(nb)] = -1.0
+        incidence_t = incidence.T.copy()
+    projected = camera and ("flow" in r or "det" in r)
+
+    def evaluate(params: np.ndarray, row: np.ndarray | None = None):
+        row = np.zeros(5) if row is None else row
+        row[:] = 0.0
+        grad = np.zeros(params.size)
+        if not resid.size:
+            return row[0], grad
+        x = params[:n_x].reshape(x0.shape)
+        gx = grad[:n_x].reshape(x0.shape)
+        if camera:
+            C = params[n_x:].reshape(3, frames)
+            gC = grad[n_x:].reshape(3, frames)
+        p = _planar_project(x, C) if projected else x
+        if "flow" in r:
+            val, jac, _ = allocating_sample_flow(flows_uv, p[:, :-1])
+            np.subtract(p[:, 1:], p[:, :-1], out=r["flow"])
+            np.subtract(val, r["flow"], out=r["flow"])
+        if "anchor" in r:
+            np.subtract(x, x0, out=r["anchor"])
+        if "det" in r:
+            np.subtract(p, det_pixels, out=r["det"])
+        if "pos" in r:
+            np.subtract(x[:, 1:], x[:, :-1], out=r["pos"])
+        if "cam" in r:
+            np.subtract(C[:, 1:], C[:, :-1], out=r["cam"])
+        if "bone" in r:
+            d = (x.reshape(-1, joints) @ incidence).reshape(dim, frames, nb)
+            lengths = np.sqrt((d * d).sum(axis=0))
+            np.subtract(lengths[1:], lengths[:-1], out=r["bone"])
+        vals, g = _huber_parts(resid, beta)
+        np.multiply(weights, g, out=wgrad)
+        # each term summed on its own, the temporal ones then added in order
+        row += np.bincount(columns, np.add.reduceat(
+            np.multiply(weights, vals, out=vals), starts), minlength=5)
+        row[0] = row[1] + row[2] + row[3] + row[4]
+        if "anchor" in r:
+            gx += wg["anchor"]
+        if "pos" in r:
+            gx[:, 1:] += wg["pos"]
+            gx[:, :-1] -= wg["pos"]
+        if "cam" in r:
+            gC[:, 1:] += wg["cam"]
+            gC[:, :-1] -= wg["cam"]
+        if "bone" in r:
+            # d|x_j - x_k| / dx_j is the unit bone vector
+            gl = np.zeros((frames, nb))
+            gl[1:] = wg["bone"]
+            gl[:-1] -= wg["bone"]
+            gl /= np.maximum(lengths, 1e-12)
+            gx += ((d * gl).reshape(-1, nb) @ incidence_t).reshape(x0.shape)
+        gp = wg.get("det")
+        if "flow" in r:
+            # residual = flow(p_t) + p_t - p_{t+1}, a (u, v) pair per joint
+            wf = wg["flow"]
+            gp = np.zeros((2, frames, joints)) if gp is None else gp
+            gp[:, :-1] += wf
+            gp[:, 1:] -= wf
+            gp[:, :-1] += (wf * jac).sum(axis=1)
+        if gp is not None and camera:
+            _planar_backprop(gp, x, C, gx, gC)
+        elif gp is not None:
+            gx += gp
         return row[0], grad
 
     return evaluate

@@ -137,6 +137,53 @@ def test_malformed_scene_json_exit_3(tmp_path, name, pattern, replacement):
     assert main(["eval", "--pred", str(gt), "--gt", str(gt)]) == 3
 
 
+def _bootstrap_with(tmp_path, block, field, json_value):
+    """Run a short bootstrap whose config has ``block.field`` set to the raw
+    JSON text ``json_value``; returns the exit code."""
+    gt = _synth(tmp_path, size=16)
+    doc = fileio.config_to_dict(fileio.RunConfig())
+    doc["schedule"] = [{"kind": "flow", "epochs": 1}, {"kind": "pose", "epochs": 1},
+                       {"kind": "flow", "epochs": 1}]
+    doc[block][field] = "@value@"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc).replace('"@value@"', json_value))
+    return main(["bootstrap", "--config", str(cfg_path), "--in", str(gt),
+                 "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("block, field, json_value", [
+    ("pose", "epochs", "1e400"),
+    ("pose", "epochs", "-1e400"),
+    ("pose", "epochs", "2.5"),
+    ("pose", "lr", '"abc"'),
+    ("pose", "lr", "[1]"),
+    ("pose", "lam_opt", "true"),
+    ("pose", "lam_bone", "NaN"),
+    ("flow", "stride", "1e400"),
+    ("flow", "stride", "2.5"),
+    ("flow", "sigma", "-1e400"),
+    ("flow", "sigma", "false"),
+    ("flow", "lr", '"abc"'),
+    ("flow", "lr", "null"),
+    ("flow", "lr", "{}"),
+    ("flow", "radius", "1e400"),
+    ("flow", "radius", "2.5"),
+])
+def test_malformed_config_hyperparameters_exit_3(tmp_path, capsys, block, field, json_value):
+    assert _bootstrap_with(tmp_path, block, field, json_value) == 3
+    assert f"error: {tmp_path / 'cfg.json'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, field, json_value", [
+    ("flow", "radius", "1" + "0" * 30),
+    ("flow", "sigma", "1e30"),
+    ("flow", "stride", "1e30"),
+])
+def test_huge_flow_settings_still_run(tmp_path, block, field, json_value):
+    # an arm or a blur wider than the image reaches all of it and no more
+    assert _bootstrap_with(tmp_path, block, field, json_value) == 0
+
+
 def test_numerical_failure_exit_4(tmp_path):
     gt = _synth(tmp_path)
     fp = __import__("flowpose")

@@ -165,6 +165,13 @@ def test_axis_operator_adjoint(n_out, stride, n_in, sigma, seed):
     assert np.dot(op @ x, y) == pytest.approx(np.dot(x, op.T @ y), rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_in", [1, 2, 5])
+def test_axis_operator_with_a_blur_wider_than_the_grid(n_in):
+    # every tap is 1 on the grid, so each output is the grid's mean
+    op = _axis_operator(12, 4, n_in, 1e30)
+    assert np.allclose(op, 1.0 / n_in, rtol=0.0, atol=1e-15)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 24), st.integers(1, 24), st.integers(1, 9), _SIGMAS,
        st.integers(0, 2**32 - 1))

@@ -9,12 +9,13 @@ from flowpose import (CameraTrack, DetectionTrack, FlowField, InvalidInputError,
                       loss_2d, loss_3d, loss_opt, loss_temp, project_track,
                       refine_pose, refine_pose_2d, standard_benchmark)
 from flowpose.gradcheck import make_random_scene
-from flowpose.optim import finite_diff_check
+from flowpose.optim import _huber_parts, finite_diff_check
 from flowpose.pose_refine import (_interleaved, _only, _planes, _pose_objective,
                                   _sample_flow, _to_params)
 from flowpose.synth import generate_scene, mpjpe
 
-from oracles import flow_consistency_oracle, flow_sample_oracle, interleaved_pose_objective
+from oracles import (allocating_pose_objective, allocating_sample_flow, flow_consistency_oracle,
+                     flow_sample_oracle, interleaved_pose_objective)
 
 
 def _chain(joints):
@@ -62,6 +63,20 @@ def test_loss_opt_requires_two_frames():
     cam = CameraTrack([[1.0, 0.0, 0.0]])
     with pytest.raises(InvalidInputError):
         loss_opt(pose, cam, [])
+
+
+def test_one_frame_track_has_no_temporal_or_flow_term():
+    # the temporal and flow blocks need a frame pair; the anchor term alone
+    # is well defined on one frame
+    pose = PoseTrack(np.ones((1, 3, 3)))
+    value, grad = loss_3d(pose, pose)
+    assert value == 0.0 and grad.shape == (1, 3, 3) and np.all(grad == 0.0)
+    x0 = _planes(pose.positions)
+    evaluate = _pose_objective(PoseHyperParams(lam_2d=0.0), 1.0, x0,
+                               bones=np.array([[0, 1], [1, 2]]))
+    row = np.zeros(5)
+    value, grad = evaluate(_to_params(pose.positions + 0.5), row)
+    assert value == row[2] > 0.0 and row[1] == row[4] == 0.0
 
 
 def test_loss_3d_examples():
@@ -371,3 +386,70 @@ def test_planar_sampler_matches_oracle(case):
     assert np.array_equal(clamped, [(x < 0) | (x > w - 1), (y < 0) | (y > h - 1)])
     assert np.all(jac[0][:, clamped[0]] == 0.0)
     assert np.all(jac[1][:, clamped[1]] == 0.0)
+
+
+def _planes_of(x, cams, camera):
+    return _to_params(x, cams) if camera else _to_params(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), camera=st.booleans(),
+       lams=st.tuples(*[_weight] * len(_LAMS)))
+def test_workspace_objective_matches_allocating_oracle(seed, camera, lams):
+    # several points on one plan, so state left in the workspace would show
+    x, cams, anchor, plan = _scene_point(seed, camera)
+    hp = PoseHyperParams(**dict(zip(_LAMS, lams)))
+    evaluate = _pose_objective(hp, 1.0, _planes(anchor), **plan)
+    oracle = allocating_pose_objective(hp, 1.0, _planes(anchor), **plan)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for step in (0.0, 0.3, 0.0, 2.0):
+        params = _planes_of(x + rng.normal(0.0, step, x.shape), cams, camera)
+        row, want_row = np.zeros(5), np.zeros(5)
+        value, grad = evaluate(params, row)
+        want_value, want = oracle(params, want_row)
+        # bit for bit, signed zeros included
+        assert value.tobytes() == want_value.tobytes()
+        assert grad.tobytes() == want.tobytes()
+        assert row.tobytes() == want_row.tobytes()
+        assert evaluate(params)[1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("camera", [True, False])
+def test_evaluate_leaves_inputs_and_earlier_results_alone(camera):
+    x, cams, anchor, plan = _scene_point(3, camera)
+    evaluate = _pose_objective(PoseHyperParams(), 1.0, _planes(anchor), **plan)
+    first = _planes_of(x, cams, camera)
+    before = first.copy()
+    value, grad = evaluate(first)
+    kept = grad.copy()
+    assert np.array_equal(first, before)
+    second = _planes_of(x + 0.25, cams, camera)
+    other_value, other = evaluate(second)
+    assert not np.array_equal(other, kept)
+    assert np.array_equal(grad, kept) and np.array_equal(first, before)
+    # the same point again gives the same bits
+    again_value, again = evaluate(first)
+    assert again_value == value and np.array_equal(again, kept)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5, 3.0])
+def test_huber_parts_match_np_clip_form_bit_for_bit(beta):
+    r = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, beta, -beta, 0.5 * beta,
+                  -2.0 * beta, np.nextafter(beta, 0.0), 1e-300, -5e-324])
+    slope = np.clip(np.divide(r, beta), -1.0, 1.0)
+    want = (slope * (r - 0.5 * beta * slope), slope)
+    for got, ref in zip(_huber_parts(r, beta), want):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_nan_pixel_samples_nan_instead_of_failing():
+    # a NaN point (say, from a NaN camera scale) gives a NaN sample, as the
+    # allocating sampler does, so the refiner reports a NumericalError
+    fields = np.random.default_rng(0).normal(size=(2, 5, 4, 2))
+    q = np.array([[[np.nan, 1.5], [2.0, np.nan]], [[0.5, np.nan], [np.nan, np.nan]]])
+    got = _sample_flow(fields, q)
+    with np.errstate(invalid="ignore"):     # the reference casts NaN to an index
+        want = allocating_sample_flow(fields, q)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert np.isnan(got[0][:, np.isnan(q).any(axis=0)]).all()

@@ -55,6 +55,18 @@ def test_mask_monotone_in_radius():
         prev = mask
 
 
+def test_radius_beyond_the_image_is_the_image_size():
+    # a longer arm is a no-op, so a huge radius returns at once with the bits
+    # of the shortest arm that reaches across the image
+    joints = np.array([[0.0, 0.0], [1.0, 0.0]])     # a short bone in a corner
+    want = rasterize_skeleton(joints, _line_topo(), 17, 13, radius=16)
+    assert want.mask[0].all() and want.mask[:, :2].all() and not want.mask.all()
+    for radius in (17, 10**30):
+        got = rasterize_skeleton(joints, _line_topo(), 17, 13, radius)
+        for a, b in ((got.mask, want.mask), (got.owner, want.owner), (got.frac, want.frac)):
+            assert a.tobytes() == b.tobytes()
+
+
 def _random_tree_topo(rng, joints):
     bones = tuple((int(rng.integers(0, j)), j) for j in range(1, joints))
     return SkeletonTopology(joint_count=joints, bones=bones)
