@@ -14,7 +14,7 @@ from .geometry import (EVAL_JOINTS_14, MODE_2D, MODE_3D, CameraTrack,
 from .optim import (AdamState, SmoothL1Config, adam_init, adam_step,
                     finite_diff_check, smooth_l1)
 from .raster import BoneRaster, TargetFlow, bone_flow, compose_target_flow, rasterize_skeleton
-from .flow_refine import CorrectionGrid, init_refiner, refine_flow, refiner_apply
+from .flow_refine import CorrectionGrid, refine_flow, refiner_apply
 from .pose_refine import (PoseHyperParams, loss_2d, loss_3d, loss_opt,
                           loss_temp, refine_pose, refine_pose_2d)
 from .pipeline import (CycleSchedule, FlowRefineParams, FlowStage, PoseStage,
@@ -34,7 +34,7 @@ __all__ = [
     "finite_diff_check", "smooth_l1",
     "BoneRaster", "TargetFlow", "bone_flow", "compose_target_flow",
     "rasterize_skeleton",
-    "CorrectionGrid", "init_refiner", "refine_flow", "refiner_apply",
+    "CorrectionGrid", "refine_flow", "refiner_apply",
     "PoseHyperParams", "loss_2d", "loss_3d", "loss_opt", "loss_temp",
     "refine_pose", "refine_pose_2d",
     "CycleSchedule", "FlowRefineParams", "FlowStage", "PoseStage",

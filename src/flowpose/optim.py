@@ -35,11 +35,6 @@ def _huber_parts(r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return grad * (r - 0.5 * beta * grad), grad
 
 
-def _huber(r: np.ndarray, beta: float) -> tuple[float, np.ndarray]:
-    vals, grad = _huber_parts(r, beta)
-    return float(vals.sum()), grad
-
-
 def smooth_l1(residual, cfg: SmoothL1Config = SmoothL1Config()) -> tuple[float, np.ndarray]:
     """Smooth-L1 penalty of a residual array and its element-wise gradient.
 
@@ -50,7 +45,8 @@ def smooth_l1(residual, cfg: SmoothL1Config = SmoothL1Config()) -> tuple[float, 
     r = np.asarray(residual, dtype=np.float64)
     if not np.all(np.isfinite(r)):
         raise InvalidInputError("smooth_l1: non-finite residual")
-    return _huber(r, cfg.beta)
+    vals, grad = _huber_parts(r, cfg.beta)
+    return float(vals.sum()), grad
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +66,14 @@ def adam_init(params, beta1: float = 0.9, beta2: float = 0.999,
     """Fresh optimizer state for parameters of the given shape."""
     p = np.asarray(params, dtype=np.float64)
     return AdamState(0, np.zeros_like(p), np.zeros_like(p), beta1, beta2, eps)
+
+
+def _epoch_history(epochs: int, *row: int) -> np.ndarray:
+    """Zeroed per-epoch record; a count too large to allocate is bad input."""
+    try:
+        return np.zeros((epochs, *row))
+    except (ValueError, MemoryError):
+        raise InvalidInputError(f"epochs: cannot record {epochs} epochs") from None
 
 
 def adam_step(state: AdamState, params, grads, lr: float):

@@ -32,9 +32,7 @@ class FlowStage:
     epochs: int
 
     def __post_init__(self):
-        if int(self.epochs) < 0:
-            raise InvalidInputError("stage epochs must be >= 0")
-        object.__setattr__(self, "epochs", int(self.epochs))
+        object.__setattr__(self, "epochs", _count(self.epochs, "stage epochs"))
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,7 @@ class PoseStage:
     epochs: int
 
     def __post_init__(self):
-        if int(self.epochs) < 0:
-            raise InvalidInputError("stage epochs must be >= 0")
-        object.__setattr__(self, "epochs", int(self.epochs))
+        object.__setattr__(self, "epochs", _count(self.epochs, "stage epochs"))
 
 
 @dataclass(frozen=True)

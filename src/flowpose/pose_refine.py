@@ -45,7 +45,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .geometry import (CameraTrack, DetectionTrack, FlowField, PoseTrack,
                        SkeletonTopology, _count, _finite_number)
-from .optim import _huber_parts, adam_init, adam_step
+from .optim import _epoch_history, _huber_parts, adam_init, adam_step
 
 _NORM_EPS = 1e-12  # guards the bone-direction derivative at zero length
 
@@ -320,7 +320,7 @@ def _descend(evaluate, params: np.ndarray, hp: PoseHyperParams, what: str,
     parameters.
     """
     state = adam_init(params)
-    history = np.zeros((hp.epochs, 5))
+    history = _epoch_history(hp.epochs, 5)
     # divergence is detected right below; silence the transient fp noise
     with np.errstate(over="ignore", invalid="ignore"):
         for e, row in enumerate(history):

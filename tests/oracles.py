@@ -1,19 +1,22 @@
 """Brute-force reference implementations used to verify the fast paths.
 
 Everything here is written as plain per-pixel Python loops, independent of
-the vectorized library code, except three numpy references:
+the vectorized library code, except four numpy references:
 ``raster_full_image``, too slow for the library but fast enough for property
 tests at full image sizes; ``interleaved_pose_objective``, the pose
 objective on the public ``(T, J, D)`` layout with the flow term from the
-per-pair loop; and ``allocating_pose_objective``, the planar objective
+per-pair loop; ``allocating_pose_objective``, the planar objective
 written plainly, every array built per call, which the library's workspace
-objective must match bit for bit.
+objective must match bit for bit; and ``interleaved_flow_objective``, the
+flow refiner's objective on the ``(H, W, 2)`` layout, with the residual
+formed whole every call.
 """
 
 import math
 
 import numpy as np
 
+from flowpose.flow_refine import _axis_operator
 from flowpose.optim import _huber_parts
 
 
@@ -238,6 +241,25 @@ def axis_operator_oracle(n_out, stride, n_in, sigma):
             column.append((1 - f) * blurred[i0] + f * blurred[i1])
         columns.append(column)
     return [[columns[j][o] for j in range(n_in)] for o in range(n_out)]
+
+
+def interleaved_flow_objective(grid_values, base_uv, target_uv, stride, sigma,
+                               beta=1.0):
+    """Reference flow objective on the interleaved layout.
+
+    Forms ``base + M_y G M_x.T - target`` on ``(H, W, 2)`` arrays, takes the
+    summed smooth-L1 at ``beta`` over all components, and divides the value
+    and every pixel slope by the pixel count before the adjoint
+    ``M_y.T S M_x``; returns ``(value, (gh, gw, 2) gradient)``.
+    """
+    height, width = base_uv.shape[:2]
+    gh, gw = grid_values.shape[:2]
+    m_y = _axis_operator(height, stride, gh, sigma)
+    m_x = _axis_operator(width, stride, gw, sigma)
+    corr = (m_y @ grid_values.transpose(2, 0, 1) @ m_x.T).transpose(1, 2, 0)
+    vals, g = _huber_parts(base_uv + corr - target_uv, beta)
+    n = height * width
+    return float(vals.sum()) / n, (m_y.T @ (g / n).transpose(2, 0, 1) @ m_x).transpose(1, 2, 0)
 
 
 def interleaved_pose_objective(hp, beta, x0, det=None, flows_uv=None, bones=None,

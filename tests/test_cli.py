@@ -184,6 +184,26 @@ def test_huge_flow_settings_still_run(tmp_path, block, field, json_value):
     assert _bootstrap_with(tmp_path, block, field, json_value) == 0
 
 
+@pytest.mark.parametrize("command", ["refine-pose", "refine-flow"])
+def test_epoch_count_too_large_to_record_exit_3(tmp_path, capsys, command):
+    gt = _synth(tmp_path, size=16)
+    assert main([command, "--in", str(gt), "--out", str(tmp_path / "out"),
+                 "--epochs", "1" + "0" * 30]) == 3
+    assert "epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["flow", "pose"])
+def test_config_stage_too_large_to_record_exit_3(tmp_path, capsys, kind):
+    gt = _synth(tmp_path, size=16)
+    doc = fileio.config_to_dict(fileio.RunConfig())
+    doc["schedule"] = [{"kind": kind, "epochs": "@value@"}]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc).replace('"@value@"', "1" + "0" * 30))
+    assert main(["bootstrap", "--config", str(cfg_path), "--in", str(gt),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "epochs" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_4(tmp_path):
     gt = _synth(tmp_path)
     fp = __import__("flowpose")

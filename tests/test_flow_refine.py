@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowpose import (FlowField, InvalidInputError, NumericalError, TargetFlow,
-                      init_refiner, refine_flow, refiner_apply)
-from flowpose.flow_refine import (CorrectionGrid, _axis_operator, _correction,
-                                  _correction_adjoint, grid_shape)
+                      refine_flow, refiner_apply)
+from flowpose.flow_refine import CorrectionGrid, _axis_operator, flow_objective, grid_shape
+from flowpose.optim import adam_init, adam_step
 
-from oracles import axis_operator_oracle, bilinear_oracle
+from oracles import axis_operator_oracle, bilinear_oracle, interleaved_flow_objective
 
 
 def _target(uv, mask=None):
@@ -18,16 +18,16 @@ def _target(uv, mask=None):
     return TargetFlow(flow=field, overlay_mask=mask)
 
 
-def test_init_refiner_dimensions():
-    assert init_refiner(64, 64, stride=8).values.shape == (8, 8, 2)
-    assert init_refiner(65, 65, stride=8).values.shape == (9, 9, 2)
-    assert np.all(init_refiner(64, 64).values == 0.0)
+def test_grid_shape_covers_the_image():
+    assert grid_shape(64, 64, 8) == (8, 8)
+    assert grid_shape(65, 65, 8) == (9, 9)
+    assert grid_shape(56, 40, 8) == (5, 7)
 
 
 def test_zero_grid_reproduces_base():
     rng = np.random.default_rng(0)
     base = FlowField(rng.normal(size=(40, 56, 2)))
-    grid = init_refiner(56, 40, stride=8, sigma=1.0)
+    grid = CorrectionGrid(np.zeros((5, 7, 2)), stride=8, sigma=1.0)
     assert np.array_equal(refiner_apply(grid, base).uv, base.uv)
 
 
@@ -64,7 +64,7 @@ def test_single_cell_matches_bilinear_oracle():
 def test_grid_dimension_mismatch_rejected():
     base = FlowField(np.zeros((16, 16, 2)))
     with pytest.raises(InvalidInputError):
-        refiner_apply(init_refiner(24, 24, stride=8), base)
+        refiner_apply(CorrectionGrid(np.zeros((3, 3, 2)), 8, 1.0), base)
 
 
 def test_refine_flow_fixed_point_exact():
@@ -136,6 +136,27 @@ def test_refine_flow_rejects_bad_input():
         refine_flow(base, _target(np.zeros((8, 8, 2))), epochs=-1)
 
 
+@pytest.mark.parametrize("setting", [
+    {"epochs": 2.5}, {"epochs": True}, {"epochs": float("nan")}, {"epochs": "3"},
+    {"stride": 2.5}, {"stride": 0}, {"stride": True},
+    {"stride": 1e400}, {"sigma": float("inf")}, {"sigma": -0.5}, {"sigma": None},
+    {"lr": float("nan")}, {"lr": "0.05"}, {"beta": 0.0}, {"beta": -1.0},
+    {"beta": float("inf")}, {"beta": False},
+])
+def test_refine_flow_rejects_bad_settings(setting):
+    # every setting is checked before any work, so none trains or reports divergence
+    base = FlowField(np.zeros((8, 8, 2)))
+    kwargs = {"epochs": 2, **setting}
+    with pytest.raises(InvalidInputError):
+        refine_flow(base, _target(np.ones((8, 8, 2))), **kwargs)
+
+
+def test_refine_flow_rejects_an_epoch_count_too_large_to_record():
+    base = FlowField(np.zeros((8, 8, 2)))
+    with pytest.raises(InvalidInputError, match="epochs"):
+        refine_flow(base, _target(np.ones((8, 8, 2))), epochs=10**30)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_last_step_overflow_is_a_numerical_error():
     # the target is so far off that both steps push the single grid cell the
@@ -176,12 +197,77 @@ def test_axis_operator_with_a_blur_wider_than_the_grid(n_in):
 @given(st.integers(1, 24), st.integers(1, 24), st.integers(1, 9), _SIGMAS,
        st.integers(0, 2**32 - 1))
 def test_correction_adjoint(height, width, stride, sigma, seed):
+    # the planar pair V -> M_y V M_x.T and G -> M_y.T G M_x, with the cached
+    # contiguous transposes, are each other's adjoints
     gh, gw = grid_shape(width, height, stride)
-    m_y = _axis_operator(height, stride, gh, sigma)
-    m_x = _axis_operator(width, stride, gw, sigma)
+    m_y, m_x, m_yt, m_xt = (_axis_operator(n, stride, g, sigma, t) for t in (False, True)
+                            for n, g in ((height, gh), (width, gw)))
+    assert np.array_equal(m_yt, m_y.T) and np.array_equal(m_xt, m_x.T)
+    assert m_yt.flags.c_contiguous and m_xt.flags.c_contiguous
     rng = np.random.default_rng(seed)
-    grid = rng.normal(size=(gh, gw, 2))
-    pix = rng.normal(size=(height, width, 2))
-    lhs = np.sum(_correction(grid, m_y, m_x) * pix)
-    rhs = np.sum(grid * _correction_adjoint(pix, m_y, m_x))
+    grid = rng.normal(size=(2, gh, gw))
+    pix = rng.normal(size=(2, height, width))
+    lhs = np.sum((m_y @ grid @ m_xt) * pix)
+    rhs = np.sum(grid * (m_yt @ pix @ m_x))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+_BETAS = st.one_of(st.just(1.0), st.floats(0.3, 4.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 9),
+       st.one_of(_SIGMAS, st.just(1e30)), _BETAS, st.floats(0.1, 3.0),
+       st.integers(0, 2**32 - 1))
+@example(1, 1, 8, 1.0, 1.0, 1.0, 0)
+@example(37, 23, 9, 1e30, 0.3, 2.0, 1)
+def test_planar_objective_matches_interleaved_oracle(height, width, stride, sigma,
+                                                     beta, spread, seed):
+    rng = np.random.default_rng(seed)
+    gh, gw = grid_shape(width, height, stride)
+    grid = rng.normal(0.0, spread, size=(gh, gw, 2))
+    base = rng.normal(0.0, spread, size=(height, width, 2))
+    target = rng.normal(0.0, spread, size=(height, width, 2))
+    value, grad = flow_objective(grid, base, target, stride, sigma, beta)
+    want_value, want_grad = interleaved_flow_objective(grid, base, target, stride,
+                                                       sigma, beta)
+    assert grad.shape == (gh, gw, 2)
+    assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+    # each gradient entry is a sum of slopes of at most 1 spread over the image
+    assert np.max(np.abs(grad - want_grad), initial=0.0) <= 1e-12 * max(
+        np.abs(want_grad).max(), 1.0 / (height * width))
+
+
+def _oracle_refine(base_uv, target_uv, epochs, lr, stride, sigma, beta):
+    """``refine_flow``'s loop on the interleaved oracle objective."""
+    height, width = base_uv.shape[:2]
+    values = np.zeros((*grid_shape(width, height, stride), 2))
+    state = adam_init(values)
+    losses = []
+    for _ in range(epochs):
+        loss, grad = interleaved_flow_objective(values, base_uv, target_uv,
+                                                stride, sigma, beta)
+        losses.append(loss)
+        values, state = adam_step(state, values, grad, lr)
+    m_y = _axis_operator(height, stride, values.shape[0], sigma)
+    m_x = _axis_operator(width, stride, values.shape[1], sigma)
+    corr = (m_y @ values.transpose(2, 0, 1) @ m_x.T).transpose(1, 2, 0)
+    return base_uv + corr, np.array(losses)
+
+
+@pytest.mark.parametrize("shape, stride, sigma, beta, epochs", [
+    ((32, 32), 8, 1.0, 1.0, 8),
+    ((29, 45), 6, 0.0, 0.5, 12),
+    ((17, 9), 4, 2.5, 3.0, 5),
+    ((1, 1), 8, 1.0, 1.0, 3),
+])
+def test_refine_flow_matches_oracle_loop(shape, stride, sigma, beta, epochs):
+    rng = np.random.default_rng(sum(shape) + epochs)
+    base = FlowField(rng.normal(size=(*shape, 2)) * 2)
+    target = _target(rng.normal(size=(*shape, 2)) * 2)
+    out, losses = refine_flow(base, target, epochs, lr=0.1, stride=stride,
+                              sigma=sigma, beta=beta)
+    want_uv, want_losses = _oracle_refine(base.uv, target.flow.uv, epochs, 0.1,
+                                          stride, sigma, beta)
+    assert np.allclose(losses, want_losses, rtol=1e-12, atol=0.0)
+    assert np.allclose(out.uv, want_uv, rtol=0.0, atol=1e-12 * np.abs(want_uv).max())

@@ -31,6 +31,20 @@ def test_stage_validation():
         CycleSchedule(("flow",))
 
 
+@pytest.mark.parametrize("stage", [FlowStage, PoseStage])
+@pytest.mark.parametrize("epochs", [2.5, True, float("nan"), float("inf"), 1e400,
+                                    "abc", "3", None, -1])
+def test_stage_epochs_must_be_a_count(stage, epochs):
+    # no truncation (2.5 -> 2) and no bool-as-int (True -> 1)
+    with pytest.raises(InvalidInputError):
+        stage(epochs)
+
+
+def test_stage_epochs_accept_integral_numbers():
+    assert FlowStage(3.0).epochs == 3 and type(FlowStage(3.0).epochs) is int
+    assert PoseStage(np.int64(7)).epochs == 7
+
+
 def test_empty_schedule_is_identity():
     _, noisy = _small_scene()
     out, records = bootstrap(noisy, CycleSchedule(()))

@@ -130,6 +130,15 @@ def test_refine_pose_anchor_only_is_exact_fixed_point():
     assert np.array_equal(out_cam.params, cam.params)
 
 
+def test_epoch_count_too_large_to_record_is_invalid_input():
+    topo, pose, cam, det, flows = make_random_scene(4)
+    hp = PoseHyperParams(epochs=10**30)
+    with pytest.raises(InvalidInputError, match="epochs"):
+        refine_pose(pose, cam, det, flows, topo, hp)
+    with pytest.raises(InvalidInputError, match="epochs"):
+        refine_pose_2d(det, det, flows, topo, hp)
+
+
 def test_refine_pose_zero_epochs_and_zero_lr_identity():
     topo, pose, cam, det, flows = make_random_scene(4)
     for hp in (PoseHyperParams(epochs=0), PoseHyperParams(lr=0.0, epochs=20)):
