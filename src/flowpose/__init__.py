@@ -10,13 +10,11 @@ from .errors import FormatError, InvalidInputError, NumericalError, SchemaError
 from .geometry import (EVAL_JOINTS_14, MODE_2D, MODE_3D, CameraTrack,
                        DetectionTrack, FlowField, PoseTrack, SceneBundle,
                        SkeletonTopology, average_flows, average_tracks,
-                       bone_lengths, default_topology, project, project_track)
-from .optim import (AdamState, SmoothL1Config, adam_init, adam_step,
-                    finite_diff_check, smooth_l1)
+                       default_topology, project_track)
+from .optim import AdamState, adam_init, adam_step, finite_diff_check
 from .raster import BoneRaster, TargetFlow, bone_flow, compose_target_flow, rasterize_skeleton
 from .flow_refine import CorrectionGrid, refine_flow, refiner_apply
-from .pose_refine import (PoseHyperParams, loss_2d, loss_3d, loss_opt,
-                          loss_temp, refine_pose, refine_pose_2d)
+from .pose_refine import PoseHyperParams, refine_pose, refine_pose_2d
 from .pipeline import (CycleSchedule, FlowRefineParams, FlowStage, PoseStage,
                        StageRecord, bootstrap)
 from .synth import (GroundTruthBundle, NoiseConfig, epe, generate_scene,
@@ -28,15 +26,12 @@ __all__ = [
     "FormatError", "InvalidInputError", "NumericalError", "SchemaError",
     "EVAL_JOINTS_14", "MODE_2D", "MODE_3D", "CameraTrack", "DetectionTrack",
     "FlowField", "PoseTrack", "SceneBundle", "SkeletonTopology",
-    "average_flows", "average_tracks", "bone_lengths", "default_topology",
-    "project", "project_track",
-    "AdamState", "SmoothL1Config", "adam_init", "adam_step",
-    "finite_diff_check", "smooth_l1",
+    "average_flows", "average_tracks", "default_topology", "project_track",
+    "AdamState", "adam_init", "adam_step", "finite_diff_check",
     "BoneRaster", "TargetFlow", "bone_flow", "compose_target_flow",
     "rasterize_skeleton",
     "CorrectionGrid", "refine_flow", "refiner_apply",
-    "PoseHyperParams", "loss_2d", "loss_3d", "loss_opt", "loss_temp",
-    "refine_pose", "refine_pose_2d",
+    "PoseHyperParams", "refine_pose", "refine_pose_2d",
     "CycleSchedule", "FlowRefineParams", "FlowStage", "PoseStage",
     "StageRecord", "bootstrap",
     "GroundTruthBundle", "NoiseConfig", "epe", "generate_scene", "mpjpe",

@@ -20,8 +20,7 @@ import numpy as np
 from .errors import FormatError, InvalidInputError, NumericalError
 from . import fileio
 from .fileio import RunConfig, RunPaths, scene_paths
-from .geometry import (MODE_2D, MODE_3D, CameraTrack, DetectionTrack,
-                       PoseTrack, SceneBundle, average_flows, average_tracks,
+from .geometry import (MODE_2D, MODE_3D, SceneBundle, average_flows, average_tracks,
                        default_topology)
 from .gradcheck import run_gradient_checks
 from .pipeline import CycleSchedule, FlowStage, PoseStage, bootstrap
@@ -40,21 +39,15 @@ def _fmt(value) -> str:
 def _bundle_from_paths(paths: RunPaths, mode: str) -> SceneBundle:
     if not paths.detections or not paths.flows:
         raise UsageError("detections and flows paths are required")
-    detections, _ = fileio.read_track(paths.detections)
-    if not isinstance(detections, DetectionTrack):
-        raise FormatError(f"{paths.detections}: expected a detections track")
+    detections = fileio._read_kind(paths.detections, "detections")
     flows = fileio.read_flow_dir(paths.flows)
     topo = fileio.read_topology(paths.topology) if paths.topology and Path(
         paths.topology).exists() else default_topology()
     pose = camera = None
     if paths.pose and (mode == MODE_3D or Path(paths.pose).exists()):
-        pose, _ = fileio.read_track(paths.pose)
-        if not isinstance(pose, PoseTrack):
-            raise FormatError(f"{paths.pose}: expected a pose track")
+        pose = fileio._read_kind(paths.pose, "pose")
     if paths.camera and (mode == MODE_3D or Path(paths.camera).exists()):
-        camera, _ = fileio.read_track(paths.camera)
-        if not isinstance(camera, CameraTrack):
-            raise FormatError(f"{paths.camera}: expected a camera track")
+        camera = fileio._read_kind(paths.camera, "camera")
     return SceneBundle(topology=topo, width=flows[0].width, height=flows[0].height,
                        detections=detections, flows=tuple(flows), mode=mode,
                        pose=pose, camera=camera)
@@ -72,16 +65,22 @@ def _print_records(records) -> None:
               f"epe={_fmt(r.epe)}{drift}")
 
 
-def _run_schedule(args, schedule: CycleSchedule) -> int:
-    cfg = RunConfig(mode=args.mode, schedule=schedule)
-    bundle = _bundle_from_paths(scene_paths(args.input), cfg.mode)
-    gt = _load_gt(args.gt) if args.gt else None
+def _run(cfg: RunConfig, paths: RunPaths, gt_dir) -> int:
+    """Bootstrap the scene at ``paths`` under ``cfg``, write the result and
+    its report to ``paths.output`` and print the stage records."""
+    bundle = _bundle_from_paths(paths, cfg.mode)
+    gt = _load_gt(gt_dir) if gt_dir else None
     out, records = bootstrap(bundle, cfg.schedule, cfg.pose_params,
                              cfg.flow_params, gt=gt)
-    fileio.write_bundle(args.out, out)
-    fileio.write_report(Path(args.out) / "report.json", records)
+    fileio.write_bundle(paths.output, out)
+    fileio.write_report(Path(paths.output) / "report.json", records)
     _print_records(records)
     return 0
+
+
+def _run_schedule(args, schedule: CycleSchedule) -> int:
+    return _run(RunConfig(mode=args.mode, schedule=schedule),
+                replace(scene_paths(args.input), output=args.out), args.gt)
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +139,7 @@ def _cmd_bootstrap(args) -> int:
         paths = replace(paths, output=args.out)
     if not paths.output:
         raise UsageError("an output directory is required (--out or config paths.output)")
-    bundle = _bundle_from_paths(paths, cfg.mode)
-    gt = _load_gt(args.gt) if args.gt else None
-    out, records = bootstrap(bundle, cfg.schedule, cfg.pose_params,
-                             cfg.flow_params, gt=gt)
-    fileio.write_bundle(paths.output, out)
-    fileio.write_report(Path(paths.output) / "report.json", records)
-    _print_records(records)
-    return 0
+    return _run(cfg, paths, args.gt)
 
 
 def _cmd_eval(args) -> int:

@@ -218,6 +218,17 @@ def read_track(path):
     raise SchemaError(f"{ctx}: unknown track kind {kind!r}")
 
 
+_TRACK_TYPES = {"pose": PoseTrack, "camera": CameraTrack, "detections": DetectionTrack}
+
+
+def _read_kind(path, kind: str):
+    """The track in ``path``, which must be a ``kind`` track."""
+    track, _ = read_track(path)
+    if not isinstance(track, _TRACK_TYPES[kind]):
+        raise SchemaError(f"{path}: expected a {kind} track")
+    return track
+
+
 # ---------------------------------------------------------------------------
 # topology files
 
@@ -273,18 +284,12 @@ def read_bundle(dirpath) -> SceneBundle:
     if mode not in (MODE_3D, MODE_2D):
         raise SchemaError(f"{ctx}: unknown mode {mode!r}")
     topo = read_topology(d / "topology.json")
-    detections, _ = read_track(d / "detections.json")
-    if not isinstance(detections, DetectionTrack):
-        raise SchemaError(f"{d / 'detections.json'}: expected a detections track")
+    detections = _read_kind(d / "detections.json", "detections")
     pose = camera = None
     if mode == MODE_3D or (d / "pose.json").exists():
-        pose, _ = read_track(d / "pose.json")
-        if not isinstance(pose, PoseTrack):
-            raise SchemaError(f"{d / 'pose.json'}: expected a pose track")
+        pose = _read_kind(d / "pose.json", "pose")
     if mode == MODE_3D or (d / "camera.json").exists():
-        camera, _ = read_track(d / "camera.json")
-        if not isinstance(camera, CameraTrack):
-            raise SchemaError(f"{d / 'camera.json'}: expected a camera track")
+        camera = _read_kind(d / "camera.json", "camera")
     flows = read_flow_dir(d / "flows")
     try:
         return SceneBundle(topology=topo, width=_integer(meta, "width", ctx),

@@ -63,10 +63,11 @@ class SkeletonTopology:
     eval_subset: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if int(self.joint_count) <= 0:
+        object.__setattr__(self, "joint_count", _count(self.joint_count, "joint_count"))
+        if self.joint_count <= 0:
             raise InvalidInputError("joint_count must be positive")
-        object.__setattr__(self, "joint_count", int(self.joint_count))
-        bones = tuple((int(j), int(k)) for j, k in self.bones)
+        bones = tuple((_count(j, f"bones[{b}]"), _count(k, f"bones[{b}]"))
+                      for b, (j, k) in enumerate(self.bones))
         object.__setattr__(self, "bones", bones)
         seen = set()
         for b, (j, k) in enumerate(bones):
@@ -85,7 +86,7 @@ class SkeletonTopology:
                 raise InvalidInputError("names length must equal joint_count")
             object.__setattr__(self, "names", names)
         if self.eval_subset is not None:
-            subset = tuple(int(i) for i in self.eval_subset)
+            subset = tuple(_count(i, "eval_subset") for i in self.eval_subset)
             if any(not 0 <= i < self.joint_count for i in subset):
                 raise InvalidInputError("eval_subset: joint index out of range")
             object.__setattr__(self, "eval_subset", subset)
@@ -305,44 +306,15 @@ class SceneBundle:
         return self.detections.frames
 
 
-def project(points, cams) -> np.ndarray:
-    """Weak-perspective projection ``(s * x + tx, s * y + ty)``.
-
-    ``points`` has trailing dimension 3 and ``cams`` trailing dimension 3;
-    leading dimensions broadcast.  Linear in the point for a fixed camera,
-    with closed-form partials: d/d(x, y) = s, d/ds = (x, y), d/d(tx, ty) = I.
-    """
-    p = np.asarray(points, dtype=np.float64)
-    c = np.asarray(cams, dtype=np.float64)
-    if p.shape[-1] != 3:
-        raise InvalidInputError(f"points: trailing dimension must be 3, got {p.shape}")
-    if c.shape[-1] != 3:
-        raise InvalidInputError(f"cams: trailing dimension must be 3, got {c.shape}")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(c))):
-        raise InvalidInputError("project: non-finite input")
-    if np.any(c[..., 0] <= 0):
-        raise InvalidInputError("project: camera scale must be positive")
-    x = c[..., 0] * p[..., 0] + c[..., 1]
-    y = c[..., 0] * p[..., 1] + c[..., 2]
-    return np.stack([x, y], axis=-1)
-
-
 def project_track(pose: PoseTrack, camera: CameraTrack) -> np.ndarray:
     """Project every joint of every frame, returning ``(T, J, 2)`` pixels."""
     if pose.frames != camera.frames:
         raise InvalidInputError("pose and camera frame counts differ")
-    return project(pose.positions, camera.params[:, None, :])
-
-
-def bone_lengths(pose: PoseTrack, topo: SkeletonTopology, t: int) -> np.ndarray:
-    """Euclidean length of each bone at frame ``t``, ordered like ``topo.bones``."""
-    if not 0 <= t < pose.frames:
-        raise IndexError(f"frame {t} out of range for {pose.frames} frames")
-    if pose.joints != topo.joint_count:
-        raise InvalidInputError("pose joint count does not match topology")
-    b = topo.bone_array()
-    d = pose.positions[t, b[:, 0]] - pose.positions[t, b[:, 1]]
-    return np.linalg.norm(d, axis=-1)
+    p = pose.positions
+    c = camera.params[:, None, :]
+    x = c[..., 0] * p[..., 0] + c[..., 1]
+    y = c[..., 0] * p[..., 1] + c[..., 2]
+    return np.stack([x, y], axis=-1)
 
 
 def average_tracks(a, b):

@@ -1,8 +1,11 @@
 """Finite-difference verification of every analytic gradient in the package.
 
-Each check builds a small random scene, wraps one loss term as a function
-of a flat parameter vector, and compares the analytic gradient against
-central differences.  Scenes keep joint projections strictly inside the
+Each check builds a small random scene and compares an analytic gradient
+against central differences: the pose objective one term at a time (its
+weights one-hot, named ``loss_opt``, ``loss_3d``, ``loss_2d`` and
+``loss_temp`` for the flow, anchor, detection and temporal terms), the
+whole objective with default weights in both modes, and the flow
+refiner's objective.  Scenes keep joint projections strictly inside the
 image and away from pixel-grid lines, since the bilinearly sampled flow
 (like the smooth-L1 penalty at its threshold) is only piecewise smooth.
 """
@@ -14,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (CameraTrack, DetectionTrack, FlowField, PoseTrack, SkeletonTopology,
-                       project)
+                       project_track)
 from .flow_refine import flow_objective, grid_shape
 from .optim import finite_diff_check
-from .pose_refine import (PoseHyperParams, _planes, _pose_objective, _to_params, loss_2d,
-                          loss_3d, loss_opt, loss_temp)
+from .pose_refine import PoseHyperParams, _only, _planes, _pose_objective, _to_params
 
 
 @dataclass
@@ -62,7 +64,7 @@ def make_random_scene(seed: int, frames: int = 3, joints: int = 5,
         ], axis=1)
         pose = PoseTrack(X)
         camera = CameraTrack(cams)
-        proj = project(X, cams[:, None])
+        proj = project_track(pose, camera)
         if _near_sampling_kink(proj, width, height):
             continue
         det = DetectionTrack(rng.normal(width / 2.0, 4.0, size=(frames, joints, 2)),
@@ -73,19 +75,10 @@ def make_random_scene(seed: int, frames: int = 3, joints: int = 5,
     raise RuntimeError(f"could not draw a kink-free scene for seed {seed}")
 
 
-def _pack(pose: PoseTrack, camera: CameraTrack) -> np.ndarray:
-    return np.concatenate([pose.positions.ravel(), camera.params.ravel()])
-
-
-def _unpack(vec: np.ndarray, shape_x, shape_c):
-    n = int(np.prod(shape_x))
-    return (PoseTrack(vec[:n].reshape(shape_x)),
-            CameraTrack(vec[n:].reshape(shape_c)))
-
-
 def check_scene(seed: int, step: float = 1e-5) -> list[CheckResult]:
-    """Finite-difference checks of all loss terms on one random scene, and of
-    the refiners' whole objective with default weights in both modes."""
+    """Finite-difference checks on one random scene: each pose-objective term
+    alone, the whole pose objective with default weights in both modes, and
+    the flow objective."""
     topo, pose, camera, det, flows = make_random_scene(seed)
     # Every check runs on a track that moves little between frames, as the
     # refiners' tracks do: on the scene's independent frames the temporal
@@ -95,51 +88,28 @@ def check_scene(seed: int, step: float = 1e-5) -> list[CheckResult]:
     x = None
     while x is None or _near_sampling_kink(x, flows[0].width, flows[0].height):
         X = pose.positions[:1] + moved.normal(0.0, 0.01, pose.positions.shape)
-        x = project(X, camera.params[:, None])
+        x = project_track(PoseTrack(X), camera)
     anchor_3d = X + moved.normal(0.0, 0.05, X.shape)
     anchor_2d = x + moved.normal(0.0, 0.5, x.shape)
     # The temporal term's cameras move little too: across a camera jump past
     # the smooth-L1 threshold its camera slopes cancel to exactly zero.
-    still = CameraTrack(camera.params[:1] + moved.normal(0.0, 0.1, camera.params.shape))
-    shape_x = X.shape
-    shape_c = camera.params.shape
-    params = _pack(PoseTrack(X), camera)
-    results = []
-
-    def f_opt(vec):
-        p, c = _unpack(vec, shape_x, shape_c)
-        v, gx, gc, _ = loss_opt(p, c, flows)
-        return v, np.concatenate([gx.ravel(), gc.ravel()])
-
-    def f_3d(vec):
-        v, gx = loss_3d(PoseTrack(vec.reshape(shape_x)), PoseTrack(X))
-        return v, gx.ravel()
-
-    def f_2d(vec):
-        p, c = _unpack(vec, shape_x, shape_c)
-        v, gx, gc = loss_2d(p, c, det)
-        return v, np.concatenate([gx.ravel(), gc.ravel()])
-
-    def f_temp(vec):
-        p, c = _unpack(vec, shape_x, shape_c)
-        v, gx, gc = loss_temp(p, c, topo)
-        return v, np.concatenate([gx.ravel(), gc.ravel()])
-
+    still = camera.params[:1] + moved.normal(0.0, 0.1, camera.params.shape)
     # Perturb the anchor check away from the (zero-gradient) initial pose.
     rng = np.random.Generator(np.random.PCG64(seed + 10_000))
-    shifted = X.ravel() + rng.normal(0.0, 0.05, X.size)
-    results.append(CheckResult("loss_opt", seed, finite_diff_check(f_opt, params, step)))
-    results.append(CheckResult("loss_3d", seed, finite_diff_check(f_3d, shifted, step)))
-    results.append(CheckResult("loss_2d", seed, finite_diff_check(f_2d, params, step)))
-    results.append(CheckResult("loss_temp", seed, finite_diff_check(
-        f_temp, _pack(PoseTrack(X), still), step)))
+    shifted = X + rng.normal(0.0, 0.05, X.shape)
+    point_3d = _to_params(X, camera.params)
 
     plan = dict(det=det, flows_uv=np.stack([f.uv for f in flows]), bones=topo.bone_array())
-    for name, camera_on, anchor, point in (
-            ("objective_3d", True, anchor_3d, _to_params(X, camera.params)),
-            ("objective_2d", False, anchor_2d, _to_params(x))):
-        objective = _pose_objective(PoseHyperParams(), 1.0, _planes(anchor),
-                                    camera=camera_on, **plan)
+    results = []
+    for name, hp, camera_on, anchor, point in (
+            ("loss_opt", _only(lam_opt=1.0), True, X, point_3d),
+            ("loss_3d", _only(lam_3d=1.0), False, X, _to_params(shifted)),
+            ("loss_2d", _only(lam_2d=1.0), True, X, point_3d),
+            ("loss_temp", _only(lam_pos=300.0, lam_cam=0.1, lam_bone=1e4), True, X,
+             _to_params(X, still)),
+            ("objective_3d", PoseHyperParams(), True, anchor_3d, point_3d),
+            ("objective_2d", PoseHyperParams(), False, anchor_2d, _to_params(x))):
+        objective = _pose_objective(hp, 1.0, _planes(anchor), camera=camera_on, **plan)
         results.append(CheckResult(name, seed, finite_diff_check(objective, point, step)))
 
     base = flows[0].uv
@@ -148,12 +118,8 @@ def check_scene(seed: int, step: float = 1e-5) -> list[CheckResult]:
     gh, gw = grid_shape(base.shape[1], base.shape[0], stride)
     grid0 = rng.normal(0.0, 0.3, size=(gh, gw, 2))
 
-    def f_flow(vec):
-        v, g = flow_objective(vec.reshape(gh, gw, 2), base, target, stride, sigma)
-        return v, g.ravel()
-
-    results.append(CheckResult("flow_objective", seed,
-                               finite_diff_check(f_flow, grid0.ravel(), step)))
+    results.append(CheckResult("flow_objective", seed, finite_diff_check(
+        lambda grid: flow_objective(grid, base, target, stride, sigma), grid0, step)))
     return results
 
 

@@ -1,4 +1,5 @@
-"""Shared numerical machinery: smooth-L1 penalty, Adam, gradient checking.
+"""Shared numerical machinery: the smooth-L1 penalty of the pose objective,
+Adam with fixed moment rates, and finite-difference gradient checking.
 
 All reductions elsewhere in the package are arithmetic means over the
 enumerated indices, so the loss weights keep their meaning regardless of
@@ -15,19 +16,9 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 
 
-@dataclass(frozen=True)
-class SmoothL1Config:
-    """Threshold between the quadratic and linear branches of the penalty."""
-
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise InvalidInputError("smooth-L1 beta must be positive")
-
-
 def _huber_parts(r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    # No input validation: hot path shared by every loss term.  The clipped
+    """Element-wise smooth-L1 penalty of ``r`` at threshold ``beta``, and its slope."""
+    # No input validation: the pose objective's hot path.  The clipped
     # slope g is r / beta inside the threshold and sign(r) outside, and
     # g * (r - beta * g / 2) is then 0.5 * r**2 / beta or |r| - beta / 2.
     grad = np.divide(r, beta, out=np.empty_like(r))
@@ -35,18 +26,10 @@ def _huber_parts(r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return grad * (r - 0.5 * beta * grad), grad
 
 
-def smooth_l1(residual, cfg: SmoothL1Config = SmoothL1Config()) -> tuple[float, np.ndarray]:
-    """Smooth-L1 penalty of a residual array and its element-wise gradient.
-
-    Per component ``r``: ``0.5 * r**2 / beta`` when ``|r| < beta``, else
-    ``|r| - 0.5 * beta``; the returned value is the sum over components.
-    Continuous with continuous first derivative at ``|r| = beta``.
-    """
-    r = np.asarray(residual, dtype=np.float64)
-    if not np.all(np.isfinite(r)):
-        raise InvalidInputError("smooth_l1: non-finite residual")
-    vals, grad = _huber_parts(r, cfg.beta)
-    return float(vals.sum()), grad
+# Adam's moment decay rates and the guard added to the step's denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,16 +39,12 @@ class AdamState:
     step: int
     m: np.ndarray
     v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+def adam_init(params) -> AdamState:
     """Fresh optimizer state for parameters of the given shape."""
     p = np.asarray(params, dtype=np.float64)
-    return AdamState(0, np.zeros_like(p), np.zeros_like(p), beta1, beta2, eps)
+    return AdamState(0, np.zeros_like(p), np.zeros_like(p))
 
 
 def _epoch_history(epochs: int, *row: int) -> np.ndarray:
@@ -89,12 +68,12 @@ def adam_step(state: AdamState, params, grads, lr: float):
             f"adam_step: shape mismatch params {p.shape}, grads {g.shape}, "
             f"state {state.m.shape}")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_params, AdamState(t, m, v, state.beta1, state.beta2, state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_params = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new_params, AdamState(t, m, v)
 
 
 LossAndGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]

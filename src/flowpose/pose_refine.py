@@ -89,12 +89,6 @@ def _to_params(*arrays: np.ndarray) -> np.ndarray:
     return np.concatenate([_planes(a).ravel() for a in arrays])
 
 
-def _project(x: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Weak-perspective pixel planes ``(s * x + tx, s * y + ty)`` of a
-    ``(3, T, J)`` track under ``(3, T)`` cameras."""
-    return x[:2] * C[0, :, None] + C[1:, :, None]
-
-
 def _sampler(uv: np.ndarray):
     """Bilinear sampling plan for stacked fields ``(P, H, W, 2)``; returns
     ``sample(q)`` for ``(2, P, N)`` pixels.
@@ -345,7 +339,7 @@ def _descend(evaluate, params: np.ndarray, hp: PoseHyperParams, what: str,
 
 
 # ---------------------------------------------------------------------------
-# public loss terms
+# the objective's inputs: stacked flow fields, and weights that keep some terms
 
 def _stack_flows(flows: Sequence[FlowField]) -> np.ndarray:
     shapes = {f.uv.shape for f in flows}
@@ -354,81 +348,10 @@ def _stack_flows(flows: Sequence[FlowField]) -> np.ndarray:
     return np.stack([f.uv for f in flows])
 
 
-def _check_sequence(pose: PoseTrack, camera: CameraTrack, flows=None):
-    if pose.frames != camera.frames:
-        raise InvalidInputError("pose and camera frame counts differ")
-    if pose.frames < 2:
-        raise InvalidInputError("at least two frames are required")
-    if flows is not None and len(flows) != pose.frames - 1:
-        raise InvalidInputError(
-            f"expected {pose.frames - 1} flow fields, got {len(flows)}")
-
-
 def _only(**lams) -> PoseHyperParams:
     """Weights with every term switched off but the given ones."""
     off = dict(lam_opt=0, lam_3d=0, lam_2d=0, lam_pos=0, lam_cam=0, lam_bone=0)
     return PoseHyperParams(**{**off, **lams})
-
-
-def _evaluate_3d(hp: PoseHyperParams, beta: float, pose: PoseTrack,
-                 camera: CameraTrack, **plan):
-    """``(value, grad_positions, grad_camera)`` of the objective at one pose."""
-    x = _planes(pose.positions)
-    value, grad = _pose_objective(hp, beta, x, camera=True, **plan)(
-        _to_params(pose.positions, camera.params))
-    return (float(value), _interleaved(grad[:x.size].reshape(x.shape)),
-            _interleaved(grad[x.size:].reshape(3, -1)))
-
-
-def loss_opt(pose: PoseTrack, camera: CameraTrack, flows: Sequence[FlowField],
-             beta: float = 1.0):
-    """Flow-consistency term.
-
-    Returns ``(value, grad_positions, grad_camera, clamped)`` where
-    ``clamped`` counts joint projections that fell outside the flow field
-    and were sampled at the border.
-    """
-    _check_sequence(pose, camera, flows)
-    flows_uv = _stack_flows(flows)
-    value, gX, gC = _evaluate_3d(_only(lam_opt=1.0), beta, pose, camera,
-                                 flows_uv=flows_uv)
-    p = _project(_planes(pose.positions), _planes(camera.params))
-    clamped = _sample_flow(flows_uv, p[:, :-1])[2]
-    return value, gX, gC, int(np.count_nonzero(clamped.any(axis=0)))
-
-
-def loss_3d(pose: PoseTrack, pose_init: PoseTrack, beta: float = 1.0):
-    """Deviation from the initial 3-D estimates: ``(value, grad_positions)``."""
-    if pose.positions.shape != pose_init.positions.shape:
-        raise InvalidInputError("pose tracks have different dimensions")
-    x0 = _planes(pose_init.positions)
-    value, grad = _pose_objective(_only(lam_3d=1.0), beta, x0)(_to_params(pose.positions))
-    return float(value), _interleaved(grad.reshape(x0.shape))
-
-
-def loss_2d(pose: PoseTrack, camera: CameraTrack, det: DetectionTrack,
-            beta: float = 1.0):
-    """Confidence-weighted reprojection term: ``(value, grad_positions, grad_camera)``."""
-    if pose.frames != camera.frames:
-        raise InvalidInputError("pose and camera frame counts differ")
-    if det.pixels.shape[:2] != pose.positions.shape[:2]:
-        raise InvalidInputError("detections do not match the pose dimensions")
-    return _evaluate_3d(_only(lam_2d=1.0), beta, pose, camera, det=det)
-
-
-def loss_temp(pose: PoseTrack, camera: CameraTrack, topo: SkeletonTopology,
-              w_pos: float = 300.0, w_cam: float = 0.1, w_bone: float = 1e4,
-              beta: float = 1.0):
-    """Temporal smoothness of positions and cameras plus bone-length consistency.
-
-    Returns ``(value, grad_positions, grad_camera)``; the three sub-terms are
-    weighted internally by ``w_pos``, ``w_cam`` and ``w_bone``.
-    """
-    _check_sequence(pose, camera)
-    if pose.joints != topo.joint_count:
-        raise InvalidInputError("pose joint count does not match topology")
-    return _evaluate_3d(_only(lam_pos=w_pos, lam_cam=w_cam, lam_bone=w_bone), beta,
-                        pose, camera, bones=topo.bone_array())
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +371,13 @@ def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
     (each already weighted) evaluated before that epoch's step.
     """
     hp = hp or PoseHyperParams()
-    _check_sequence(pose_init, camera_init, flows)
+    if pose_init.frames != camera_init.frames:
+        raise InvalidInputError("pose and camera frame counts differ")
+    if pose_init.frames < 2:
+        raise InvalidInputError("at least two frames are required")
+    if len(flows) != pose_init.frames - 1:
+        raise InvalidInputError(
+            f"expected {pose_init.frames - 1} flow fields, got {len(flows)}")
     if det.pixels.shape[:2] != pose_init.positions.shape[:2]:
         raise InvalidInputError("detections do not match the pose dimensions")
     if pose_init.joints != topo.joint_count:

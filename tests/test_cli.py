@@ -1,8 +1,11 @@
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowpose.cli import main
 from flowpose import fileio
@@ -266,3 +269,92 @@ def test_cli_output_deterministic(tmp_path, capsys):
     assert main(["eval", "--pred", str(gt), "--gt", str(gt)]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs, one mutation at a time
+
+_SCENE_FILES = ("meta.json", "topology.json", "pose.json", "camera.json", "detections.json")
+# a type swap, or a huge or non-finite number
+_SWAPS = ("abc", True, None, [], {}, [1], 10**30, -(10**30), float("inf"),
+          float("-inf"), float("nan"), -3, 2.5)
+
+
+@pytest.fixture(scope="module")
+def valid_run(tmp_path_factory):
+    """A valid 16² scene and a config of one-epoch stages for it."""
+    root = tmp_path_factory.mktemp("valid")
+    scene = _synth(root, size=16)
+    doc = fileio.config_to_dict(fileio.RunConfig())
+    doc["schedule"] = [{"kind": "flow", "epochs": 1}, {"kind": "pose", "epochs": 1},
+                       {"kind": "flow", "epochs": 1}]
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return scene, cfg
+
+
+def _json_paths(node, prefix=()):
+    """Every position in a JSON document: the root, each key, each element."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutate_json(path, data):
+    """Mutate one position of the JSON file ``path``; returns its key path."""
+    box = [json.loads(path.read_text())]     # a holder, so the root can change too
+    where = data.draw(st.sampled_from(list(_json_paths(box[0]))), label="where")
+    holder, key = box, 0
+    for step in where:
+        holder, key = holder[key], step
+    how = data.draw(st.sampled_from(["swap", "delete", "wrap", "unwrap"]), label="how")
+    old = holder[key]
+    if how == "swap":
+        holder[key] = data.draw(st.sampled_from(_SWAPS), label="value")
+    elif how == "delete":
+        del holder[key]
+    elif how == "wrap":
+        holder[key] = [old]
+    elif isinstance(old, (dict, list)) and old:     # a container becomes its first member
+        holder[key] = next(iter(old.values())) if isinstance(old, dict) else old[0]
+    path.write_text(json.dumps(box[0]) if box else "")
+    return where
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_malformed_input_is_exit_0_or_3(valid_run, tmp_path_factory, data):
+    # one JSON field of the scene or the config mutated, or one .flo
+    # truncated or flipped; eval, refine-pose and bootstrap then either run
+    # or reject the input, and never raise
+    valid, valid_cfg = valid_run
+    work = tmp_path_factory.mktemp("case")
+    scene = work / "scene"
+    shutil.copytree(valid, scene)
+    cfg = work / "cfg.json"
+    shutil.copyfile(valid_cfg, cfg)
+    target = data.draw(st.sampled_from(_SCENE_FILES + ("cfg.json", "flows")), label="file")
+    where = ()
+    if target == "flows":
+        flo = data.draw(st.sampled_from(sorted((scene / "flows").glob("*.flo"))), label="flo")
+        blob = bytearray(flo.read_bytes())
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        if data.draw(st.booleans(), label="truncate"):
+            del blob[at:]
+        else:
+            blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+        flo.write_bytes(bytes(blob))
+    else:
+        where = _mutate_json(cfg if target == "cfg.json" else scene / target, data)
+    # a finite learning rate too large for the optimizer is a numerical
+    # failure, exit 4, as test_numerical_failure_exit_4 pins
+    allowed = (0, 3, 4) if target == "cfg.json" and where[-1:] == ("lr",) else (0, 3)
+    for argv in (["eval", "--pred", str(scene), "--gt", str(valid)],
+                 ["eval", "--pred", str(valid), "--gt", str(scene)],
+                 ["refine-pose", "--in", str(scene), "--out", str(work / "pose"),
+                  "--epochs", "1"],
+                 ["bootstrap", "--config", str(cfg), "--in", str(scene),
+                  "--out", str(work / "run")]):
+        assert main(argv) in allowed, argv

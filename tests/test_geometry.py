@@ -3,17 +3,22 @@ import pytest
 
 from flowpose import (CameraTrack, DetectionTrack, FlowField, InvalidInputError,
                       PoseTrack, SceneBundle, SkeletonTopology, average_flows,
-                      average_tracks, bone_lengths, default_topology, project,
-                      project_track)
+                      average_tracks, default_topology, project_track)
+from flowpose.pose_refine import _only, _planes, _pose_objective
+
+
+def _project_point(point, cam):
+    """``project_track`` of one joint in one frame."""
+    return project_track(PoseTrack([[point]]), CameraTrack([cam]))[0, 0]
 
 
 def test_project_identity_camera():
     for z in (0.0, -3.0, 17.5):
-        assert np.allclose(project([0.0, 0.0, z], [1.0, 0.0, 0.0]), [0.0, 0.0])
+        assert np.allclose(_project_point([0.0, 0.0, z], [1.0, 0.0, 0.0]), [0.0, 0.0])
 
 
 def test_project_direct_formula():
-    assert np.allclose(project([1.0, 2.0, 5.0], [100.0, 50.0, 60.0]), [150.0, 260.0])
+    assert np.allclose(_project_point([1.0, 2.0, 5.0], [100.0, 50.0, 60.0]), [150.0, 260.0])
 
 
 def test_project_partials_match_central_differences():
@@ -26,62 +31,81 @@ def test_project_partials_match_central_differences():
         hi, lo = cam.copy(), cam.copy()
         hi[i] += h
         lo[i] -= h
-        numeric = (project(point, hi) - project(point, lo)) / (2 * h)
+        numeric = (_project_point(point, hi) - _project_point(point, lo)) / (2 * h)
         assert np.allclose(numeric, expected[i], atol=1e-6)
 
 
 def test_project_rejects_bad_input():
+    # project_track takes validated tracks: a non-finite point or a
+    # non-positive scale fails at the track, mismatched frames at the call
     with pytest.raises(InvalidInputError):
-        project([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0])
+        _project_point([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0])
     with pytest.raises(InvalidInputError):
-        project([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])  # non-positive scale
+        _project_point([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])  # non-positive scale
+    with pytest.raises(InvalidInputError, match="frame counts differ"):
+        project_track(PoseTrack(np.zeros((2, 1, 3))), CameraTrack([[1.0, 0.0, 0.0]]))
 
 
 def test_project_linearity_in_point():
     rng = np.random.default_rng(0)
     cam = np.array([3.5, 10.0, -4.0])
     p, q = rng.normal(size=3), rng.normal(size=3)
-    lhs = project(p, cam) - project(q, cam)
+    lhs = _project_point(p, cam) - _project_point(q, cam)
     assert np.allclose(lhs, cam[0] * (p - q)[:2], rtol=0, atol=1e-12)
 
 
+def _bone_term(positions, topo, beta=1.0):
+    """``(value, grad)`` of the pose objective's bone-length term alone on a
+    ``(T, J, 3)`` track; the gradient is in the objective's planar layout."""
+    x = _planes(np.asarray(positions, dtype=np.float64))
+    evaluate = _pose_objective(_only(lam_bone=1.0), beta, x, bones=topo.bone_array())
+    return evaluate(x.ravel())
+
+
+def _huber(r, beta=1.0):
+    return 0.5 * r * r / beta if abs(r) < beta else abs(r) - 0.5 * beta
+
+
 def test_bone_lengths_examples():
+    # a zero-length bone in frame 0 and a 3-4-5 bone in frame 1: the length
+    # changes by exactly 5, so the term is the smooth-L1 of 5
     topo = SkeletonTopology(joint_count=2, bones=((0, 1),))
-    zero = PoseTrack(np.zeros((1, 2, 3)))
-    assert bone_lengths(zero, topo, 0)[0] == 0.0
-    tri = PoseTrack([[[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]]])
-    assert bone_lengths(tri, topo, 0)[0] == 5.0
+    value, grad = _bone_term([[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                              [[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]]], topo)
+    assert value == 4.5
+    assert np.all(np.isfinite(grad))
+    assert _bone_term(np.zeros((2, 2, 3)), topo)[0] == 0.0
 
 
 def test_bone_lengths_matches_independent_recomputation():
     rng = np.random.default_rng(7)
     topo = default_topology()
-    pose = PoseTrack(rng.normal(size=(3, 17, 3)))
-    for t in range(3):
-        got = bone_lengths(pose, topo, t)
-        for b, (j, k) in enumerate(topo.bones):
-            # per-component recomputation with plain floats
-            dx = pose.positions[t, j, 0] - pose.positions[t, k, 0]
-            dy = pose.positions[t, j, 1] - pose.positions[t, k, 1]
-            dz = pose.positions[t, j, 2] - pose.positions[t, k, 2]
-            assert abs(got[b] - (dx * dx + dy * dy + dz * dz) ** 0.5) < 1e-12
+    X = rng.normal(size=(3, 17, 3))
+    for beta in (1.0, 0.1):
+        lengths = []
+        for t in range(3):
+            row = []
+            for j, k in topo.bones:
+                # per-component recomputation with plain floats
+                dx = X[t, j, 0] - X[t, k, 0]
+                dy = X[t, j, 1] - X[t, k, 1]
+                dz = X[t, j, 2] - X[t, k, 2]
+                row.append((dx * dx + dy * dy + dz * dz) ** 0.5)
+            lengths.append(row)
+        want = sum(_huber(lengths[t + 1][b] - lengths[t][b], beta)
+                   for t in range(2) for b in range(len(topo.bones))) / (2 * len(topo.bones))
+        assert abs(_bone_term(X, topo, beta)[0] - want) < 1e-12 * want
 
 
 def test_bone_lengths_translation_invariant():
     rng = np.random.default_rng(8)
     topo = default_topology()
     X = rng.normal(size=(2, 17, 3))
-    shifted = X + np.array([5.0, -3.0, 11.0])
-    a = bone_lengths(PoseTrack(X), topo, 1)
-    b = bone_lengths(PoseTrack(shifted), topo, 1)
-    assert np.allclose(a, b, atol=1e-9)
-
-
-def test_bone_lengths_frame_out_of_range():
-    topo = SkeletonTopology(joint_count=2, bones=((0, 1),))
-    pose = PoseTrack(np.zeros((2, 2, 3)))
-    with pytest.raises(IndexError):
-        bone_lengths(pose, topo, 2)
+    shifted = X + np.array([[[5.0, -3.0, 11.0]], [[-2.0, 0.5, 7.0]]])
+    assert np.allclose(_bone_term(shifted, topo)[0], _bone_term(X, topo)[0], rtol=1e-9)
+    # a frame that is a translate of the one before keeps every bone length
+    moved = np.stack([X[0], X[0] + np.array([5.0, -3.0, 11.0])])
+    assert _bone_term(moved, topo)[0] < 1e-20
 
 
 def test_average_tracks_examples():
@@ -125,6 +149,14 @@ def test_topology_invariants():
         SkeletonTopology(joint_count=3, bones=((0, 1), (1, 0)))  # duplicate
     with pytest.raises(InvalidInputError):
         SkeletonTopology(joint_count=4, bones=((0, 1), (2, 3)))  # disconnected
+    # every index is a whole number: no overflow, NaN or silent truncation
+    for bad in (float("inf"), float("-inf"), float("nan"), 1.5, True):
+        with pytest.raises(InvalidInputError):
+            SkeletonTopology(joint_count=3, bones=((0, bad),))
+        with pytest.raises(InvalidInputError):
+            SkeletonTopology(joint_count=3, bones=((0, 1),), eval_subset=(bad,))
+    with pytest.raises(InvalidInputError):
+        SkeletonTopology(joint_count=float("inf"), bones=())
     topo = default_topology()
     assert topo.joint_count == 17
     assert len(topo.bones) == 16

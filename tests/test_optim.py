@@ -1,49 +1,41 @@
 import numpy as np
 import pytest
 
-from flowpose import (InvalidInputError, NumericalError, SmoothL1Config,
-                      adam_init, adam_step, finite_diff_check, smooth_l1)
+from flowpose import InvalidInputError, NumericalError, adam_init, adam_step, finite_diff_check
+from flowpose.optim import _huber_parts
 
 
 def test_smooth_l1_examples():
-    v, g = smooth_l1(np.array([0.0]))
-    assert v == 0.0 and g[0] == 0.0
-    v, _ = smooth_l1(np.array([0.5]))
-    assert v == pytest.approx(0.125, abs=1e-15)
-    v, g = smooth_l1(np.array([2.0]))
-    assert v == pytest.approx(1.5, abs=1e-15)
-    assert g[0] == 1.0
+    vals, g = _huber_parts(np.array([0.0, 0.5, 2.0]), 1.0)
+    assert vals[0] == 0.0 and g[0] == 0.0
+    assert vals[1] == pytest.approx(0.125, abs=1e-15)
+    assert vals[2] == pytest.approx(1.5, abs=1e-15)
+    assert g[2] == 1.0
+    vals, _ = _huber_parts(np.array([1.0]), 2.0)
+    assert vals[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_smooth_l1_sums_components():
-    v, g = smooth_l1(np.array([0.5, 2.0, -3.0]))
-    assert v == pytest.approx(0.125 + 1.5 + 2.5, abs=1e-12)
+    vals, g = _huber_parts(np.array([0.5, 2.0, -3.0]), 1.0)
+    assert vals.sum() == pytest.approx(0.125 + 1.5 + 2.5, abs=1e-12)
     assert np.array_equal(g, [0.5, 1.0, -1.0])
 
 
 def test_smooth_l1_symmetry():
     rng = np.random.default_rng(0)
     r = rng.normal(scale=2.0, size=100)
-    assert smooth_l1(r)[0] == pytest.approx(smooth_l1(-r)[0], rel=1e-15)
+    assert _huber_parts(r, 1.0)[0].sum() == pytest.approx(_huber_parts(-r, 1.0)[0].sum(),
+                                                          rel=1e-15)
 
 
 def test_smooth_l1_continuous_at_threshold():
     beta = 1.0
     eps = 1e-9
-    below_v, below_g = smooth_l1(np.array([beta - eps]))
-    above_v, above_g = smooth_l1(np.array([beta + eps]))
-    at_v, at_g = smooth_l1(np.array([beta]))
-    assert abs(below_v - at_v) < 1e-8 and abs(above_v - at_v) < 1e-8
+    below_v, below_g = _huber_parts(np.array([beta - eps]), beta)
+    above_v, above_g = _huber_parts(np.array([beta + eps]), beta)
+    at_v, at_g = _huber_parts(np.array([beta]), beta)
+    assert abs(below_v[0] - at_v[0]) < 1e-8 and abs(above_v[0] - at_v[0]) < 1e-8
     assert abs(below_g[0] - at_g[0]) < 1e-8 and abs(above_g[0] - at_g[0]) < 1e-8
-
-
-def test_smooth_l1_config_validation():
-    with pytest.raises(InvalidInputError):
-        SmoothL1Config(beta=0.0)
-    with pytest.raises(InvalidInputError):
-        smooth_l1(np.array([np.nan]))
-    v, _ = smooth_l1(np.array([1.0]), SmoothL1Config(beta=2.0))
-    assert v == pytest.approx(0.25, abs=1e-15)
 
 
 def test_adam_zero_grad_is_identity():
@@ -114,7 +106,8 @@ def test_finite_diff_smooth_l1_away_from_kink():
     r = r[np.abs(np.abs(r) - 1.0) > 1e-3]  # stay clear of the threshold
 
     def loss(p):
-        return smooth_l1(p)
+        vals, g = _huber_parts(p, 1.0)
+        return vals.sum(), g
 
     assert finite_diff_check(loss, r, step=1e-5) < 1e-5
 

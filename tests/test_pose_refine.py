@@ -6,8 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from flowpose import (CameraTrack, DetectionTrack, FlowField, InvalidInputError,
                       NumericalError, PoseHyperParams, PoseTrack, SkeletonTopology,
-                      loss_2d, loss_3d, loss_opt, loss_temp, project_track,
-                      refine_pose, refine_pose_2d, standard_benchmark)
+                      project_track, refine_pose, refine_pose_2d, standard_benchmark)
 from flowpose.gradcheck import make_random_scene
 from flowpose.optim import _huber_parts, finite_diff_check
 from flowpose.pose_refine import (_interleaved, _only, _planes, _pose_objective,
@@ -34,6 +33,15 @@ def test_hyperparam_defaults():
         PoseHyperParams(epochs=-5)
 
 
+def _term(hp, x, cams=None, anchor=None, **plan):
+    """``(value, grad)`` of the objective under ``hp`` at the ``(T, J, D)``
+    track ``x`` and, in 3-D, its ``(T, 3)`` cameras ``cams``; the anchor
+    defaults to ``x`` and the gradient is in the objective's planar layout."""
+    evaluate = _pose_objective(hp, 1.0, _planes(x if anchor is None else anchor),
+                               camera=cams is not None, **plan)
+    return evaluate(_to_params(x) if cams is None else _to_params(x, cams))
+
+
 def test_loss_opt_zero_for_consistent_flow():
     # All joints translate together; a constant flow field equal to the
     # projected displacement makes the flow term vanish.
@@ -43,34 +51,39 @@ def test_loss_opt_zero_for_consistent_flow():
     pose = PoseTrack(np.stack([X0, X0 + shift]))
     cam = CameraTrack([[10.0, 2.0, 3.0], [10.0, 2.0, 3.0]])
     disp = 10.0 * shift[:2]
-    uv = np.broadcast_to(disp, (64, 64, 2)).copy()
-    v, gX, gC, clamped = loss_opt(pose, cam, [FlowField(uv)])
+    uv = np.broadcast_to(disp, (1, 64, 64, 2)).copy()
+    v, _ = _term(_only(lam_opt=1.0), pose.positions, cam.params, flows_uv=uv)
     assert v == pytest.approx(0.0, abs=1e-18)
-    assert clamped == 0
+    clamped = _sample_flow(uv, _planes(project_track(pose, cam))[:, :-1])[2]
+    assert not clamped.any()
 
 
 def test_loss_opt_zero_for_static_scene():
     pose = PoseTrack(np.ones((3, 4, 3)))
     cam = CameraTrack(np.tile([5.0, 8.0, 8.0], (3, 1)))
-    flows = [FlowField(np.zeros((16, 16, 2))) for _ in range(2)]
-    v, gX, gC, _ = loss_opt(pose, cam, flows)
+    v, grad = _term(_only(lam_opt=1.0), pose.positions, cam.params,
+                    flows_uv=np.zeros((2, 16, 16, 2)))
     assert v == 0.0
-    assert np.all(gX == 0.0) and np.all(gC == 0.0)
+    assert np.all(grad == 0.0)
 
 
-def test_loss_opt_requires_two_frames():
+def test_refine_pose_requires_two_frames():
+    # both refiners need a frame pair for the flow and temporal terms
     pose = PoseTrack(np.ones((1, 2, 3)))
     cam = CameraTrack([[1.0, 0.0, 0.0]])
-    with pytest.raises(InvalidInputError):
-        loss_opt(pose, cam, [])
+    det = DetectionTrack(np.ones((1, 2, 2)), np.ones((1, 2)))
+    with pytest.raises(InvalidInputError, match="two frames"):
+        refine_pose(pose, cam, det, [], _chain(2))
+    with pytest.raises(InvalidInputError, match="two frames"):
+        refine_pose_2d(det, det, [], _chain(2))
 
 
 def test_one_frame_track_has_no_temporal_or_flow_term():
     # the temporal and flow blocks need a frame pair; the anchor term alone
     # is well defined on one frame
     pose = PoseTrack(np.ones((1, 3, 3)))
-    value, grad = loss_3d(pose, pose)
-    assert value == 0.0 and grad.shape == (1, 3, 3) and np.all(grad == 0.0)
+    value, grad = _term(_only(lam_3d=1.0), pose.positions)
+    assert value == 0.0 and grad.shape == (9,) and np.all(grad == 0.0)
     x0 = _planes(pose.positions)
     evaluate = _pose_objective(PoseHyperParams(lam_2d=0.0), 1.0, x0,
                                bones=np.array([[0, 1], [1, 2]]))
@@ -82,11 +95,10 @@ def test_one_frame_track_has_no_temporal_or_flow_term():
 def test_loss_3d_examples():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(4, 5, 3))
-    pose = PoseTrack(X)
-    assert loss_3d(pose, pose)[0] == 0.0
+    assert _term(_only(lam_3d=1.0), X)[0] == 0.0
     shifted = X.copy()
     shifted[2, 3, 0] += 0.5  # beta/2 with beta=1
-    v, g = loss_3d(PoseTrack(shifted), pose)
+    v, g = _term(_only(lam_3d=1.0), shifted, anchor=X)
     assert v == pytest.approx(0.125 / (4 * 5), rel=1e-12)
 
 
@@ -96,28 +108,27 @@ def test_loss_2d_examples():
     cam = CameraTrack(np.tile([7.0, 16.0, 16.0], (3, 1)))
     exact = project_track(pose, cam)
     det = DetectionTrack(exact, rng.uniform(size=(3, 4)))
-    v, gX, gC = loss_2d(pose, cam, det)
+    v, _ = _term(_only(lam_2d=1.0), pose.positions, cam.params, det=det)
     assert v == 0.0
     noisy_det = DetectionTrack(exact + rng.normal(size=exact.shape),
                                np.zeros((3, 4)))
-    v, gX, gC = loss_2d(pose, cam, noisy_det)
+    v, grad = _term(_only(lam_2d=1.0), pose.positions, cam.params, det=noisy_det)
     assert v == 0.0
-    assert np.all(gX == 0.0) and np.all(gC == 0.0)
+    assert np.all(grad == 0.0)
 
 
 def test_loss_temp_examples():
     topo = _chain(3)
+    bones = topo.bone_array()
     X = np.tile(np.array([[0.0, 0, 0], [0.3, 0, 0], [0.3, 0.4, 0]]), (4, 1, 1))
-    pose = PoseTrack(X)
-    cam = CameraTrack(np.tile([2.0, 0.0, 0.0], (4, 1)))
-    assert loss_temp(pose, cam, topo)[0] == 0.0
+    cam = np.tile([2.0, 0.0, 0.0], (4, 1))
+    temporal = _only(lam_pos=300.0, lam_cam=0.1, lam_bone=1e4)
+    assert _term(temporal, X, cam, bones=bones)[0] == 0.0
     # rigid translation per frame: bone term zero, position term positive
     moving = X + np.arange(4)[:, None, None] * np.array([0.1, 0.0, 0.0])
-    v_bone, _, _ = loss_temp(PoseTrack(moving), cam, topo, w_pos=0.0, w_cam=0.0,
-                             w_bone=1.0)
+    v_bone, _ = _term(_only(lam_bone=1.0), moving, cam, bones=bones)
     assert v_bone == pytest.approx(0.0, abs=1e-12)
-    v_pos, _, _ = loss_temp(PoseTrack(moving), cam, topo, w_pos=1.0, w_cam=0.0,
-                            w_bone=0.0)
+    v_pos, _ = _term(_only(lam_pos=1.0), moving, cam, bones=bones)
     assert v_pos > 0.0
 
 

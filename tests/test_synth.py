@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from flowpose import (FlowField, InvalidInputError, NoiseConfig, PoseTrack,
-                      SkeletonTopology, bone_flow, bone_lengths,
-                      default_topology, epe, generate_scene, mpjpe, perturb,
-                      sequence_joint_epe, standard_benchmark)
+                      SkeletonTopology, bone_flow, default_topology, epe,
+                      generate_scene, mpjpe, perturb, sequence_joint_epe,
+                      standard_benchmark)
+from flowpose.pose_refine import _only, _planes, _pose_objective
 
 
 def test_zero_amplitude_gives_static_scene_and_background_flow():
@@ -26,11 +27,15 @@ def test_same_seed_bitwise_identical():
 
 
 def test_generated_bone_lengths_constant():
+    # the pose objective's bone-length term alone vanishes on the generated
+    # track: no bone length changes between frames
     gt = generate_scene(seed=5, frames=8, width=64, height=64)
-    first = bone_lengths(gt.scene.pose, gt.scene.topology, 0)
-    for t in range(1, 8):
-        assert np.allclose(bone_lengths(gt.scene.pose, gt.scene.topology, t),
-                           first, atol=1e-9)
+    x = _planes(gt.scene.pose.positions)
+    evaluate = _pose_objective(_only(lam_bone=1.0), 1.0, x,
+                               bones=gt.scene.topology.bone_array())
+    value, grad = evaluate(x.ravel())
+    assert value < 1e-20
+    assert np.all(np.abs(grad) < 1e-9)
 
 
 def test_generate_scene_requires_tree_and_dims():
