@@ -39,15 +39,15 @@ def _fmt(value) -> str:
 def _bundle_from_paths(paths: RunPaths, mode: str) -> SceneBundle:
     if not paths.detections or not paths.flows:
         raise UsageError("detections and flows paths are required")
-    detections = fileio._read_kind(paths.detections, "detections")
+    detections, _ = fileio.read_track(paths.detections, "detections")
     flows = fileio.read_flow_dir(paths.flows)
     topo = fileio.read_topology(paths.topology) if paths.topology and Path(
         paths.topology).exists() else default_topology()
     pose = camera = None
     if paths.pose and (mode == MODE_3D or Path(paths.pose).exists()):
-        pose = fileio._read_kind(paths.pose, "pose")
+        pose, _ = fileio.read_track(paths.pose, "pose")
     if paths.camera and (mode == MODE_3D or Path(paths.camera).exists()):
-        camera = fileio._read_kind(paths.camera, "camera")
+        camera, _ = fileio.read_track(paths.camera, "camera")
     return SceneBundle(topology=topo, width=flows[0].width, height=flows[0].height,
                        detections=detections, flows=tuple(flows), mode=mode,
                        pose=pose, camera=camera)

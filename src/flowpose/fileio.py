@@ -7,10 +7,17 @@ The .flo layout is the standard flow-interchange binary: a 4-byte tag equal
 to the little-endian float32 ``202021.25``, the width and height as
 little-endian int32, then row-major interleaved ``(u, v)`` float32 pairs.
 
-Track files are JSON with an explicit ``format`` tag, a ``kind`` of
-``pose`` / ``camera`` / ``detections``, dimensions, a free-form ``units``
-string that round-trips verbatim, and nested row-major arrays.  Floats are
+Track files are JSON with an explicit ``format`` tag, a ``kind``, a
+free-form ``units`` string that round-trips verbatim, the track's leading
+dimensions and its arrays as nested row-major lists.  One table, ``_TRACKS``,
+says what each kind is: its track type, the names of its leading
+dimensions (``frames``, ``joints``) and its default units.  The arrays are
+the type's dataclass fields, written and read in field order, so
+``write_track`` and ``read_track`` hold no per-kind code.  Floats are
 serialized with full precision, so a write/read round trip is exact.
+
+Configs and stage reports are serialized from their dataclasses' own
+fields, in field order.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +39,10 @@ from .pose_refine import PoseHyperParams
 
 FLO_MAGIC = float(np.float32(202021.25))
 
-_DEFAULT_UNITS = {"pose": "meters", "camera": "pixels", "detections": "pixels"}
+# kind -> (track type, leading-dimension names, default units)
+_TRACKS = {"pose": (PoseTrack, ("frames", "joints"), "meters"),
+           "camera": (CameraTrack, ("frames",), "pixels"),
+           "detections": (DetectionTrack, ("frames", "joints"), "pixels")}
 
 
 # ---------------------------------------------------------------------------
@@ -160,73 +170,42 @@ def write_flow_dir(path, flows) -> None:
 
 def write_track(path, track, units: str | None = None) -> None:
     """Write a pose, camera or detection track as a JSON document."""
-    if isinstance(track, PoseTrack):
-        kind = "pose"
-        body = {"frames": track.frames, "joints": track.joints,
-                "positions": track.positions.tolist()}
-    elif isinstance(track, CameraTrack):
-        kind = "camera"
-        body = {"frames": track.frames, "params": track.params.tolist()}
-    elif isinstance(track, DetectionTrack):
-        kind = "detections"
-        body = {"frames": track.frames, "joints": track.joints,
-                "pixels": track.pixels.tolist(),
-                "confidence": track.confidence.tolist()}
-    else:
+    kind = next((k for k, (cls, _, _) in _TRACKS.items() if isinstance(track, cls)), None)
+    if kind is None:
         raise InvalidInputError(f"unsupported track type {type(track).__name__}")
+    _, dims, default_units = _TRACKS[kind]
     doc = {"format": "track-v1", "kind": kind,
-           "units": units if units is not None else _DEFAULT_UNITS[kind]}
-    doc.update(body)
+           "units": units if units is not None else default_units}
+    doc.update({d: getattr(track, d) for d in dims})
+    doc.update({f.name: getattr(track, f.name).tolist() for f in fields(track)})
     _atomic_write_text(path, _dump_json(doc))
 
 
-def read_track(path):
-    """Read a track file; returns ``(track, units)``."""
+def read_track(path, kind: str | None = None):
+    """Read a track file; returns ``(track, units)``.  Given ``kind``, the
+    file must hold a track of that kind."""
     doc = _load_json(path)
     ctx = str(path)
     if _require(doc, "format", ctx) != "track-v1":
         raise SchemaError(f"{ctx}: unsupported format {doc['format']!r}")
-    kind = _require(doc, "kind", ctx)
+    found = _require(doc, "kind", ctx)
+    if not isinstance(found, str) or found not in _TRACKS:
+        raise SchemaError(f"{ctx}: unknown track kind {found!r}")
+    if kind is not None and found != kind:
+        raise SchemaError(f"{ctx}: expected a {kind} track")
+    cls, dims, _ = _TRACKS[found]
     units = str(_require(doc, "units", ctx))
-    frames = _integer(doc, "frames", ctx)
+    shape = tuple(_integer(doc, d, ctx) for d in dims)
+    arrays = []
+    for f in fields(cls):
+        arrays.append(_numeric_array(doc, f.name, ctx))
+        if arrays[-1].shape[:len(dims)] != shape:
+            raise SchemaError(f"{ctx}: {f.name} shape {arrays[-1].shape} does not match "
+                              + ", ".join(f"{d}={n}" for d, n in zip(dims, shape)))
     try:
-        if kind == "pose":
-            joints = _integer(doc, "joints", ctx)
-            arr = _numeric_array(doc, "positions", ctx)
-            if arr.shape != (frames, joints, 3):
-                raise SchemaError(
-                    f"{ctx}: positions shape {arr.shape} does not match "
-                    f"frames={frames}, joints={joints}")
-            return PoseTrack(arr), units
-        if kind == "camera":
-            arr = _numeric_array(doc, "params", ctx)
-            if arr.shape != (frames, 3):
-                raise SchemaError(
-                    f"{ctx}: params shape {arr.shape} does not match frames={frames}")
-            return CameraTrack(arr), units
-        if kind == "detections":
-            joints = _integer(doc, "joints", ctx)
-            px = _numeric_array(doc, "pixels", ctx)
-            w = _numeric_array(doc, "confidence", ctx)
-            if px.shape != (frames, joints, 2):
-                raise SchemaError(
-                    f"{ctx}: pixels shape {px.shape} does not match "
-                    f"frames={frames}, joints={joints}")
-            return DetectionTrack(px, w), units
+        return cls(*arrays), units
     except InvalidInputError as exc:
         raise SchemaError(f"{ctx}: {exc}") from exc
-    raise SchemaError(f"{ctx}: unknown track kind {kind!r}")
-
-
-_TRACK_TYPES = {"pose": PoseTrack, "camera": CameraTrack, "detections": DetectionTrack}
-
-
-def _read_kind(path, kind: str):
-    """The track in ``path``, which must be a ``kind`` track."""
-    track, _ = read_track(path)
-    if not isinstance(track, _TRACK_TYPES[kind]):
-        raise SchemaError(f"{path}: expected a {kind} track")
-    return track
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +263,12 @@ def read_bundle(dirpath) -> SceneBundle:
     if mode not in (MODE_3D, MODE_2D):
         raise SchemaError(f"{ctx}: unknown mode {mode!r}")
     topo = read_topology(d / "topology.json")
-    detections = _read_kind(d / "detections.json", "detections")
+    detections, _ = read_track(d / "detections.json", "detections")
     pose = camera = None
     if mode == MODE_3D or (d / "pose.json").exists():
-        pose = _read_kind(d / "pose.json", "pose")
+        pose, _ = read_track(d / "pose.json", "pose")
     if mode == MODE_3D or (d / "camera.json").exists():
-        camera = _read_kind(d / "camera.json", "camera")
+        camera, _ = read_track(d / "camera.json", "camera")
     flows = read_flow_dir(d / "flows")
     try:
         return SceneBundle(topology=topo, width=_integer(meta, "width", ctx),
@@ -333,24 +312,14 @@ class RunConfig:
             object.__setattr__(self, "schedule", CycleSchedule.default(self.mode))
 
 
+_STAGES = {stage.kind: stage for stage in (FlowStage, PoseStage)}
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
-    hp = cfg.pose_params
-    fp = cfg.flow_params
-    return {
-        "format": "config-v1",
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-        "schedule": [{"kind": "flow" if isinstance(s, FlowStage) else "pose",
-                      "epochs": s.epochs} for s in cfg.schedule.stages],
-        "pose": {"lam_opt": hp.lam_opt, "lam_3d": hp.lam_3d, "lam_2d": hp.lam_2d,
-                 "lam_pos": hp.lam_pos, "lam_cam": hp.lam_cam,
-                 "lam_bone": hp.lam_bone, "lr": hp.lr, "epochs": hp.epochs},
-        "flow": {"stride": fp.stride, "sigma": fp.sigma, "lr": fp.lr,
-                 "radius": fp.radius},
-        "paths": {"pose": cfg.paths.pose, "camera": cfg.paths.camera,
-                  "detections": cfg.paths.detections, "flows": cfg.paths.flows,
-                  "topology": cfg.paths.topology, "output": cfg.paths.output},
-    }
+    return {"format": "config-v1", "mode": cfg.mode, "seed": cfg.seed,
+            "schedule": [{"kind": s.kind, "epochs": s.epochs} for s in cfg.schedule.stages],
+            "pose": asdict(cfg.pose_params), "flow": asdict(cfg.flow_params),
+            "paths": asdict(cfg.paths)}
 
 
 def config_from_dict(doc: dict, context: str = "config") -> RunConfig:
@@ -361,12 +330,9 @@ def config_from_dict(doc: dict, context: str = "config") -> RunConfig:
         for i, s in enumerate(_require(doc, "schedule", context)):
             kind = _require(s, "kind", f"{context}: schedule[{i}]")
             epochs = _integer(s, "epochs", f"{context}: schedule[{i}]")
-            if kind == "flow":
-                stages.append(FlowStage(epochs))
-            elif kind == "pose":
-                stages.append(PoseStage(epochs))
-            else:
+            if not isinstance(kind, str) or kind not in _STAGES:
                 raise SchemaError(f"{context}: schedule[{i}]: unknown kind {kind!r}")
+            stages.append(_STAGES[kind](epochs))
         hp_doc = _require(doc, "pose", context)
         fp_doc = _require(doc, "flow", context)
         paths_doc = doc.get("paths") or {}
@@ -394,11 +360,7 @@ def read_config(path) -> RunConfig:
 
 def write_report(path, records) -> None:
     """Per-stage metrics report mirroring the pipeline log."""
-    doc = {"format": "report-v1",
-           "stages": [{"index": r.index, "kind": r.kind, "epochs": r.epochs,
-                       "final_loss": r.final_loss, "mpjpe": r.mpjpe,
-                       "epe": r.epe, "drift_warning": r.drift_warning}
-                      for r in records]}
+    doc = {"format": "report-v1", "stages": [asdict(r) for r in records]}
     _atomic_write_text(path, _dump_json(doc))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,6 +23,17 @@ def _finite_array(data, dtype, name: str) -> np.ndarray:
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise InvalidInputError(f"{name}: non-finite value at index {tuple(int(i) for i in bad)}")
     arr.setflags(write=False)
+    return arr
+
+
+def _positive_array(data, name: str, layout: tuple[str, ...], last: int) -> np.ndarray:
+    """``data`` as a read-only finite float array of shape ``(*layout, last)``,
+    where ``layout`` names the leading axes and none of them may be empty."""
+    arr = _finite_array(data, np.float64, name)
+    if arr.ndim != len(layout) + 1 or arr.shape[-1] != last:
+        raise InvalidInputError(f"{name}: expected ({', '.join(layout)}, {last}), got {arr.shape}")
+    if 0 in arr.shape[:-1]:
+        raise InvalidInputError(f"{name}: {' and '.join(layout)} must be positive")
     return arr
 
 
@@ -45,6 +56,26 @@ def _count(value, name: str) -> int:
     if _finite_number(value, name) < 0 or value != math.floor(value):
         raise InvalidInputError(f"{name} must be an integer >= 0, got {value!r}")
     return int(value)
+
+
+def _bone_tree(bones) -> list[tuple[int, int, int]]:
+    """Breadth-first ``(bone, parent, child)`` edges from the lowest joint the
+    bones reference, each joint's bones visited in bone order.  Every reached
+    joint adds one edge, so the walk has one edge fewer than the joints of
+    a connected graph, and one edge per bone of a tree."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for b, (j, k) in enumerate(bones):
+        adj.setdefault(j, []).append((b, k))
+        adj.setdefault(k, []).append((b, j))
+    queue = [min(adj)] if adj else []
+    visited, order = set(queue), []
+    for parent in queue:
+        for b, child in adj[parent]:
+            if child not in visited:
+                visited.add(child)
+                order.append((b, parent, child))
+                queue.append(child)
+    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +110,9 @@ class SkeletonTopology:
             if key in seen:
                 raise InvalidInputError(f"bones[{b}]: duplicate bone {key}")
             seen.add(key)
-        self._check_connected(bones)
+        referenced = {j for bone in bones for j in bone}
+        if referenced and len(_bone_tree(bones)) != len(referenced) - 1:
+            raise InvalidInputError("bones do not form a connected graph")
         if self.names is not None:
             names = tuple(str(n) for n in self.names)
             if len(names) != self.joint_count:
@@ -90,24 +123,6 @@ class SkeletonTopology:
             if any(not 0 <= i < self.joint_count for i in subset):
                 raise InvalidInputError("eval_subset: joint index out of range")
             object.__setattr__(self, "eval_subset", subset)
-
-    def _check_connected(self, bones) -> None:
-        referenced = sorted({j for bone in bones for j in bone})
-        if not referenced:
-            return
-        adj: dict[int, list[int]] = {j: [] for j in referenced}
-        for j, k in bones:
-            adj[j].append(k)
-            adj[k].append(j)
-        stack, visited = [referenced[0]], set()
-        while stack:
-            j = stack.pop()
-            if j in visited:
-                continue
-            visited.add(j)
-            stack.extend(adj[j])
-        if len(visited) != len(referenced):
-            raise InvalidInputError("bones do not form a connected graph")
 
     def bone_array(self) -> np.ndarray:
         """Bone list as an ``(B, 2)`` int array (empty-safe)."""
@@ -153,12 +168,8 @@ class PoseTrack:
     positions: np.ndarray
 
     def __post_init__(self):
-        arr = _finite_array(self.positions, np.float64, "positions")
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise InvalidInputError(f"positions: expected (T, J, 3), got {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise InvalidInputError("positions: frames and joints must be positive")
-        object.__setattr__(self, "positions", arr)
+        object.__setattr__(self, "positions",
+                           _positive_array(self.positions, "positions", ("T", "J"), 3))
 
     @property
     def frames(self) -> int:
@@ -176,11 +187,7 @@ class CameraTrack:
     params: np.ndarray
 
     def __post_init__(self):
-        arr = _finite_array(self.params, np.float64, "params")
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise InvalidInputError(f"params: expected (T, 3), got {arr.shape}")
-        if arr.shape[0] < 1:
-            raise InvalidInputError("params: at least one frame required")
+        arr = _positive_array(self.params, "params", ("T",), 3)
         if np.any(arr[:, 0] <= 0):
             t = int(np.argwhere(arr[:, 0] <= 0)[0][0])
             raise InvalidInputError(f"params: scale must be positive (frame {t})")
@@ -199,11 +206,7 @@ class DetectionTrack:
     confidence: np.ndarray  # (T, J)
 
     def __post_init__(self):
-        px = _finite_array(self.pixels, np.float64, "pixels")
-        if px.ndim != 3 or px.shape[2] != 2:
-            raise InvalidInputError(f"pixels: expected (T, J, 2), got {px.shape}")
-        if px.shape[0] < 1 or px.shape[1] < 1:
-            raise InvalidInputError("pixels: frames and joints must be positive")
+        px = _positive_array(self.pixels, "pixels", ("T", "J"), 2)
         w = _finite_array(self.confidence, np.float64, "confidence")
         if w.shape != px.shape[:2]:
             raise InvalidInputError(
@@ -230,12 +233,7 @@ class FlowField:
     uv: np.ndarray
 
     def __post_init__(self):
-        arr = _finite_array(self.uv, np.float64, "uv")
-        if arr.ndim != 3 or arr.shape[2] != 2:
-            raise InvalidInputError(f"uv: expected (H, W, 2), got {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise InvalidInputError("uv: image dimensions must be positive")
-        object.__setattr__(self, "uv", arr)
+        object.__setattr__(self, "uv", _positive_array(self.uv, "uv", ("H", "W"), 2))
 
     @property
     def width(self) -> int:
@@ -244,14 +242,6 @@ class FlowField:
     @property
     def height(self) -> int:
         return self.uv.shape[0]
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.uv[:, :, 0]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.uv[:, :, 1]
 
 
 MODE_3D = "3d"
@@ -279,10 +269,10 @@ class SceneBundle:
     def __post_init__(self):
         if self.mode not in (MODE_3D, MODE_2D):
             raise InvalidInputError(f"mode must be '3d' or '2d', got {self.mode!r}")
-        if int(self.width) < 1 or int(self.height) < 1:
+        object.__setattr__(self, "width", _count(self.width, "width"))
+        object.__setattr__(self, "height", _count(self.height, "height"))
+        if self.width < 1 or self.height < 1:
             raise InvalidInputError("image dimensions must be positive")
-        object.__setattr__(self, "width", int(self.width))
-        object.__setattr__(self, "height", int(self.height))
         object.__setattr__(self, "flows", tuple(self.flows))
         t = self.detections.frames
         if self.detections.joints != self.topology.joint_count:
@@ -318,28 +308,19 @@ def project_track(pose: PoseTrack, camera: CameraTrack) -> np.ndarray:
 
 
 def average_tracks(a, b):
-    """Element-wise mean of two tracks of the same kind and dimensions."""
+    """Element-wise mean of two tracks or two flow fields of the same kind
+    and dimensions, taken array field by array field."""
     if type(a) is not type(b):
         raise InvalidInputError(
             f"cannot average {type(a).__name__} with {type(b).__name__}")
-    if isinstance(a, PoseTrack):
-        if a.positions.shape != b.positions.shape:
-            raise InvalidInputError("pose tracks have different dimensions")
-        return PoseTrack((a.positions + b.positions) / 2.0)
-    if isinstance(a, CameraTrack):
-        if a.params.shape != b.params.shape:
-            raise InvalidInputError("camera tracks have different dimensions")
-        return CameraTrack((a.params + b.params) / 2.0)
-    if isinstance(a, DetectionTrack):
-        if a.pixels.shape != b.pixels.shape:
-            raise InvalidInputError("detection tracks have different dimensions")
-        return DetectionTrack((a.pixels + b.pixels) / 2.0,
-                              (a.confidence + b.confidence) / 2.0)
-    raise InvalidInputError(f"unsupported track type {type(a).__name__}")
+    if not isinstance(a, (PoseTrack, CameraTrack, DetectionTrack, FlowField)):
+        raise InvalidInputError(f"unsupported track type {type(a).__name__}")
+    pairs = [(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)]
+    if any(x.shape != y.shape for x, y in pairs):
+        raise InvalidInputError(f"{type(a).__name__} dimensions differ")
+    return type(a)(*[(x + y) / 2.0 for x, y in pairs])
 
 
 def average_flows(a: FlowField, b: FlowField) -> FlowField:
     """Element-wise mean of two flow fields of identical dimensions."""
-    if a.uv.shape != b.uv.shape:
-        raise InvalidInputError("flow fields have different dimensions")
-    return FlowField((a.uv + b.uv) / 2.0)
+    return average_tracks(a, b)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,19 +29,22 @@ from .synth import GroundTruthBundle, mpjpe, sequence_joint_epe
 
 
 @dataclass(frozen=True)
-class FlowStage:
+class _Stage:
+    """One schedule stage: its ``kind`` tag and its epoch budget."""
+
+    kind: ClassVar[str]
     epochs: int
 
     def __post_init__(self):
         object.__setattr__(self, "epochs", _count(self.epochs, "stage epochs"))
 
 
-@dataclass(frozen=True)
-class PoseStage:
-    epochs: int
+class FlowStage(_Stage):
+    kind: ClassVar[str] = "flow"
 
-    def __post_init__(self):
-        object.__setattr__(self, "epochs", _count(self.epochs, "stage epochs"))
+
+class PoseStage(_Stage):
+    kind: ClassVar[str] = "pose"
 
 
 @dataclass(frozen=True)
@@ -141,9 +145,9 @@ def bootstrap(bundle: SceneBundle, schedule: CycleSchedule | None = None,
 
     records: list[StageRecord] = []
     for idx, stage in enumerate(schedule.stages):
-        kind = "flow" if isinstance(stage, FlowStage) else "pose"
+        kind = stage.kind
         try:
-            if isinstance(stage, FlowStage):
+            if kind == "flow":
                 if bundle.mode == MODE_3D:
                     joints2d = project_track(pose, camera)
                 else:

@@ -172,6 +172,8 @@ def _pose_objective(hp: PoseHyperParams, beta: float, x0: np.ndarray,
     docstring): it copies ``params`` in, never writes to them, and returns
     a copy of the gradient, so a later call leaves an earlier result alone.
     """
+    if _finite_number(beta, "beta") <= 0:
+        raise InvalidInputError(f"beta must be > 0, got {beta!r}")
     dim, frames, joints = x0.shape
     n_x = x0.size
     nb = 0 if bones is None else len(bones)

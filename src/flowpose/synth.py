@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (MODE_3D, CameraTrack, DetectionTrack, FlowField,
-                       PoseTrack, SceneBundle, SkeletonTopology,
+                       PoseTrack, SceneBundle, SkeletonTopology, _bone_tree,
                        default_topology, project_track)
 from .pose_refine import _sample_flow
 from .raster import bone_flow, compose_target_flow
@@ -57,36 +57,6 @@ class NoiseConfig:
             raise InvalidInputError("noise sigmas must be >= 0")
 
 
-def _spanning_tree(topo: SkeletonTopology) -> list[tuple[int, int, int]]:
-    """Edges (bone_index, parent, child) in traversal order from the root.
-
-    Requires the bone graph to be a tree so that generated bone lengths stay
-    exactly constant over time.
-    """
-    bones = topo.bones
-    referenced = sorted({j for bone in bones for j in bone})
-    if len(bones) != max(len(referenced) - 1, 0):
-        raise InvalidInputError("scene generation requires a tree-shaped bone graph")
-    adj: dict[int, list[tuple[int, int]]] = {j: [] for j in referenced}
-    for b, (j, k) in enumerate(bones):
-        adj[j].append((b, k))
-        adj[k].append((b, j))
-    order: list[tuple[int, int, int]] = []
-    if not referenced:
-        return order
-    root = referenced[0]
-    visited = {root}
-    queue = [root]
-    while queue:
-        parent = queue.pop(0)
-        for b, child in adj[parent]:
-            if child not in visited:
-                visited.add(child)
-                order.append((b, parent, child))
-                queue.append(child)
-    return order
-
-
 def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about a unit axis."""
     x, y, z = axis
@@ -118,7 +88,9 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
     if amplitude < 0:
         raise InvalidInputError("generate_scene: amplitude must be >= 0")
     rng = np.random.Generator(np.random.PCG64(seed))
-    tree = _spanning_tree(topo)
+    tree = _bone_tree(topo.bones)
+    if len(tree) != len(topo.bones):  # only a tree keeps every bone length constant
+        raise InvalidInputError("scene generation requires a tree-shaped bone graph")
     joint_count = topo.joint_count
 
     # Rest offsets: random directions flattened in depth so the skeleton

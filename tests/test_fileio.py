@@ -272,3 +272,154 @@ def test_write_report(tmp_path):
     assert doc["format"] == "report-v1"
     assert doc["stages"][0]["kind"] == "flow"
     assert doc["stages"][0]["epe"] == 1.5
+
+
+# ---------------------------------------------------------------------------
+# format pins: the exact bytes of each record format, so that a reordered or
+# renamed key fails here and not only in a downstream reader
+
+_POSE_1x1 = '''{
+  "format": "track-v1",
+  "kind": "pose",
+  "units": "meters",
+  "frames": 1,
+  "joints": 1,
+  "positions": [
+    [
+      [
+        1.0,
+        -2.0,
+        0.5
+      ]
+    ]
+  ]
+}
+'''
+
+_CAMERA_1 = '''{
+  "format": "track-v1",
+  "kind": "camera",
+  "units": "pixels",
+  "frames": 1,
+  "params": [
+    [
+      2.0,
+      3.0,
+      4.0
+    ]
+  ]
+}
+'''
+
+_DETECTIONS_1x1 = '''{
+  "format": "track-v1",
+  "kind": "detections",
+  "units": "pixels",
+  "frames": 1,
+  "joints": 1,
+  "pixels": [
+    [
+      [
+        5.0,
+        6.0
+      ]
+    ]
+  ],
+  "confidence": [
+    [
+      0.25
+    ]
+  ]
+}
+'''
+
+_REPORT = '''{
+  "format": "report-v1",
+  "stages": [
+    {
+      "index": 0,
+      "kind": "flow",
+      "epochs": 8,
+      "final_loss": 0.5,
+      "mpjpe": null,
+      "epe": 1.5,
+      "drift_warning": true
+    }
+  ]
+}
+'''
+
+_CONFIG_3D = '''{
+  "format": "config-v1",
+  "mode": "3d",
+  "seed": 0,
+  "schedule": [
+    {
+      "kind": "flow",
+      "epochs": 8
+    },
+    {
+      "kind": "pose",
+      "epochs": 1500
+    },
+    {
+      "kind": "flow",
+      "epochs": 8
+    }
+  ],
+  "pose": {
+    "lam_opt": 0.01,
+    "lam_3d": 400.0,
+    "lam_2d": 0.01,
+    "lam_pos": 300.0,
+    "lam_cam": 0.1,
+    "lam_bone": 10000.0,
+    "lr": 0.001,
+    "epochs": 1500
+  },
+  "flow": {
+    "stride": 8,
+    "sigma": 1.0,
+    "lr": 0.05,
+    "radius": 15
+  },
+  "paths": {
+    "pose": null,
+    "camera": null,
+    "detections": null,
+    "flows": null,
+    "topology": null,
+    "output": null
+  }
+}
+'''
+
+_CONFIG_2D = (_CONFIG_3D.replace('"mode": "3d"', '"mode": "2d"')
+              .replace('"epochs": 8\n', '"epochs": 50\n'))
+
+
+@pytest.mark.parametrize("track, text", [
+    (PoseTrack([[[1.0, -2.0, 0.5]]]), _POSE_1x1),
+    (CameraTrack([[2.0, 3.0, 4.0]]), _CAMERA_1),
+    (DetectionTrack([[[5.0, 6.0]]], [[0.25]]), _DETECTIONS_1x1),
+], ids=["pose", "camera", "detections"])
+def test_track_file_format_is_pinned(tmp_path, track, text):
+    write_track(tmp_path / "t.json", track)
+    assert (tmp_path / "t.json").read_bytes() == text.encode()
+
+
+def test_report_file_format_is_pinned(tmp_path):
+    from flowpose.pipeline import StageRecord
+    record = StageRecord(index=0, kind="flow", epochs=8, final_loss=0.5, epe=1.5,
+                         drift_warning=True)
+    fileio.write_report(tmp_path / "report.json", [record])
+    assert (tmp_path / "report.json").read_bytes() == _REPORT.encode()
+
+
+@pytest.mark.parametrize("mode, text", [
+    ([], _CONFIG_3D), (["--mode", "3d"], _CONFIG_3D), (["--mode", "2d"], _CONFIG_2D),
+], ids=["default", "3d", "2d"])
+def test_print_config_format_is_pinned(capsys, mode, text):
+    from flowpose.cli import main
+    assert main(["bootstrap", "--print-config", *mode]) == 0
+    assert capsys.readouterr().out == text

@@ -4,6 +4,7 @@ import pytest
 from flowpose import (CameraTrack, DetectionTrack, FlowField, InvalidInputError,
                       PoseTrack, SceneBundle, SkeletonTopology, average_flows,
                       average_tracks, default_topology, project_track)
+from flowpose.geometry import _bone_tree
 from flowpose.pose_refine import _only, _planes, _pose_objective
 
 
@@ -118,6 +119,16 @@ def test_average_tracks_examples():
     three = PoseTrack([[[3.0, 3.0, 3.0]]])
     assert np.array_equal(average_tracks(one, three).positions,
                           [[[2.0, 2.0, 2.0]]])
+    # every array field of every kind is averaged
+    cams = CameraTrack([[1.0, 2.0, 3.0]]), CameraTrack([[3.0, 0.0, 1.0]])
+    assert np.array_equal(average_tracks(*cams).params, [[2.0, 1.0, 2.0]])
+    dets = (DetectionTrack([[[0.0, 4.0]]], [[1.0]]),
+            DetectionTrack([[[2.0, 0.0]]], [[0.5]]))
+    avg = average_tracks(*dets)
+    assert np.array_equal(avg.pixels, [[[1.0, 2.0]]])
+    assert np.array_equal(avg.confidence, [[0.75]])
+    flows = FlowField(np.ones((2, 3, 2))), FlowField(np.zeros((2, 3, 2)))
+    assert np.all(average_tracks(*flows).uv == 0.5)
 
 
 def test_average_commutes_exactly():
@@ -162,6 +173,15 @@ def test_topology_invariants():
     assert len(topo.bones) == 16
 
 
+def test_bone_tree_walks_breadth_first_from_the_lowest_joint():
+    # a star on joint 2 reached through joint 1: bones in bone order per joint
+    bones = ((2, 4), (1, 2), (3, 2), (2, 5))
+    assert _bone_tree(bones) == [(1, 1, 2), (0, 2, 4), (2, 2, 3), (3, 2, 5)]
+    # a cycle reaches every joint with one bone to spare
+    assert len(_bone_tree(((0, 1), (1, 2), (2, 0)))) == 2
+    assert _bone_tree(()) == []
+
+
 def test_track_invariants():
     with pytest.raises(InvalidInputError):
         PoseTrack(np.full((1, 1, 3), np.inf))
@@ -197,6 +217,12 @@ def test_scene_bundle_validation():
     two_d = SceneBundle(topology=topo, width=4, height=4, detections=det,
                         flows=flows, mode="2d")
     assert two_d.pose is None
+    # the image dimensions are whole numbers: no escape, no silent truncation
+    for bad in ("abc", float("nan"), float("inf"), 2.5, 0):
+        for dims in ({"width": bad, "height": 4}, {"width": 4, "height": bad}):
+            with pytest.raises(InvalidInputError):
+                SceneBundle(topology=topo, detections=det, flows=flows, mode="2d",
+                            **dims)
 
 
 def test_project_track_shapes():

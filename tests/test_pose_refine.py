@@ -150,6 +150,17 @@ def test_epoch_count_too_large_to_record_is_invalid_input():
         refine_pose_2d(det, det, flows, topo, hp)
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf"), True, "1"])
+def test_bad_beta_is_invalid_input(beta):
+    # a bad threshold is the caller's fault, not a diverging optimizer
+    topo, pose, cam, det, flows = make_random_scene(1)
+    hp = PoseHyperParams(epochs=3)
+    with pytest.raises(InvalidInputError, match="beta"):
+        refine_pose(pose, cam, det, flows, topo, hp, beta=beta)
+    with pytest.raises(InvalidInputError, match="beta"):
+        refine_pose_2d(det, det, flows, topo, hp, beta=beta)
+
+
 def test_refine_pose_zero_epochs_and_zero_lr_identity():
     topo, pose, cam, det, flows = make_random_scene(4)
     for hp in (PoseHyperParams(epochs=0), PoseHyperParams(lr=0.0, epochs=20)):
