@@ -9,11 +9,11 @@ with exact ground truth drives the quantitative checks.
 from .errors import FormatError, InvalidInputError, NumericalError, SchemaError
 from .geometry import (EVAL_JOINTS_14, MODE_2D, MODE_3D, CameraTrack,
                        DetectionTrack, FlowField, PoseTrack, SceneBundle,
-                       SkeletonTopology, average_flows, average_tracks,
-                       default_topology, project_track)
+                       SkeletonTopology, average_tracks, default_topology,
+                       project_track)
 from .optim import AdamState, adam_init, adam_step, finite_diff_check
 from .raster import BoneRaster, TargetFlow, bone_flow, compose_target_flow, rasterize_skeleton
-from .flow_refine import CorrectionGrid, refine_flow, refiner_apply
+from .flow_refine import refine_flow
 from .pose_refine import PoseHyperParams, refine_pose, refine_pose_2d
 from .pipeline import (CycleSchedule, FlowRefineParams, FlowStage, PoseStage,
                        StageRecord, bootstrap)
@@ -26,11 +26,11 @@ __all__ = [
     "FormatError", "InvalidInputError", "NumericalError", "SchemaError",
     "EVAL_JOINTS_14", "MODE_2D", "MODE_3D", "CameraTrack", "DetectionTrack",
     "FlowField", "PoseTrack", "SceneBundle", "SkeletonTopology",
-    "average_flows", "average_tracks", "default_topology", "project_track",
+    "average_tracks", "default_topology", "project_track",
     "AdamState", "adam_init", "adam_step", "finite_diff_check",
     "BoneRaster", "TargetFlow", "bone_flow", "compose_target_flow",
     "rasterize_skeleton",
-    "CorrectionGrid", "refine_flow", "refiner_apply",
+    "refine_flow",
     "PoseHyperParams", "refine_pose", "refine_pose_2d",
     "CycleSchedule", "FlowRefineParams", "FlowStage", "PoseStage",
     "StageRecord", "bootstrap",

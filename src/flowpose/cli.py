@@ -20,8 +20,7 @@ import numpy as np
 from .errors import FormatError, InvalidInputError, NumericalError
 from . import fileio
 from .fileio import RunConfig, RunPaths, scene_paths
-from .geometry import (MODE_2D, MODE_3D, SceneBundle, average_flows, average_tracks,
-                       default_topology)
+from .geometry import MODE_2D, MODE_3D, SceneBundle, average_tracks, default_topology
 from .gradcheck import run_gradient_checks
 from .pipeline import CycleSchedule, FlowStage, PoseStage, bootstrap
 from .synth import (GroundTruthBundle, NoiseConfig, epe, generate_scene,
@@ -54,7 +53,7 @@ def _bundle_from_paths(paths: RunPaths, mode: str) -> SceneBundle:
 
 
 def _load_gt(dirpath) -> GroundTruthBundle:
-    return GroundTruthBundle(scene=fileio.read_bundle(dirpath), background=(0.0, 0.0))
+    return GroundTruthBundle(scene=fileio.read_bundle(dirpath))
 
 
 def _print_records(records) -> None:
@@ -170,7 +169,7 @@ def _cmd_avg(args) -> int:
         fb = fileio.read_flow_dir(b)
         if len(fa) != len(fb):
             raise InvalidInputError("flow directories hold different counts")
-        fileio.write_flow_dir(args.out, [average_flows(x, y) for x, y in zip(fa, fb)])
+        fileio.write_flow_dir(args.out, [average_tracks(x, y) for x, y in zip(fa, fb)])
         print(f"wrote {len(fa)} averaged flow fields to {args.out}")
         return 0
     ta, units = fileio.read_track(a)

@@ -8,42 +8,23 @@ role of a network's smoothness prior; early stopping (a small epoch
 budget) keeps the refined flow from collapsing onto the target's errors.
 
 The objective works on contiguous ``(2, H, W)`` planes and is built once
-per frame pair, with ``d = (base - target) / beta``.  An epoch forms
-``r = M_y (V / beta) M_x.T + d`` from the grid planes ``V``, its Huber slope
-``g = clip(r, -1, 1)``, the value ``beta (g.r - g.g / 2) / n`` from two dot
+per frame pair, with ``d = base - target``.  An epoch forms
+``r = M_y V M_x.T + d`` from the grid planes ``V``, its Huber slope
+``g = clip(r, -1, 1)``, the value ``(g.r - g.g / 2) / n`` from two dot
 products and the gradient ``M_y.T g M_x / n``, the ``1 / n`` on the grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, isfinite
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .geometry import FlowField, _count, _finite_array, _finite_number
+from .geometry import FlowField, _count, _finite_number
 from .optim import _epoch_history, adam_init, adam_step
 from .raster import TargetFlow
-
-
-@dataclass(frozen=True, eq=False)
-class CorrectionGrid:
-    """Residual flow values on a coarse grid, ``(gh, gw, 2)`` pixels."""
-
-    values: np.ndarray
-    stride: int
-    sigma: float
-
-    def __post_init__(self):
-        if _count(self.stride, "stride") < 1 or _finite_number(self.sigma, "sigma") < 0:
-            raise InvalidInputError("stride must be >= 1 and sigma >= 0")
-        object.__setattr__(self, "stride", int(self.stride))
-        v = _finite_array(self.values, np.float64, "values")
-        if v.ndim != 3 or v.shape[2] != 2:
-            raise InvalidInputError(f"values: expected (gh, gw, 2), got {v.shape}")
-        object.__setattr__(self, "values", v)
 
 
 def grid_shape(width: int, height: int, stride: int) -> tuple[int, int]:
@@ -95,23 +76,20 @@ def _axis_operator(n_out: int, stride: int, n_in: int, sigma: float,
     return op
 
 
-def refiner_apply(grid: CorrectionGrid, base: FlowField) -> FlowField:
-    """Base flow plus the smoothed, bilinearly upsampled correction."""
-    expected = grid_shape(base.width, base.height, grid.stride)
-    if grid.values.shape[:2] != expected:
-        raise InvalidInputError(f"grid shape {grid.values.shape[:2]} does not match image "
-                                f"{base.width}x{base.height} at stride {grid.stride} "
-                                f"(expected {expected})")
-    m_y = _axis_operator(base.height, grid.stride, expected[0], float(grid.sigma), False)
-    m_xt = _axis_operator(base.width, grid.stride, expected[1], float(grid.sigma), True)
+def refiner_apply(values: np.ndarray, base: FlowField, stride: int,
+                  sigma: float) -> FlowField:
+    """Base flow plus the smoothed, bilinearly upsampled correction, given as
+    the ``(2, gh, gw)`` grid planes of ``grid_shape``."""
+    gh, gw = values.shape[1:]
+    m_y = _axis_operator(base.height, int(stride), gh, float(sigma), False)
+    m_xt = _axis_operator(base.width, int(stride), gw, float(sigma), True)
     uv = np.empty_like(base.uv)       # the correction, written through its planes
-    np.matmul(m_y @ np.ascontiguousarray(grid.values.transpose(2, 0, 1)), m_xt,
-              out=uv.transpose(2, 0, 1))
+    np.matmul(m_y @ values, m_xt, out=uv.transpose(2, 0, 1))
     return FlowField(np.add(uv, base.uv, out=uv))
 
 
 def _flow_objective(base_uv: np.ndarray, target_uv: np.ndarray, stride: int,
-                    sigma: float, beta: float):
+                    sigma: float):
     """One frame pair's ``flow_objective`` on ``(2, gh, gw)`` grid planes, up to
     rounding; returns ``evaluate(values) -> (value, fresh gradient)``."""
     height, width = base_uv.shape[:2]
@@ -119,17 +97,16 @@ def _flow_objective(base_uv: np.ndarray, target_uv: np.ndarray, stride: int,
     m_y, m_x, m_yt, m_xt = (_axis_operator(n, int(stride), c, float(sigma), t)
                             for t in (False, True) for n, c in ((height, gh), (width, gw)))
     d = np.subtract(base_uv.transpose(2, 0, 1), target_uv.transpose(2, 0, 1), order="C")
-    d /= beta
     half = np.empty((2, height, gw))                   # M_y V, then g M_x
     r, g = np.empty_like(d), np.empty_like(d)
     n = height * width
 
     def evaluate(values: np.ndarray) -> tuple[float, np.ndarray]:
-        np.matmul(m_y, values / beta, out=half)
+        np.matmul(m_y, values, out=half)
         np.matmul(half, m_xt, out=r)
         np.add(r, d, out=r)
         r.clip(-1.0, 1.0, out=g)
-        value = beta * (np.vdot(g, r) - 0.5 * np.vdot(g, g)) / n
+        value = (np.vdot(g, r) - 0.5 * np.vdot(g, g)) / n
         np.matmul(g, m_x, out=half)
         return value, np.divide(m_yt @ half, n)
 
@@ -137,18 +114,18 @@ def _flow_objective(base_uv: np.ndarray, target_uv: np.ndarray, stride: int,
 
 
 def flow_objective(grid_values: np.ndarray, base_uv: np.ndarray,
-                   target_uv: np.ndarray, stride: int, sigma: float,
-                   beta: float = 1.0) -> tuple[float, np.ndarray]:
+                   target_uv: np.ndarray, stride: int,
+                   sigma: float) -> tuple[float, np.ndarray]:
     """Mean over pixels of the two-component smooth-L1 between the corrected and
     target flow, with its gradient in the ``(gh, gw, 2)`` grid values."""
-    evaluate = _flow_objective(base_uv, target_uv, stride, sigma, beta)
+    evaluate = _flow_objective(base_uv, target_uv, stride, sigma)
     value, grad = evaluate(np.ascontiguousarray(grid_values.transpose(2, 0, 1)))
     return value, grad.transpose(1, 2, 0)
 
 
 def refine_flow(base: FlowField, target: TargetFlow, epochs: int,
-                lr: float = 0.05, stride: int = 8, sigma: float = 1.0,
-                beta: float = 1.0) -> tuple[FlowField, np.ndarray]:
+                lr: float = 0.05, stride: int = 8,
+                sigma: float = 1.0) -> tuple[FlowField, np.ndarray]:
     """Run ``epochs`` Adam passes pulling the base flow toward the target.
 
     Returns the refined field and the per-epoch objective values (the value
@@ -158,15 +135,14 @@ def refine_flow(base: FlowField, target: TargetFlow, epochs: int,
     if target.flow.uv.shape != base.uv.shape:
         raise InvalidInputError("target dimensions do not match the base flow")
     epochs = _count(epochs, "epochs")
-    if (_count(stride, "stride") < 1 or _finite_number(sigma, "sigma") < 0
-            or _finite_number(beta, "beta") <= 0):
-        raise InvalidInputError("stride must be >= 1, sigma >= 0 and beta > 0")
+    if _count(stride, "stride") < 1 or _finite_number(sigma, "sigma") < 0:
+        raise InvalidInputError("stride must be >= 1 and sigma >= 0")
     _finite_number(lr, "learning rate")
     if epochs == 0:
         return base, np.zeros(0)
 
     losses = _epoch_history(epochs)
-    evaluate = _flow_objective(base.uv, target.flow.uv, stride, sigma, beta)
+    evaluate = _flow_objective(base.uv, target.flow.uv, stride, sigma)
     values = np.zeros((2, *grid_shape(base.width, base.height, stride)))
     state = adam_init(values)
     # divergence is detected right below; silence the transient fp noise
@@ -180,4 +156,4 @@ def refine_flow(base: FlowField, target: TargetFlow, epochs: int,
     # every other step is caught by the next epoch's evaluation
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"flow refinement diverged at epoch {epochs - 1}")
-    return refiner_apply(CorrectionGrid(values.transpose(1, 2, 0), stride, sigma), base), losses
+    return refiner_apply(values, base, stride, sigma), losses

@@ -319,8 +319,3 @@ def average_tracks(a, b):
     if any(x.shape != y.shape for x, y in pairs):
         raise InvalidInputError(f"{type(a).__name__} dimensions differ")
     return type(a)(*[(x + y) / 2.0 for x, y in pairs])
-
-
-def average_flows(a: FlowField, b: FlowField) -> FlowField:
-    """Element-wise mean of two flow fields of identical dimensions."""
-    return average_tracks(a, b)

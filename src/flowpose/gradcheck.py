@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .geometry import (CameraTrack, DetectionTrack, FlowField, PoseTrack, SkeletonTopology,
-                       project_track)
+                       _count, _finite_number, project_track)
 from .flow_refine import flow_objective, grid_shape
 from .optim import finite_diff_check
 from .pose_refine import PoseHyperParams, _only, _planes, _pose_objective, _to_params
@@ -109,7 +110,7 @@ def check_scene(seed: int, step: float = 1e-5) -> list[CheckResult]:
              _to_params(X, still)),
             ("objective_3d", PoseHyperParams(), True, anchor_3d, point_3d),
             ("objective_2d", PoseHyperParams(), False, anchor_2d, _to_params(x))):
-        objective = _pose_objective(hp, 1.0, _planes(anchor), camera=camera_on, **plan)
+        objective = _pose_objective(hp, _planes(anchor), camera=camera_on, **plan)
         results.append(CheckResult(name, seed, finite_diff_check(objective, point, step)))
 
     base = flows[0].uv
@@ -126,6 +127,11 @@ def check_scene(seed: int, step: float = 1e-5) -> list[CheckResult]:
 def run_gradient_checks(scenes: int = 20, seed0: int = 0, step: float = 1e-5,
                         threshold: float = 1e-4):
     """Run the whole suite; returns ``(results, all_passed)``."""
+    if _count(scenes, "scenes") < 1:
+        raise InvalidInputError("scenes must be >= 1")
+    _count(seed0, "seed")
+    if _finite_number(step, "step") <= 0 or _finite_number(threshold, "threshold") <= 0:
+        raise InvalidInputError("step and threshold must be > 0")
     results: list[CheckResult] = []
     for s in range(scenes):
         results.extend(check_scene(seed0 + s, step))

@@ -1,5 +1,6 @@
-"""Shared numerical machinery: the smooth-L1 penalty of the pose objective,
-Adam with fixed moment rates, and finite-difference gradient checking.
+"""Shared numerical machinery: the smooth-L1 penalty (threshold 1) of the
+pose objective, Adam with fixed moment rates, and finite-difference
+gradient checking.
 
 All reductions elsewhere in the package are arithmetic means over the
 enumerated indices, so the loss weights keep their meaning regardless of
@@ -16,14 +17,13 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 
 
-def _huber_parts(r: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Element-wise smooth-L1 penalty of ``r`` at threshold ``beta``, and its slope."""
+def _huber_parts(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Element-wise smooth-L1 penalty of ``r`` at threshold 1, and its slope."""
     # No input validation: the pose objective's hot path.  The clipped
-    # slope g is r / beta inside the threshold and sign(r) outside, and
-    # g * (r - beta * g / 2) is then 0.5 * r**2 / beta or |r| - beta / 2.
-    grad = np.divide(r, beta, out=np.empty_like(r))
-    grad.clip(-1.0, 1.0, out=grad)
-    return grad * (r - 0.5 * beta * grad), grad
+    # slope g is r inside the threshold and sign(r) outside, and
+    # g * (r - g / 2) is then 0.5 * r**2 or |r| - 1 / 2.
+    g = r.clip(-1.0, 1.0)
+    return g * (r - 0.5 * g), g
 
 
 # Adam's moment decay rates and the guard added to the step's denominator

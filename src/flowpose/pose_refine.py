@@ -149,7 +149,7 @@ def _sample_flow(uv: np.ndarray, q: np.ndarray):
     return _sampler(uv)(q)
 
 
-def _pose_objective(hp: PoseHyperParams, beta: float, x0: np.ndarray,
+def _pose_objective(hp: PoseHyperParams, x0: np.ndarray,
                     det: DetectionTrack | None = None,
                     flows_uv: np.ndarray | None = None,
                     bones: np.ndarray | None = None, camera: bool = False):
@@ -172,8 +172,6 @@ def _pose_objective(hp: PoseHyperParams, beta: float, x0: np.ndarray,
     docstring): it copies ``params`` in, never writes to them, and returns
     a copy of the gradient, so a later call leaves an earlier result alone.
     """
-    if _finite_number(beta, "beta") <= 0:
-        raise InvalidInputError(f"beta must be > 0, got {beta!r}")
     dim, frames, joints = x0.shape
     n_x = x0.size
     nb = 0 if bones is None else len(bones)
@@ -262,7 +260,7 @@ def _pose_objective(hp: PoseHyperParams, beta: float, x0: np.ndarray,
             np.add.reduce(np.multiply(d, d, out=d_g), axis=0, out=lengths)
             np.sqrt(lengths, out=lengths)
             np.subtract(lengths_tail, lengths_head, out=r["bone"])
-        vals, g = _huber_parts(resid, beta)
+        vals, g = _huber_parts(resid)
         np.multiply(weights, g, out=wgrad)
         # each term summed on its own, the temporal ones then added in order
         row[:] = np.bincount(columns, np.add.reduceat(
@@ -361,13 +359,12 @@ def _only(**lams) -> PoseHyperParams:
 
 def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
                 det: DetectionTrack, flows: Sequence[FlowField],
-                topo: SkeletonTopology, hp: PoseHyperParams | None = None,
-                beta: float = 1.0, anchor: PoseTrack | None = None):
+                topo: SkeletonTopology, hp: PoseHyperParams | None = None):
     """Jointly refine 3-D joints and cameras over the whole sequence.
 
     Starts at the initial estimates and runs ``hp.epochs`` Adam steps on the
-    full objective.  The deviation term compares against ``anchor`` (the
-    original off-the-shelf estimates), which defaults to the starting pose.
+    full objective.  The deviation term compares against the starting pose
+    (the original off-the-shelf estimates).
     Returns ``(pose, camera, history)`` where ``history`` has one row per
     epoch: ``[total, flow, anchor3d, detection2d, temporal]`` loss values
     (each already weighted) evaluated before that epoch's step.
@@ -384,12 +381,10 @@ def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
         raise InvalidInputError("detections do not match the pose dimensions")
     if pose_init.joints != topo.joint_count:
         raise InvalidInputError("pose joint count does not match topology")
-    if anchor is not None and anchor.positions.shape != pose_init.positions.shape:
-        raise InvalidInputError("anchor does not match the pose dimensions")
 
-    x0 = _planes((anchor or pose_init).positions)
+    x0 = _planes(pose_init.positions)
     n_x = x0.size
-    evaluate = _pose_objective(hp, beta, x0, det, _stack_flows(flows),
+    evaluate = _pose_objective(hp, x0, det, _stack_flows(flows),
                                topo.bone_array(), camera=True)
     params = _to_params(pose_init.positions, camera_init.params)
     params, history = _descend(evaluate, params, hp, "pose refinement",
@@ -401,15 +396,14 @@ def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
 
 def refine_pose_2d(x_init: DetectionTrack, det: DetectionTrack,
                    flows: Sequence[FlowField], topo: SkeletonTopology,
-                   hp: PoseHyperParams | None = None, beta: float = 1.0,
-                   anchor: DetectionTrack | None = None):
+                   hp: PoseHyperParams | None = None):
     """Fallback refinement operating purely on 2-D joint tracks.
 
     The flow, anchor, detection and temporal terms mirror the 3-D objective
     with projected points replaced by the 2-D variables; the camera
     smoothness term drops out (there is no camera), and bone-length
     consistency is measured in pixels (disable with ``lam_bone=0``).  The
-    anchor defaults to the starting track.  Returns ``(track, history)``;
+    anchor is the starting track.  Returns ``(track, history)``;
     confidences pass through from ``x_init``.
     """
     hp = hp or PoseHyperParams()
@@ -422,10 +416,8 @@ def refine_pose_2d(x_init: DetectionTrack, det: DetectionTrack,
             f"expected {x_init.frames - 1} flow fields, got {len(flows)}")
     if x_init.joints != topo.joint_count:
         raise InvalidInputError("track joint count does not match topology")
-    if anchor is not None and anchor.pixels.shape != x_init.pixels.shape:
-        raise InvalidInputError("anchor does not match the track dimensions")
 
-    x0 = _planes((anchor or x_init).pixels)
-    evaluate = _pose_objective(hp, beta, x0, det, _stack_flows(flows), topo.bone_array())
+    x0 = _planes(x_init.pixels)
+    evaluate = _pose_objective(hp, x0, det, _stack_flows(flows), topo.bone_array())
     params, history = _descend(evaluate, _to_params(x_init.pixels), hp, "2d refinement")
     return DetectionTrack(_interleaved(params.reshape(x0.shape)), x_init.confidence), history

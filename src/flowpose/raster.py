@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import FlowField, SkeletonTopology
+from .geometry import FlowField, SkeletonTopology, _count
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,12 +88,10 @@ def rasterize_skeleton(joints2d, topo: SkeletonTopology, width: int, height: int
     ``radius=0`` leaves the one-pixel-wide centerlines.  Joints may lie
     outside the image; off-image parts are clipped.
     """
-    width, height = int(width), int(height)
+    width, height = _count(width, "width"), _count(height, "height")
     if width < 1 or height < 1:
         raise InvalidInputError("rasterize_skeleton: zero-area image")
-    radius = int(radius)
-    if radius < 0:
-        raise InvalidInputError("rasterize_skeleton: radius must be >= 0")
+    radius = _count(radius, "radius")
     pts = _check_joints2d(joints2d, topo)
 
     centerline = np.zeros((height, width), dtype=bool)
@@ -157,7 +155,7 @@ def bone_flow(joints2d_t, joints2d_t1, topo: SkeletonTopology, width: int,
     raster = rasterize_skeleton(a, topo, width, height, radius)
     disp = b - a  # (J, 2)
 
-    uv = np.zeros((int(height), int(width), 2))
+    uv = np.zeros((raster.height, raster.width, 2))
     m = raster.mask
     if m.any():
         bones = topo.bone_array()

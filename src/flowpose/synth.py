@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (MODE_3D, CameraTrack, DetectionTrack, FlowField,
-                       PoseTrack, SceneBundle, SkeletonTopology, _bone_tree,
+                       PoseTrack, SceneBundle, SkeletonTopology, _bone_tree, _count,
                        default_topology, project_track)
 from .pose_refine import _sample_flow
 from .raster import bone_flow, compose_target_flow
@@ -28,7 +28,6 @@ class GroundTruthBundle:
     """A scene whose pose, camera, detections and flows are exact."""
 
     scene: SceneBundle
-    background: tuple[float, float]
 
     @property
     def joints2d(self) -> np.ndarray:
@@ -42,7 +41,8 @@ class NoiseConfig:
 
     ``camera_sigma`` is one standard deviation per camera component
     ``(s, tx, ty)``.  ``corrupt_rect`` is ``(x0, y0, w, h)`` in pixels; inside
-    it every flow field is replaced by ``corrupt_flow``.
+    it every flow field is replaced by ``corrupt_flow``; its origin is
+    ``>= 0`` and its sides ``>= 1``, clipped to the image.
     """
 
     pose_sigma: float = 0.0
@@ -55,6 +55,13 @@ class NoiseConfig:
     def __post_init__(self):
         if self.pose_sigma < 0 or self.det_sigma < 0 or any(s < 0 for s in self.camera_sigma):
             raise InvalidInputError("noise sigmas must be >= 0")
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
+        if self.corrupt_rect is not None:
+            rect = tuple(_count(v, "corrupt_rect") for v in self.corrupt_rect)
+            if len(rect) != 4 or min(rect[2:]) < 1:
+                raise InvalidInputError(
+                    f"corrupt_rect must be (x0, y0, w, h) with w, h >= 1, got {rect}")
+            object.__setattr__(self, "corrupt_rect", rect)
 
 
 def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -87,7 +94,7 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
         raise InvalidInputError("generate_scene: degenerate image dimensions")
     if amplitude < 0:
         raise InvalidInputError("generate_scene: amplitude must be >= 0")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_count(seed, "seed")))
     tree = _bone_tree(topo.bones)
     if len(tree) != len(topo.bones):  # only a tree keeps every bone length constant
         raise InvalidInputError("scene generation requires a tree-shaped bone graph")
@@ -147,8 +154,7 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
     scene = SceneBundle(topology=topo, width=width, height=height,
                         detections=detections, flows=tuple(flows),
                         mode=MODE_3D, pose=pose, camera=camera)
-    return GroundTruthBundle(scene=scene, background=(float(background[0]),
-                                                      float(background[1])))
+    return GroundTruthBundle(scene=scene)
 
 
 def perturb(gt: GroundTruthBundle, cfg: NoiseConfig) -> SceneBundle:
@@ -174,11 +180,7 @@ def perturb(gt: GroundTruthBundle, cfg: NoiseConfig) -> SceneBundle:
         uv = f.uv.copy()
         if cfg.corrupt_rect is not None:
             x0, y0, w, h = cfg.corrupt_rect
-            x0, y0 = max(int(x0), 0), max(int(y0), 0)
-            x1 = min(x0 + int(w), scene.width)
-            y1 = min(y0 + int(h), scene.height)
-            uv[y0:y1, x0:x1, 0] = cfg.corrupt_flow[0]
-            uv[y0:y1, x0:x1, 1] = cfg.corrupt_flow[1]
+            uv[y0:y0 + h, x0:x0 + w] = cfg.corrupt_flow
         flows.append(FlowField(uv))
 
     return SceneBundle(topology=scene.topology, width=scene.width,

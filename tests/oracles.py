@@ -17,7 +17,13 @@ import math
 import numpy as np
 
 from flowpose.flow_refine import _axis_operator
-from flowpose.optim import _huber_parts
+
+
+def _huber_parts(r, beta):
+    """Element-wise smooth-L1 of ``r`` at threshold ``beta`` and its slope;
+    at ``beta = 1`` it gives the bits of the library's penalty."""
+    slope = np.clip(np.divide(r, beta), -1.0, 1.0)
+    return slope * (r - 0.5 * beta * slope), slope
 
 
 def seg_distance_and_frac(px, py, ax, ay, bx, by):

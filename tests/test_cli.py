@@ -225,6 +225,24 @@ def test_check_grads_command(tmp_path, capsys):
     assert main(["check-grads", "--scenes", "2", "--threshold", "1e-12"]) == 4
 
 
+@pytest.mark.parametrize("flags", [
+    "synth --seed -1", "perturb --seed -1", "perturb --corrupt-rect 0 0 -5 -5",
+    "check-grads --seed -1", "check-grads --scenes 0", "check-grads --scenes -2",
+    "check-grads --step 0", "check-grads --threshold nan",
+])
+def test_bad_flag_value_exit_3(tmp_path, capsys, flags):
+    # a bad value is the caller's fault: no traceback, no exit 4, no silent no-op
+    command, *rest = flags.split()
+    out = tmp_path / "out"
+    io = [] if command == "check-grads" else ["--out", str(out)]
+    if command == "perturb":
+        io += ["--in", str(_synth(tmp_path, frames=2, size=16))]
+    capsys.readouterr()
+    assert main([command, *io, *rest]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_print_config(capsys):
     assert main(["bootstrap", "--print-config"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from flowpose import (CameraTrack, DetectionTrack, FlowField, InvalidInputError,
-                      PoseTrack, SceneBundle, SkeletonTopology, average_flows,
-                      average_tracks, default_topology, project_track)
+                      PoseTrack, SceneBundle, SkeletonTopology, average_tracks,
+                      default_topology, project_track)
 from flowpose.geometry import _bone_tree
 from flowpose.pose_refine import _only, _planes, _pose_objective
 
@@ -55,16 +55,16 @@ def test_project_linearity_in_point():
     assert np.allclose(lhs, cam[0] * (p - q)[:2], rtol=0, atol=1e-12)
 
 
-def _bone_term(positions, topo, beta=1.0):
+def _bone_term(positions, topo):
     """``(value, grad)`` of the pose objective's bone-length term alone on a
     ``(T, J, 3)`` track; the gradient is in the objective's planar layout."""
     x = _planes(np.asarray(positions, dtype=np.float64))
-    evaluate = _pose_objective(_only(lam_bone=1.0), beta, x, bones=topo.bone_array())
+    evaluate = _pose_objective(_only(lam_bone=1.0), x, bones=topo.bone_array())
     return evaluate(x.ravel())
 
 
-def _huber(r, beta=1.0):
-    return 0.5 * r * r / beta if abs(r) < beta else abs(r) - 0.5 * beta
+def _huber(r):
+    return 0.5 * r * r if abs(r) < 1.0 else abs(r) - 0.5
 
 
 def test_bone_lengths_examples():
@@ -82,20 +82,19 @@ def test_bone_lengths_matches_independent_recomputation():
     rng = np.random.default_rng(7)
     topo = default_topology()
     X = rng.normal(size=(3, 17, 3))
-    for beta in (1.0, 0.1):
-        lengths = []
-        for t in range(3):
-            row = []
-            for j, k in topo.bones:
-                # per-component recomputation with plain floats
-                dx = X[t, j, 0] - X[t, k, 0]
-                dy = X[t, j, 1] - X[t, k, 1]
-                dz = X[t, j, 2] - X[t, k, 2]
-                row.append((dx * dx + dy * dy + dz * dz) ** 0.5)
-            lengths.append(row)
-        want = sum(_huber(lengths[t + 1][b] - lengths[t][b], beta)
-                   for t in range(2) for b in range(len(topo.bones))) / (2 * len(topo.bones))
-        assert abs(_bone_term(X, topo, beta)[0] - want) < 1e-12 * want
+    lengths = []
+    for t in range(3):
+        row = []
+        for j, k in topo.bones:
+            # per-component recomputation with plain floats
+            dx = X[t, j, 0] - X[t, k, 0]
+            dy = X[t, j, 1] - X[t, k, 1]
+            dz = X[t, j, 2] - X[t, k, 2]
+            row.append((dx * dx + dy * dy + dz * dz) ** 0.5)
+        lengths.append(row)
+    want = sum(_huber(lengths[t + 1][b] - lengths[t][b])
+               for t in range(2) for b in range(len(topo.bones))) / (2 * len(topo.bones))
+    assert abs(_bone_term(X, topo)[0] - want) < 1e-12 * want
 
 
 def test_bone_lengths_translation_invariant():
@@ -139,7 +138,7 @@ def test_average_commutes_exactly():
                           average_tracks(b, a).positions)
     fa = FlowField(rng.normal(size=(6, 7, 2)))
     fb = FlowField(rng.normal(size=(6, 7, 2)))
-    assert np.array_equal(average_flows(fa, fb).uv, average_flows(fb, fa).uv)
+    assert np.array_equal(average_tracks(fa, fb).uv, average_tracks(fb, fa).uv)
 
 
 def test_average_rejects_mismatch():
@@ -148,7 +147,7 @@ def test_average_rejects_mismatch():
     with pytest.raises(InvalidInputError):
         average_tracks(a, b)
     with pytest.raises(InvalidInputError):
-        average_flows(FlowField(np.zeros((2, 2, 2))), FlowField(np.zeros((3, 2, 2))))
+        average_tracks(FlowField(np.zeros((2, 2, 2))), FlowField(np.zeros((3, 2, 2))))
 
 
 def test_topology_invariants():

@@ -6,17 +6,15 @@ from flowpose.optim import _huber_parts
 
 
 def test_smooth_l1_examples():
-    vals, g = _huber_parts(np.array([0.0, 0.5, 2.0]), 1.0)
+    vals, g = _huber_parts(np.array([0.0, 0.5, 2.0]))
     assert vals[0] == 0.0 and g[0] == 0.0
     assert vals[1] == pytest.approx(0.125, abs=1e-15)
     assert vals[2] == pytest.approx(1.5, abs=1e-15)
     assert g[2] == 1.0
-    vals, _ = _huber_parts(np.array([1.0]), 2.0)
-    assert vals[0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_smooth_l1_sums_components():
-    vals, g = _huber_parts(np.array([0.5, 2.0, -3.0]), 1.0)
+    vals, g = _huber_parts(np.array([0.5, 2.0, -3.0]))
     assert vals.sum() == pytest.approx(0.125 + 1.5 + 2.5, abs=1e-12)
     assert np.array_equal(g, [0.5, 1.0, -1.0])
 
@@ -24,16 +22,14 @@ def test_smooth_l1_sums_components():
 def test_smooth_l1_symmetry():
     rng = np.random.default_rng(0)
     r = rng.normal(scale=2.0, size=100)
-    assert _huber_parts(r, 1.0)[0].sum() == pytest.approx(_huber_parts(-r, 1.0)[0].sum(),
-                                                          rel=1e-15)
+    assert _huber_parts(r)[0].sum() == pytest.approx(_huber_parts(-r)[0].sum(), rel=1e-15)
 
 
 def test_smooth_l1_continuous_at_threshold():
-    beta = 1.0
     eps = 1e-9
-    below_v, below_g = _huber_parts(np.array([beta - eps]), beta)
-    above_v, above_g = _huber_parts(np.array([beta + eps]), beta)
-    at_v, at_g = _huber_parts(np.array([beta]), beta)
+    below_v, below_g = _huber_parts(np.array([1.0 - eps]))
+    above_v, above_g = _huber_parts(np.array([1.0 + eps]))
+    at_v, at_g = _huber_parts(np.array([1.0]))
     assert abs(below_v[0] - at_v[0]) < 1e-8 and abs(above_v[0] - at_v[0]) < 1e-8
     assert abs(below_g[0] - at_g[0]) < 1e-8 and abs(above_g[0] - at_g[0]) < 1e-8
 
@@ -106,7 +102,7 @@ def test_finite_diff_smooth_l1_away_from_kink():
     r = r[np.abs(np.abs(r) - 1.0) > 1e-3]  # stay clear of the threshold
 
     def loss(p):
-        vals, g = _huber_parts(p, 1.0)
+        vals, g = _huber_parts(p)
         return vals.sum(), g
 
     assert finite_diff_check(loss, r, step=1e-5) < 1e-5

@@ -37,7 +37,7 @@ def _term(hp, x, cams=None, anchor=None, **plan):
     """``(value, grad)`` of the objective under ``hp`` at the ``(T, J, D)``
     track ``x`` and, in 3-D, its ``(T, 3)`` cameras ``cams``; the anchor
     defaults to ``x`` and the gradient is in the objective's planar layout."""
-    evaluate = _pose_objective(hp, 1.0, _planes(x if anchor is None else anchor),
+    evaluate = _pose_objective(hp, _planes(x if anchor is None else anchor),
                                camera=cams is not None, **plan)
     return evaluate(_to_params(x) if cams is None else _to_params(x, cams))
 
@@ -85,7 +85,7 @@ def test_one_frame_track_has_no_temporal_or_flow_term():
     value, grad = _term(_only(lam_3d=1.0), pose.positions)
     assert value == 0.0 and grad.shape == (9,) and np.all(grad == 0.0)
     x0 = _planes(pose.positions)
-    evaluate = _pose_objective(PoseHyperParams(lam_2d=0.0), 1.0, x0,
+    evaluate = _pose_objective(PoseHyperParams(lam_2d=0.0), x0,
                                bones=np.array([[0, 1], [1, 2]]))
     row = np.zeros(5)
     value, grad = evaluate(_to_params(pose.positions + 0.5), row)
@@ -97,7 +97,7 @@ def test_loss_3d_examples():
     X = rng.normal(size=(4, 5, 3))
     assert _term(_only(lam_3d=1.0), X)[0] == 0.0
     shifted = X.copy()
-    shifted[2, 3, 0] += 0.5  # beta/2 with beta=1
+    shifted[2, 3, 0] += 0.5  # half the smooth-L1 threshold of 1
     v, g = _term(_only(lam_3d=1.0), shifted, anchor=X)
     assert v == pytest.approx(0.125 / (4 * 5), rel=1e-12)
 
@@ -148,17 +148,6 @@ def test_epoch_count_too_large_to_record_is_invalid_input():
         refine_pose(pose, cam, det, flows, topo, hp)
     with pytest.raises(InvalidInputError, match="epochs"):
         refine_pose_2d(det, det, flows, topo, hp)
-
-
-@pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf"), True, "1"])
-def test_bad_beta_is_invalid_input(beta):
-    # a bad threshold is the caller's fault, not a diverging optimizer
-    topo, pose, cam, det, flows = make_random_scene(1)
-    hp = PoseHyperParams(epochs=3)
-    with pytest.raises(InvalidInputError, match="beta"):
-        refine_pose(pose, cam, det, flows, topo, hp, beta=beta)
-    with pytest.raises(InvalidInputError, match="beta"):
-        refine_pose_2d(det, det, flows, topo, hp, beta=beta)
 
 
 def test_refine_pose_zero_epochs_and_zero_lr_identity():
@@ -238,7 +227,7 @@ def test_refine_pose_2d_recovers_corrupted_joint():
 def test_total_pose_loss_gradients():
     # the full weighted objective, not just the individual terms
     topo, pose, cam, det, flows = make_random_scene(12)
-    evaluate = _pose_objective(PoseHyperParams(), 1.0, _planes(pose.positions), det,
+    evaluate = _pose_objective(PoseHyperParams(), _planes(pose.positions), det,
                                np.stack([f.uv for f in flows]), topo.bone_array(),
                                camera=True)
     X = pose.positions
@@ -253,7 +242,7 @@ def test_refine_pose_2d_gradients():
     rng = np.random.Generator(np.random.PCG64(90))
     x = DetectionTrack(det.pixels + rng.normal(0, 0.05, det.pixels.shape),
                        det.confidence)
-    evaluate = _pose_objective(PoseHyperParams(), 1.0, _planes(x.pixels), det,
+    evaluate = _pose_objective(PoseHyperParams(), _planes(x.pixels), det,
                                np.stack([f.uv for f in flows]), topo.bone_array())
     err = finite_diff_check(evaluate, _to_params(x.pixels + 0.001), step=1e-5)
     assert err < 1e-4
@@ -312,7 +301,7 @@ def test_objective_is_sum_of_its_terms(seed, camera, lams):
     def evaluate(**weights):
         hp = PoseHyperParams(**{**dict.fromkeys(_LAMS, 0.0), **weights})
         row = np.zeros(5)
-        _, grad = _pose_objective(hp, 1.0, _planes(anchor), **plan)(params, row)
+        _, grad = _pose_objective(hp, _planes(anchor), **plan)(params, row)
         return row, grad
 
     row, grad = evaluate(**dict(zip(_LAMS, lams)))
@@ -333,7 +322,7 @@ def test_planar_objective_matches_interleaved_reference(seed, camera, lams):
     x, cams, anchor, plan = _scene_point(seed, camera)
     hp = PoseHyperParams(**dict(zip(_LAMS, lams)))
     row, want_row = np.zeros(5), np.zeros(5)
-    value, grad = _pose_objective(hp, 1.0, _planes(anchor), **plan)(
+    value, grad = _pose_objective(hp, _planes(anchor), **plan)(
         _to_params(x, cams) if camera else _to_params(x), row)
     want_value, want = interleaved_pose_objective(hp, 1.0, anchor, **plan)(
         np.concatenate([x.ravel(), cams.ravel()]) if camera else x.ravel(), want_row)
@@ -358,19 +347,18 @@ def _tracks_on_fields(draw):
     track = draw(arrays(np.float64, (frames, joints, 2), elements=coords))
     fields = draw(arrays(np.float64, (frames - 1, h, w, 2),
                          elements=st.floats(-5.0, 5.0, allow_nan=False)))
-    beta = draw(st.floats(0.1, 2.0))
-    return track, fields, beta
+    return track, fields
 
 
 @settings(max_examples=60, deadline=None)
 @given(_tracks_on_fields())
 def test_batched_flow_consistency_matches_per_pair_loop(case):
     # the objective's flow term alone, in 2-D mode, against a per-pair loop
-    track, fields, beta = case
-    value, grad = _pose_objective(_only(lam_opt=1.0), beta, _planes(track),
+    track, fields = case
+    value, grad = _pose_objective(_only(lam_opt=1.0), _planes(track),
                                   flows_uv=fields)(_to_params(track))
     want_value, want_grad, want_clamped = flow_consistency_oracle(
-        track.tolist(), fields.tolist(), beta)
+        track.tolist(), fields.tolist(), 1.0)
     assert value == pytest.approx(want_value, rel=1e-12, abs=1e-15)
     # the weight 1/n is folded into each residual's slope, so the gradient
     # agrees to rounding, within 1e-12 of its largest component
@@ -430,7 +418,7 @@ def test_workspace_objective_matches_allocating_oracle(seed, camera, lams):
     # several points on one plan, so state left in the workspace would show
     x, cams, anchor, plan = _scene_point(seed, camera)
     hp = PoseHyperParams(**dict(zip(_LAMS, lams)))
-    evaluate = _pose_objective(hp, 1.0, _planes(anchor), **plan)
+    evaluate = _pose_objective(hp, _planes(anchor), **plan)
     oracle = allocating_pose_objective(hp, 1.0, _planes(anchor), **plan)
     rng = np.random.Generator(np.random.PCG64(seed))
     for step in (0.0, 0.3, 0.0, 2.0):
@@ -448,7 +436,7 @@ def test_workspace_objective_matches_allocating_oracle(seed, camera, lams):
 @pytest.mark.parametrize("camera", [True, False])
 def test_evaluate_leaves_inputs_and_earlier_results_alone(camera):
     x, cams, anchor, plan = _scene_point(3, camera)
-    evaluate = _pose_objective(PoseHyperParams(), 1.0, _planes(anchor), **plan)
+    evaluate = _pose_objective(PoseHyperParams(), _planes(anchor), **plan)
     first = _planes_of(x, cams, camera)
     before = first.copy()
     value, grad = evaluate(first)
@@ -463,13 +451,15 @@ def test_evaluate_leaves_inputs_and_earlier_results_alone(camera):
     assert again_value == value and np.array_equal(again, kept)
 
 
-@pytest.mark.parametrize("beta", [1.0, 0.5, 3.0])
-def test_huber_parts_match_np_clip_form_bit_for_bit(beta):
-    r = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, beta, -beta, 0.5 * beta,
-                  -2.0 * beta, np.nextafter(beta, 0.0), 1e-300, -5e-324])
-    slope = np.clip(np.divide(r, beta), -1.0, 1.0)
-    want = (slope * (r - 0.5 * beta * slope), slope)
-    for got, ref in zip(_huber_parts(r, beta), want):
+@pytest.mark.parametrize("scale", [1.0, 0.5, 3.0])
+def test_huber_parts_match_np_clip_form_bit_for_bit(scale):
+    # the penalty gives the bits of the divide-and-clip form at a threshold
+    # of 1.0, on probes inside (0.5), at (1) and past (3) the kink
+    r = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, scale, -scale, 0.5 * scale,
+                  -2.0 * scale, np.nextafter(scale, 0.0), 1e-300, -5e-324])
+    slope = np.clip(np.divide(r, 1.0), -1.0, 1.0)
+    want = (slope * (r - 0.5 * 1.0 * slope), slope)
+    for got, ref in zip(_huber_parts(r), want):
         assert got.tobytes() == ref.tobytes()
 
 

@@ -43,6 +43,18 @@ def test_zero_area_image_rejected():
         rasterize_skeleton(np.zeros((2, 2)), _line_topo(), 0, 5, radius=1)
 
 
+@pytest.mark.parametrize("name", ["width", "height", "radius"])
+@pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), "abc", -1, True])
+def test_non_count_size_or_radius_rejected(name, value):
+    # none of these is truncated to an integer or escapes as a plain error
+    joints = np.array([[1.0, 1.0], [3.0, 2.0]])
+    size = {"width": 8, "height": 6, "radius": 1, name: value}
+    with pytest.raises(InvalidInputError, match=name):
+        rasterize_skeleton(joints, _line_topo(), **size)
+    with pytest.raises(InvalidInputError, match=name):
+        bone_flow(joints, joints, _line_topo(), **size)
+
+
 def test_mask_monotone_in_radius():
     rng = np.random.default_rng(0)
     topo = SkeletonTopology(joint_count=4, bones=((0, 1), (1, 2), (1, 3)))

@@ -31,7 +31,7 @@ def test_generated_bone_lengths_constant():
     # track: no bone length changes between frames
     gt = generate_scene(seed=5, frames=8, width=64, height=64)
     x = _planes(gt.scene.pose.positions)
-    evaluate = _pose_objective(_only(lam_bone=1.0), 1.0, x,
+    evaluate = _pose_objective(_only(lam_bone=1.0), x,
                                bones=gt.scene.topology.bone_array())
     value, grad = evaluate(x.ravel())
     assert value < 1e-20
