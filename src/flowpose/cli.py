@@ -4,7 +4,8 @@ Subcommands: synth, perturb, refine-flow, refine-pose, bootstrap, eval,
 avg, check-grads.  Exit codes: 0 success, 2 usage error, 3 input format
 error, 4 numerical failure.  Scenes live in directories containing
 meta.json, topology.json, the track files and a flows/ subdirectory of
-.flo files; every subcommand that writes a scene emits the same layout.
+.flo files; every subcommand reads a scene with ``fileio.read_bundle`` and
+writes one with ``fileio.write_bundle``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 
 from .errors import FormatError, InvalidInputError, NumericalError
 from . import fileio
-from .fileio import RunConfig, RunPaths, scene_paths
-from .geometry import MODE_2D, MODE_3D, SceneBundle, average_tracks, default_topology
+from .fileio import RunConfig
+from .geometry import MODE_2D, MODE_3D, average_tracks, default_topology
 from .gradcheck import run_gradient_checks
-from .pipeline import CycleSchedule, FlowStage, PoseStage, bootstrap
+from .pipeline import CycleSchedule, bootstrap
 from .synth import (GroundTruthBundle, NoiseConfig, epe, generate_scene,
                     mpjpe, perturb, sequence_joint_epe)
 
@@ -33,23 +34,6 @@ class UsageError(Exception):
 
 def _fmt(value) -> str:
     return "n/a" if value is None else f"{value:.6g}"
-
-
-def _bundle_from_paths(paths: RunPaths, mode: str) -> SceneBundle:
-    if not paths.detections or not paths.flows:
-        raise UsageError("detections and flows paths are required")
-    detections, _ = fileio.read_track(paths.detections, "detections")
-    flows = fileio.read_flow_dir(paths.flows)
-    topo = fileio.read_topology(paths.topology) if paths.topology and Path(
-        paths.topology).exists() else default_topology()
-    pose = camera = None
-    if paths.pose and (mode == MODE_3D or Path(paths.pose).exists()):
-        pose, _ = fileio.read_track(paths.pose, "pose")
-    if paths.camera and (mode == MODE_3D or Path(paths.camera).exists()):
-        camera, _ = fileio.read_track(paths.camera, "camera")
-    return SceneBundle(topology=topo, width=flows[0].width, height=flows[0].height,
-                       detections=detections, flows=tuple(flows), mode=mode,
-                       pose=pose, camera=camera)
 
 
 def _load_gt(dirpath) -> GroundTruthBundle:
@@ -64,22 +48,18 @@ def _print_records(records) -> None:
               f"epe={_fmt(r.epe)}{drift}")
 
 
-def _run(cfg: RunConfig, paths: RunPaths, gt_dir) -> int:
-    """Bootstrap the scene at ``paths`` under ``cfg``, write the result and
-    its report to ``paths.output`` and print the stage records."""
-    bundle = _bundle_from_paths(paths, cfg.mode)
+def _run(cfg: RunConfig, scene_dir, out_dir, gt_dir) -> int:
+    """Bootstrap the scene in ``scene_dir`` under ``cfg``, whose mode wins
+    over the scene's; write the result and its report to ``out_dir`` and
+    print the stage records."""
+    bundle = replace(fileio.read_bundle(scene_dir), mode=cfg.mode)
     gt = _load_gt(gt_dir) if gt_dir else None
     out, records = bootstrap(bundle, cfg.schedule, cfg.pose_params,
                              cfg.flow_params, gt=gt)
-    fileio.write_bundle(paths.output, out)
-    fileio.write_report(Path(paths.output) / "report.json", records)
+    fileio.write_bundle(out_dir, out)
+    fileio.write_report(Path(out_dir) / "report.json", records)
     _print_records(records)
     return 0
-
-
-def _run_schedule(args, schedule: CycleSchedule) -> int:
-    return _run(RunConfig(mode=args.mode, schedule=schedule),
-                replace(scene_paths(args.input), output=args.out), args.gt)
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +89,13 @@ def _cmd_perturb(args) -> int:
     return 0
 
 
-def _cmd_refine_flow(args) -> int:
-    epochs = args.epochs if args.epochs is not None else (8 if args.mode == MODE_3D else 50)
-    return _run_schedule(args, CycleSchedule((FlowStage(epochs),)))
-
-
-def _cmd_refine_pose(args) -> int:
-    epochs = args.epochs if args.epochs is not None else 1500
-    return _run_schedule(args, CycleSchedule((PoseStage(epochs),)))
+def _cmd_refine(args) -> int:
+    """The mode's default stage of ``args.kind``, with ``--epochs`` swapped in."""
+    stage = next(s for s in CycleSchedule.default(args.mode).stages if s.kind == args.kind)
+    if args.epochs is not None:
+        stage = replace(stage, epochs=args.epochs)
+    return _run(RunConfig(mode=args.mode, schedule=CycleSchedule((stage,))),
+                args.input, args.out, args.gt)
 
 
 def _cmd_bootstrap(args) -> int:
@@ -124,6 +103,8 @@ def _cmd_bootstrap(args) -> int:
         cfg = RunConfig(mode=args.mode or MODE_3D)
         sys.stdout.write(json.dumps(fileio.config_to_dict(cfg), indent=2) + "\n")
         return 0
+    if not args.input or not args.out:
+        raise UsageError("bootstrap needs an input and an output directory (--in, --out)")
     cfg = fileio.read_config(args.config) if args.config else RunConfig(
         mode=args.mode or MODE_3D)
     if args.mode:
@@ -131,14 +112,7 @@ def _cmd_bootstrap(args) -> int:
                       schedule=cfg.schedule if args.config else None)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    paths = cfg.paths
-    if args.input:
-        paths = replace(scene_paths(args.input), output=paths.output)
-    if args.out:
-        paths = replace(paths, output=args.out)
-    if not paths.output:
-        raise UsageError("an output directory is required (--out or config paths.output)")
-    return _run(cfg, paths, args.gt)
+    return _run(cfg, args.input, args.out, args.gt)
 
 
 def _cmd_eval(args) -> int:
@@ -240,12 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine-flow", help="run a single flow-refinement stage")
     _add_scene_io(p)
     p.add_argument("--epochs", type=int, help="default 8 (3d) or 50 (2d)")
-    p.set_defaults(func=_cmd_refine_flow)
+    p.set_defaults(func=_cmd_refine, kind="flow")
 
     p = sub.add_parser("refine-pose", help="run a single pose-refinement stage")
     _add_scene_io(p)
     p.add_argument("--epochs", type=int, help="default 1500")
-    p.set_defaults(func=_cmd_refine_pose)
+    p.set_defaults(func=_cmd_refine, kind="pose")
 
     p = sub.add_parser("bootstrap", help="run the full refinement schedule")
     p.add_argument("--config", help="config JSON (see --print-config)")

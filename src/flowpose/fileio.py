@@ -283,27 +283,15 @@ def read_bundle(dirpath) -> SceneBundle:
 # run configuration
 
 @dataclass(frozen=True)
-class RunPaths:
-    """Input and output locations for a pipeline run."""
-
-    pose: str | None = None
-    camera: str | None = None
-    detections: str | None = None
-    flows: str | None = None
-    topology: str | None = None
-    output: str | None = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run needs; defaults match the shipped settings."""
+    """A pipeline run's settings; defaults match the shipped settings.  The
+    scene it reads and the directory it writes are the caller's."""
 
     mode: str = MODE_3D
     seed: int = 0
     schedule: CycleSchedule | None = None
     pose_params: PoseHyperParams = PoseHyperParams()
     flow_params: FlowRefineParams = FlowRefineParams()
-    paths: RunPaths = RunPaths()
 
     def __post_init__(self):
         if self.mode not in (MODE_3D, MODE_2D):
@@ -316,14 +304,13 @@ _STAGES = {stage.kind: stage for stage in (FlowStage, PoseStage)}
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    return {"format": "config-v1", "mode": cfg.mode, "seed": cfg.seed,
+    return {"format": "config-v2", "mode": cfg.mode, "seed": cfg.seed,
             "schedule": [{"kind": s.kind, "epochs": s.epochs} for s in cfg.schedule.stages],
-            "pose": asdict(cfg.pose_params), "flow": asdict(cfg.flow_params),
-            "paths": asdict(cfg.paths)}
+            "pose": asdict(cfg.pose_params), "flow": asdict(cfg.flow_params)}
 
 
 def config_from_dict(doc: dict, context: str = "config") -> RunConfig:
-    if _require(doc, "format", context) != "config-v1":
+    if _require(doc, "format", context) != "config-v2":
         raise SchemaError(f"{context}: unsupported format {doc['format']!r}")
     try:
         stages = []
@@ -335,14 +322,12 @@ def config_from_dict(doc: dict, context: str = "config") -> RunConfig:
             stages.append(_STAGES[kind](epochs))
         hp_doc = _require(doc, "pose", context)
         fp_doc = _require(doc, "flow", context)
-        paths_doc = doc.get("paths") or {}
         return RunConfig(
             mode=_require(doc, "mode", context),
             seed=_integer(doc, "seed", context, default=0),
             schedule=CycleSchedule(tuple(stages)),
             pose_params=PoseHyperParams(**hp_doc),
-            flow_params=FlowRefineParams(**fp_doc),
-            paths=RunPaths(**paths_doc))
+            flow_params=FlowRefineParams(**fp_doc))
     except (InvalidInputError, TypeError, ValueError) as exc:
         raise SchemaError(f"{context}: {exc}") from exc
 
@@ -364,19 +349,10 @@ def write_report(path, records) -> None:
     _atomic_write_text(path, _dump_json(doc))
 
 
-def scene_paths(dirpath) -> RunPaths:
-    """The canonical member paths of a scene directory."""
-    d = Path(dirpath)
-    return RunPaths(pose=str(d / "pose.json"), camera=str(d / "camera.json"),
-                    detections=str(d / "detections.json"),
-                    flows=str(d / "flows"), topology=str(d / "topology.json"),
-                    output=None)
-
-
 __all__ = [
-    "FLO_MAGIC", "RunConfig", "RunPaths",
+    "FLO_MAGIC", "RunConfig",
     "read_flo", "write_flo", "read_flow_dir", "write_flow_dir",
     "read_track", "write_track", "read_topology", "write_topology",
     "read_bundle", "write_bundle", "read_config", "write_config",
-    "config_to_dict", "config_from_dict", "write_report", "scene_paths",
+    "config_to_dict", "config_from_dict", "write_report",
 ]

@@ -47,12 +47,14 @@ def adam_init(params) -> AdamState:
     return AdamState(0, np.zeros_like(p), np.zeros_like(p))
 
 
-def _epoch_history(epochs: int, *row: int) -> np.ndarray:
-    """Zeroed per-epoch record; a count too large to allocate is bad input."""
+def _epoch_history(epochs: int, *row: int, what: str = "epochs") -> np.ndarray:
+    """Zeroed ``(epochs, *row)`` array, a per-epoch record or any other; a
+    size too large to allocate is bad input, named by ``what``."""
     try:
         return np.zeros((epochs, *row))
     except (ValueError, MemoryError):
-        raise InvalidInputError(f"epochs: cannot record {epochs} epochs") from None
+        raise InvalidInputError(
+            f"{what}: cannot allocate a {(epochs, *row)} array") from None
 
 
 def adam_step(state: AdamState, params, grads, lr: float):

@@ -164,14 +164,13 @@ def bootstrap(bundle: SceneBundle, schedule: CycleSchedule | None = None,
                         finals.append(losses[-1])
                 final_loss = float(np.mean(finals)) if finals else None
             else:
-                stage_hp = replace(hp, epochs=stage.epochs)
                 if bundle.mode == MODE_3D:
                     pose, camera, history = refine_pose(
                         bundle.pose, bundle.camera, observations, flows,
-                        topo, stage_hp)
+                        topo, hp, stage.epochs)
                 else:
                     pose2d, history = refine_pose_2d(
-                        bundle.detections, observations, flows, topo, stage_hp)
+                        bundle.detections, observations, flows, topo, hp, stage.epochs)
                 final_loss = float(history[-1, 0]) if history.size else None
         except NumericalError as exc:
             raise NumericalError(f"stage {idx} ({kind}): {exc}") from exc

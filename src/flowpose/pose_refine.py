@@ -52,7 +52,8 @@ _NORM_EPS = 1e-12  # guards the bone-direction derivative at zero length
 
 @dataclass(frozen=True)
 class PoseHyperParams:
-    """Loss weights and optimization settings for pose refinement."""
+    """Loss weights and learning rate for pose refinement; the epoch budget
+    is the refiner's argument (a schedule's ``PoseStage``)."""
 
     lam_opt: float = 0.01
     lam_3d: float = 400.0
@@ -61,14 +62,12 @@ class PoseHyperParams:
     lam_cam: float = 0.1
     lam_bone: float = 1e4
     lr: float = 0.001
-    epochs: int = 1500
 
     def __post_init__(self):
         for name in ("lam_opt", "lam_3d", "lam_2d", "lam_pos", "lam_cam", "lam_bone"):
             if _finite_number(getattr(self, name), name) < 0:
                 raise InvalidInputError("loss weights must be finite and >= 0")
         _finite_number(self.lr, "learning rate")
-        object.__setattr__(self, "epochs", _count(self.epochs, "epochs"))
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +303,10 @@ def _pose_objective(hp: PoseHyperParams, x0: np.ndarray,
     return evaluate
 
 
-def _descend(evaluate, params: np.ndarray, hp: PoseHyperParams, what: str,
+def _descend(evaluate, params: np.ndarray, epochs: int, lr: float, what: str,
              scales: slice | None = None):
-    """``hp.epochs`` Adam steps on ``evaluate``; returns ``(params, history)``.
+    """``epochs`` Adam steps of rate ``lr`` on ``evaluate``; returns
+    ``(params, history)``.
 
     ``history`` holds each epoch's row before its step.  ``scales`` is the
     slice of ``params`` holding the per-frame camera scales, if any; a scale
@@ -314,7 +314,7 @@ def _descend(evaluate, params: np.ndarray, hp: PoseHyperParams, what: str,
     parameters.
     """
     state = adam_init(params)
-    history = _epoch_history(hp.epochs, 5)
+    history = _epoch_history(_count(epochs, "epochs"), 5)
     # divergence is detected right below; silence the transient fp noise
     with np.errstate(over="ignore", invalid="ignore"):
         for e, row in enumerate(history):
@@ -323,7 +323,7 @@ def _descend(evaluate, params: np.ndarray, hp: PoseHyperParams, what: str,
                 raise NumericalError(
                     f"{what} diverged at epoch {e}: "
                     f"flow={row[1]:g} anchor={row[2]:g} det={row[3]:g} temporal={row[4]:g}")
-            params, state = adam_step(state, params, grad, hp.lr)
+            params, state = adam_step(state, params, grad, lr)
             # a non-positive scale is an optimizer failure, not a bad input;
             # fmin passes over a NaN scale, which the next evaluation reports
             if scales is not None and np.fmin.reduce(params[scales]) <= 0.0:
@@ -334,7 +334,7 @@ def _descend(evaluate, params: np.ndarray, hp: PoseHyperParams, what: str,
     # every other step is caught by the next epoch's evaluation
     if not np.all(np.isfinite(params)):
         raise NumericalError(
-            f"{what} produced non-finite parameters at epoch {hp.epochs - 1}")
+            f"{what} produced non-finite parameters at epoch {epochs - 1}")
     return params, history
 
 
@@ -359,10 +359,11 @@ def _only(**lams) -> PoseHyperParams:
 
 def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
                 det: DetectionTrack, flows: Sequence[FlowField],
-                topo: SkeletonTopology, hp: PoseHyperParams | None = None):
+                topo: SkeletonTopology, hp: PoseHyperParams | None = None,
+                epochs: int = 1500):
     """Jointly refine 3-D joints and cameras over the whole sequence.
 
-    Starts at the initial estimates and runs ``hp.epochs`` Adam steps on the
+    Starts at the initial estimates and runs ``epochs`` Adam steps on the
     full objective.  The deviation term compares against the starting pose
     (the original off-the-shelf estimates).
     Returns ``(pose, camera, history)`` where ``history`` has one row per
@@ -387,7 +388,7 @@ def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
     evaluate = _pose_objective(hp, x0, det, _stack_flows(flows),
                                topo.bone_array(), camera=True)
     params = _to_params(pose_init.positions, camera_init.params)
-    params, history = _descend(evaluate, params, hp, "pose refinement",
+    params, history = _descend(evaluate, params, epochs, hp.lr, "pose refinement",
                                slice(n_x, n_x + pose_init.frames))
     return (PoseTrack(_interleaved(params[:n_x].reshape(x0.shape))),
             CameraTrack(_interleaved(params[n_x:].reshape(3, -1))),
@@ -396,7 +397,7 @@ def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
 
 def refine_pose_2d(x_init: DetectionTrack, det: DetectionTrack,
                    flows: Sequence[FlowField], topo: SkeletonTopology,
-                   hp: PoseHyperParams | None = None):
+                   hp: PoseHyperParams | None = None, epochs: int = 1500):
     """Fallback refinement operating purely on 2-D joint tracks.
 
     The flow, anchor, detection and temporal terms mirror the 3-D objective
@@ -419,5 +420,6 @@ def refine_pose_2d(x_init: DetectionTrack, det: DetectionTrack,
 
     x0 = _planes(x_init.pixels)
     evaluate = _pose_objective(hp, x0, det, _stack_flows(flows), topo.bone_array())
-    params, history = _descend(evaluate, _to_params(x_init.pixels), hp, "2d refinement")
+    params, history = _descend(evaluate, _to_params(x_init.pixels), epochs, hp.lr,
+                               "2d refinement")
     return DetectionTrack(_interleaved(params.reshape(x0.shape)), x_init.confidence), history

@@ -19,6 +19,7 @@ from .errors import InvalidInputError
 from .geometry import (MODE_3D, CameraTrack, DetectionTrack, FlowField,
                        PoseTrack, SceneBundle, SkeletonTopology, _bone_tree, _count,
                        default_topology, project_track)
+from .optim import _epoch_history
 from .pose_refine import _sample_flow
 from .raster import bone_flow, compose_target_flow
 
@@ -116,7 +117,7 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
     root_freq = rng.integers(1, 3, size=3)
     root_phase = rng.uniform(0.0, 2.0 * np.pi, size=3)
 
-    X = np.zeros((frames, joint_count, 3))
+    X = _epoch_history(frames, joint_count, 3, what="frames")
     root = min({j for bone in topo.bones for j in bone}, default=0)
     for t in range(frames):
         tau = 2.0 * np.pi * t / _MOTION_PERIOD
@@ -143,7 +144,7 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
     joints2d = project_track(pose, camera)
     detections = DetectionTrack(joints2d, np.ones((frames, joint_count)))
 
-    bg = np.empty((height, width, 2))
+    bg = _epoch_history(height, width, 2, what="image size")
     bg[:, :, 0] = background[0]
     bg[:, :, 1] = background[1]
     flows = []

@@ -1,16 +1,21 @@
-"""The package's public names: ``__all__`` and the README's library example."""
+"""The public names: the package's and ``fileio``'s ``__all__``, and the README's
+library example."""
 
 import re
 from pathlib import Path
 
+import pytest
+
 import flowpose
+import flowpose.fileio
 
 
-def test_every_public_name_resolves_once():
-    names = flowpose.__all__
+@pytest.mark.parametrize("module", [flowpose, flowpose.fileio], ids=lambda m: m.__name__)
+def test_every_public_name_resolves_once(module):
+    names = module.__all__
     assert len(names) == len(set(names))
     for name in names:
-        assert hasattr(flowpose, name), name
+        assert hasattr(module, name), name
 
 
 def test_readme_library_use_names_are_public():

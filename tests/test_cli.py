@@ -155,9 +155,7 @@ def _bootstrap_with(tmp_path, block, field, json_value):
 
 
 @pytest.mark.parametrize("block, field, json_value", [
-    ("pose", "epochs", "1e400"),
-    ("pose", "epochs", "-1e400"),
-    ("pose", "epochs", "2.5"),
+    ("pose", "epochs", "1500"),    # the pose budget is each schedule stage's
     ("pose", "lr", '"abc"'),
     ("pose", "lr", "[1]"),
     ("pose", "lam_opt", "true"),
@@ -195,16 +193,65 @@ def test_epoch_count_too_large_to_record_exit_3(tmp_path, capsys, command):
     assert "epochs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["flow", "pose"])
-def test_config_stage_too_large_to_record_exit_3(tmp_path, capsys, kind):
+@pytest.mark.parametrize("kind, json_value", [
+    pytest.param("flow", "1" + "0" * 30, id="flow"),
+    pytest.param("pose", "1" + "0" * 30, id="pose"),
+    ("pose", "1e400"),
+    ("pose", "-1e400"),
+    ("pose", "2.5"),
+])
+def test_config_stage_too_large_to_record_exit_3(tmp_path, capsys, kind, json_value):
     gt = _synth(tmp_path, size=16)
     doc = fileio.config_to_dict(fileio.RunConfig())
     doc["schedule"] = [{"kind": kind, "epochs": "@value@"}]
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc).replace('"@value@"', "1" + "0" * 30))
+    cfg_path.write_text(json.dumps(doc).replace('"@value@"', json_value))
     assert main(["bootstrap", "--config", str(cfg_path), "--in", str(gt),
                  "--out", str(tmp_path / "out")]) == 3
     assert "epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["meta-number", "no-topology"])
+@pytest.mark.parametrize("command", ["refine-pose", "bootstrap"])
+def test_every_command_reads_the_whole_scene(tmp_path, capsys, command, damage):
+    # refine-pose and bootstrap read a scene as eval does, meta.json and
+    # topology.json included: a malformed or missing member is exit 3
+    gt = _synth(tmp_path, size=16)
+    if damage == "meta-number":
+        (gt / "meta.json").write_text("16")
+    else:
+        (gt / "topology.json").unlink()
+    out = tmp_path / "out"
+    assert main([command, "--in", str(gt), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_bootstrap_needs_in_and_out_exit_2(tmp_path):
+    # a config names no scene: a left-over block of scene and output paths
+    # does not stand in for --in or --out
+    gt = _synth(tmp_path, size=16)
+    doc = fileio.config_to_dict(fileio.RunConfig())
+    doc["schedule"] = [{"kind": "pose", "epochs": 1}]
+    doc["paths"] = {"detections": str(gt / "detections.json"), "flows": str(gt / "flows"),
+                    "output": str(tmp_path / "cfg-out")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["bootstrap", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert main(["bootstrap", "--config", str(cfg_path), "--in", str(gt)]) == 2
+    assert not out.exists() and not (tmp_path / "cfg-out").exists()
+
+
+def test_config_v1_exit_3(tmp_path, capsys):
+    gt = _synth(tmp_path, size=16)
+    doc = fileio.config_to_dict(fileio.RunConfig())
+    doc["format"] = "config-v1"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["bootstrap", "--config", str(cfg_path), "--in", str(gt),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "'config-v1'" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_4(tmp_path):
@@ -229,6 +276,9 @@ def test_check_grads_command(tmp_path, capsys):
     "synth --seed -1", "perturb --seed -1", "perturb --corrupt-rect 0 0 -5 -5",
     "check-grads --seed -1", "check-grads --scenes 0", "check-grads --scenes -2",
     "check-grads --step 0", "check-grads --threshold nan",
+    # sizes past the 128 TiB address space: no machine can allocate them
+    "synth --frames 1000000000000", "synth --height 1000000000000",
+    "synth --width 1000000000000000000",
 ])
 def test_bad_flag_value_exit_3(tmp_path, capsys, flags):
     # a bad value is the caller's fault: no traceback, no exit 4, no silent no-op

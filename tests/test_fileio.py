@@ -216,9 +216,10 @@ def test_bundle_roundtrip(tmp_path):
 def test_config_defaults_match_shipping_settings():
     cfg = RunConfig()
     doc = config_to_dict(cfg)
+    assert doc["format"] == "config-v2"
     assert doc["pose"] == {"lam_opt": 0.01, "lam_3d": 400.0, "lam_2d": 0.01,
                            "lam_pos": 300.0, "lam_cam": 0.1, "lam_bone": 1e4,
-                           "lr": 0.001, "epochs": 1500}
+                           "lr": 0.001}
     assert doc["flow"] == {"stride": 8, "sigma": 1.0, "lr": 0.05, "radius": 15}
     assert doc["schedule"] == [{"kind": "flow", "epochs": 8},
                                {"kind": "pose", "epochs": 1500},
@@ -242,7 +243,7 @@ def test_config_schema_errors():
     with pytest.raises(SchemaError):
         config_from_dict({"format": "nope"})
     with pytest.raises(SchemaError, match="unknown kind"):
-        config_from_dict({"format": "config-v1", "mode": "3d",
+        config_from_dict({"format": "config-v2", "mode": "3d",
                           "schedule": [{"kind": "warp", "epochs": 1}],
                           "pose": {}, "flow": {}})
 
@@ -350,7 +351,7 @@ _REPORT = '''{
 '''
 
 _CONFIG_3D = '''{
-  "format": "config-v1",
+  "format": "config-v2",
   "mode": "3d",
   "seed": 0,
   "schedule": [
@@ -374,22 +375,13 @@ _CONFIG_3D = '''{
     "lam_pos": 300.0,
     "lam_cam": 0.1,
     "lam_bone": 10000.0,
-    "lr": 0.001,
-    "epochs": 1500
+    "lr": 0.001
   },
   "flow": {
     "stride": 8,
     "sigma": 1.0,
     "lr": 0.05,
     "radius": 15
-  },
-  "paths": {
-    "pose": null,
-    "camera": null,
-    "detections": null,
-    "flows": null,
-    "topology": null,
-    "output": null
   }
 }
 '''

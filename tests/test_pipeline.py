@@ -106,7 +106,7 @@ def test_drift_warning_fires_when_error_increases():
 
 def test_stage_errors_are_annotated():
     _, noisy = _small_scene()
-    hp = PoseHyperParams(lr=1e300, epochs=5)
+    hp = PoseHyperParams(lr=1e300)
     with pytest.raises(NumericalError, match=r"stage 0 \(pose\)"):
         bootstrap(noisy, CycleSchedule((PoseStage(5),)), hp=hp)
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,11 +28,14 @@ def test_hyperparam_defaults():
     hp = PoseHyperParams()
     assert (hp.lam_opt, hp.lam_3d, hp.lam_2d) == (0.01, 400.0, 0.01)
     assert (hp.lam_pos, hp.lam_cam, hp.lam_bone) == (300.0, 0.1, 1e4)
-    assert hp.lr == 0.001 and hp.epochs == 1500
+    assert hp.lr == 0.001
+    for refiner in (refine_pose, refine_pose_2d):
+        assert inspect.signature(refiner).parameters["epochs"].default == 1500
     with pytest.raises(InvalidInputError):
         PoseHyperParams(lam_opt=-1.0)
+    topo, pose, cam, det, flows = make_random_scene(3)
     with pytest.raises(InvalidInputError):
-        PoseHyperParams(epochs=-5)
+        refine_pose(pose, cam, det, flows, topo, epochs=-5)
 
 
 def _term(hp, x, cams=None, anchor=None, **plan):
@@ -134,34 +139,31 @@ def test_loss_temp_examples():
 
 def test_refine_pose_anchor_only_is_exact_fixed_point():
     topo, pose, cam, det, flows = make_random_scene(3)
-    hp = PoseHyperParams(lam_opt=0, lam_2d=0, lam_pos=0, lam_cam=0, lam_bone=0,
-                         epochs=100)
-    out_pose, out_cam, _ = refine_pose(pose, cam, det, flows, topo, hp)
+    hp = PoseHyperParams(lam_opt=0, lam_2d=0, lam_pos=0, lam_cam=0, lam_bone=0)
+    out_pose, out_cam, _ = refine_pose(pose, cam, det, flows, topo, hp, epochs=100)
     assert np.array_equal(out_pose.positions, pose.positions)
     assert np.array_equal(out_cam.params, cam.params)
 
 
 def test_epoch_count_too_large_to_record_is_invalid_input():
     topo, pose, cam, det, flows = make_random_scene(4)
-    hp = PoseHyperParams(epochs=10**30)
     with pytest.raises(InvalidInputError, match="epochs"):
-        refine_pose(pose, cam, det, flows, topo, hp)
+        refine_pose(pose, cam, det, flows, topo, epochs=10**30)
     with pytest.raises(InvalidInputError, match="epochs"):
-        refine_pose_2d(det, det, flows, topo, hp)
+        refine_pose_2d(det, det, flows, topo, epochs=10**30)
 
 
 def test_refine_pose_zero_epochs_and_zero_lr_identity():
     topo, pose, cam, det, flows = make_random_scene(4)
-    for hp in (PoseHyperParams(epochs=0), PoseHyperParams(lr=0.0, epochs=20)):
-        out_pose, out_cam, hist = refine_pose(pose, cam, det, flows, topo, hp)
+    for hp, epochs in ((PoseHyperParams(), 0), (PoseHyperParams(lr=0.0), 20)):
+        out_pose, out_cam, hist = refine_pose(pose, cam, det, flows, topo, hp, epochs)
         assert np.array_equal(out_pose.positions, pose.positions)
         assert np.array_equal(out_cam.params, cam.params)
 
 
 def test_refine_pose_total_is_sum_of_terms():
     topo, pose, cam, det, flows = make_random_scene(5)
-    _, _, hist = refine_pose(pose, cam, det, flows, topo,
-                             PoseHyperParams(epochs=10))
+    _, _, hist = refine_pose(pose, cam, det, flows, topo, epochs=10)
     for row in hist:
         assert row[0] == pytest.approx(row[1] + row[2] + row[3] + row[4],
                                        abs=1e-12)
@@ -169,9 +171,8 @@ def test_refine_pose_total_is_sum_of_terms():
 
 def test_refine_pose_deterministic():
     topo, pose, cam, det, flows = make_random_scene(6)
-    hp = PoseHyperParams(epochs=40)
-    a = refine_pose(pose, cam, det, flows, topo, hp)
-    b = refine_pose(pose, cam, det, flows, topo, hp)
+    a = refine_pose(pose, cam, det, flows, topo, epochs=40)
+    b = refine_pose(pose, cam, det, flows, topo, epochs=40)
     assert np.array_equal(a[0].positions, b[0].positions)
     assert np.array_equal(a[1].params, b[1].params)
 
@@ -182,9 +183,8 @@ def test_refine_pose_reduces_noise_with_exact_inputs():
     rng = np.random.Generator(np.random.PCG64(99))
     noisy = PoseTrack(scene.pose.positions
                       + rng.normal(0, 0.02, scene.pose.positions.shape))
-    hp = PoseHyperParams(epochs=600)
     refined, _, hist = refine_pose(noisy, scene.camera, scene.detections,
-                                   scene.flows, scene.topology, hp)
+                                   scene.flows, scene.topology, epochs=600)
     assert mpjpe(refined, scene.pose) < mpjpe(noisy, scene.pose)
     assert hist[-1, 0] < hist[0, 0]
 
@@ -194,8 +194,7 @@ def test_refine_pose_2d_fixed_point_exact():
     pix = np.tile(rng.uniform(5, 25, size=(1, 4, 2)), (4, 1, 1))
     det = DetectionTrack(pix, np.ones((4, 4)))
     flows = [FlowField(np.zeros((32, 32, 2))) for _ in range(3)]
-    out, _ = refine_pose_2d(det, det, flows, _chain(4),
-                            PoseHyperParams(epochs=60))
+    out, _ = refine_pose_2d(det, det, flows, _chain(4), epochs=60)
     assert np.array_equal(out.pixels, det.pixels)
 
 
@@ -203,9 +202,8 @@ def test_refine_pose_2d_anchor_only_identity():
     rng = np.random.default_rng(8)
     det = DetectionTrack(rng.uniform(5, 25, size=(3, 4, 2)), np.ones((3, 4)))
     flows = [FlowField(rng.normal(size=(32, 32, 2))) for _ in range(2)]
-    hp = PoseHyperParams(lam_opt=0, lam_2d=0, lam_pos=0, lam_cam=0, lam_bone=0,
-                         epochs=50)
-    out, _ = refine_pose_2d(det, det, flows, _chain(4), hp)
+    hp = PoseHyperParams(lam_opt=0, lam_2d=0, lam_pos=0, lam_cam=0, lam_bone=0)
+    out, _ = refine_pose_2d(det, det, flows, _chain(4), hp, epochs=50)
     assert np.array_equal(out.pixels, det.pixels)
 
 
@@ -266,13 +264,13 @@ def test_last_step_overflow_is_a_numerical_error(mode):
     with pytest.raises(NumericalError, match=r"non-finite parameters at epoch 0"):
         if mode == "2d":
             refine_pose_2d(det, det, noisy.flows, noisy.topology,
-                           PoseHyperParams(lr=1e308, epochs=1))
+                           PoseHyperParams(lr=1e308), epochs=1)
         else:
             # no camera term has weight, so the scales stay put and only
             # the positions overflow
             refine_pose(noisy.pose, noisy.camera, det, noisy.flows, noisy.topology,
-                        PoseHyperParams(lr=1e308, epochs=1, lam_opt=0, lam_2d=0,
-                                        lam_cam=0))
+                        PoseHyperParams(lr=1e308, lam_opt=0, lam_2d=0, lam_cam=0),
+                        epochs=1)
 
 
 _LAMS = ("lam_opt", "lam_3d", "lam_2d", "lam_pos", "lam_cam", "lam_bone")
