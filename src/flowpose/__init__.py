@@ -13,10 +13,9 @@ from .geometry import (EVAL_JOINTS_14, MODE_2D, MODE_3D, CameraTrack,
                        project_track)
 from .optim import AdamState, adam_init, adam_step, finite_diff_check
 from .raster import BoneRaster, TargetFlow, bone_flow, compose_target_flow, rasterize_skeleton
-from .flow_refine import refine_flow
+from .flow_refine import FlowRefineParams, refine_flow
 from .pose_refine import PoseHyperParams, refine_pose, refine_pose_2d
-from .pipeline import (CycleSchedule, FlowRefineParams, FlowStage, PoseStage,
-                       StageRecord, bootstrap)
+from .pipeline import CycleSchedule, FlowStage, PoseStage, StageRecord, bootstrap
 from .synth import (GroundTruthBundle, NoiseConfig, epe, generate_scene,
                     mpjpe, perturb, sequence_joint_epe, standard_benchmark)
 

@@ -52,7 +52,7 @@ def _run(cfg: RunConfig, scene_dir, out_dir, gt_dir) -> int:
     """Bootstrap the scene in ``scene_dir`` under ``cfg``, whose mode wins
     over the scene's; write the result and its report to ``out_dir`` and
     print the stage records."""
-    bundle = replace(fileio.read_bundle(scene_dir), mode=cfg.mode)
+    bundle = fileio.read_bundle(scene_dir, cfg.mode)
     gt = _load_gt(gt_dir) if gt_dir else None
     out, records = bootstrap(bundle, cfg.schedule, cfg.pose_params,
                              cfg.flow_params, gt=gt)

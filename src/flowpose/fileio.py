@@ -16,8 +16,9 @@ the type's dataclass fields, written and read in field order, so
 ``write_track`` and ``read_track`` hold no per-kind code.  Floats are
 serialized with full precision, so a write/read round trip is exact.
 
-Configs and stage reports are serialized from their dataclasses' own
-fields, in field order.
+A scene's ``meta.json`` records its mode, which ``read_bundle`` may
+override.  Configs and stage reports are serialized from their
+dataclasses' own fields, in field order, and a config holds no others.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ import numpy as np
 
 from .errors import FormatError, InvalidInputError, SchemaError
 from .geometry import (MODE_2D, MODE_3D, CameraTrack, DetectionTrack,
-                       FlowField, PoseTrack, SceneBundle, SkeletonTopology)
-from .pipeline import CycleSchedule, FlowRefineParams, FlowStage, PoseStage
+                       FlowField, PoseTrack, SceneBundle, SkeletonTopology, _count)
+from .flow_refine import FlowRefineParams
+from .pipeline import CycleSchedule, FlowStage, PoseStage
 from .pose_refine import PoseHyperParams
 
 FLO_MAGIC = float(np.float32(202021.25))
@@ -89,16 +91,6 @@ def _require(doc: dict, key: str, context: str):
     if key not in doc:
         raise SchemaError(f"{context}: missing field '{key}'")
     return doc[key]
-
-
-def _integer(doc: dict, key: str, context: str, default: int | None = None) -> int:
-    """Integer field ``key`` of ``doc``: a JSON number with an integral value."""
-    value = _require(doc, key, context) if default is None else doc.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{context}: field '{key}' is not an integer: {value!r}")
-    return value
 
 
 def _numeric_array(doc: dict, key: str, context: str) -> np.ndarray:
@@ -195,14 +187,14 @@ def read_track(path, kind: str | None = None):
         raise SchemaError(f"{ctx}: expected a {kind} track")
     cls, dims, _ = _TRACKS[found]
     units = str(_require(doc, "units", ctx))
-    shape = tuple(_integer(doc, d, ctx) for d in dims)
-    arrays = []
-    for f in fields(cls):
-        arrays.append(_numeric_array(doc, f.name, ctx))
-        if arrays[-1].shape[:len(dims)] != shape:
-            raise SchemaError(f"{ctx}: {f.name} shape {arrays[-1].shape} does not match "
-                              + ", ".join(f"{d}={n}" for d, n in zip(dims, shape)))
     try:
+        shape = tuple(_count(_require(doc, d, ctx), d) for d in dims)
+        arrays = []
+        for f in fields(cls):
+            arrays.append(_numeric_array(doc, f.name, ctx))
+            if arrays[-1].shape[:len(dims)] != shape:
+                raise SchemaError(f"{ctx}: {f.name} shape {arrays[-1].shape} does not match "
+                                  + ", ".join(f"{d}={n}" for d, n in zip(dims, shape)))
         return cls(*arrays), units
     except InvalidInputError as exc:
         raise SchemaError(f"{ctx}: {exc}") from exc
@@ -226,7 +218,7 @@ def read_topology(path) -> SkeletonTopology:
         raise SchemaError(f"{ctx}: unsupported format {doc['format']!r}")
     try:
         return SkeletonTopology(
-            joint_count=_integer(doc, "joint_count", ctx),
+            joint_count=_require(doc, "joint_count", ctx),
             bones=tuple(tuple(b) for b in _require(doc, "bones", ctx)),
             names=tuple(doc["names"]) if doc.get("names") else None,
             eval_subset=tuple(doc["eval_subset"]) if doc.get("eval_subset") else None)
@@ -253,15 +245,17 @@ def write_bundle(dirpath, bundle: SceneBundle) -> None:
     write_flow_dir(d / "flows", bundle.flows)
 
 
-def read_bundle(dirpath) -> SceneBundle:
+def read_bundle(dirpath, mode: str | None = None) -> SceneBundle:
+    """Read a scene directory; ``mode``, when given, overrides the one in
+    ``meta.json``, and a 3-D read needs ``pose.json`` and ``camera.json``."""
     d = Path(dirpath)
     meta = _load_json(d / "meta.json")
     ctx = str(d / "meta.json")
     if _require(meta, "format", ctx) != "bundle-v1":
         raise SchemaError(f"{ctx}: unsupported format {meta['format']!r}")
-    mode = _require(meta, "mode", ctx)
-    if mode not in (MODE_3D, MODE_2D):
-        raise SchemaError(f"{ctx}: unknown mode {mode!r}")
+    if _require(meta, "mode", ctx) not in (MODE_3D, MODE_2D):
+        raise SchemaError(f"{ctx}: unknown mode {meta['mode']!r}")
+    mode = mode or meta["mode"]
     topo = read_topology(d / "topology.json")
     detections, _ = read_track(d / "detections.json", "detections")
     pose = camera = None
@@ -271,8 +265,8 @@ def read_bundle(dirpath) -> SceneBundle:
         camera, _ = read_track(d / "camera.json", "camera")
     flows = read_flow_dir(d / "flows")
     try:
-        return SceneBundle(topology=topo, width=_integer(meta, "width", ctx),
-                           height=_integer(meta, "height", ctx),
+        return SceneBundle(topology=topo, width=_require(meta, "width", ctx),
+                           height=_require(meta, "height", ctx),
                            detections=detections, flows=tuple(flows), mode=mode,
                            pose=pose, camera=camera)
     except InvalidInputError as exc:
@@ -296,6 +290,7 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in (MODE_3D, MODE_2D):
             raise InvalidInputError(f"mode must be '3d' or '2d', got {self.mode!r}")
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if self.schedule is None:
             object.__setattr__(self, "schedule", CycleSchedule.default(self.mode))
 
@@ -309,22 +304,30 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "pose": asdict(cfg.pose_params), "flow": asdict(cfg.flow_params)}
 
 
+def _known_fields(doc: dict, known: dict, context: str) -> None:
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise SchemaError(f"{context}: unknown field {unknown[0]!r}")
+
+
 def config_from_dict(doc: dict, context: str = "config") -> RunConfig:
     if _require(doc, "format", context) != "config-v2":
         raise SchemaError(f"{context}: unsupported format {doc['format']!r}")
+    known = config_to_dict(RunConfig())
+    _known_fields(doc, known, context)
     try:
         stages = []
         for i, s in enumerate(_require(doc, "schedule", context)):
             kind = _require(s, "kind", f"{context}: schedule[{i}]")
-            epochs = _integer(s, "epochs", f"{context}: schedule[{i}]")
+            _known_fields(s, known["schedule"][0], f"{context}: schedule[{i}]")
             if not isinstance(kind, str) or kind not in _STAGES:
                 raise SchemaError(f"{context}: schedule[{i}]: unknown kind {kind!r}")
-            stages.append(_STAGES[kind](epochs))
+            stages.append(_STAGES[kind](_require(s, "epochs", f"{context}: schedule[{i}]")))
         hp_doc = _require(doc, "pose", context)
         fp_doc = _require(doc, "flow", context)
         return RunConfig(
             mode=_require(doc, "mode", context),
-            seed=_integer(doc, "seed", context, default=0),
+            seed=doc.get("seed", 0),
             schedule=CycleSchedule(tuple(stages)),
             pose_params=PoseHyperParams(**hp_doc),
             flow_params=FlowRefineParams(**fp_doc))

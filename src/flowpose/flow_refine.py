@@ -16,6 +16,7 @@ products and the gradient ``M_y.T g M_x / n``, the ``1 / n`` on the grid.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, isfinite
 
@@ -25,6 +26,25 @@ from .errors import InvalidInputError, NumericalError
 from .geometry import FlowField, _count, _finite_number
 from .optim import _epoch_history, adam_init, adam_step
 from .raster import TargetFlow
+
+
+@dataclass(frozen=True)
+class FlowRefineParams:
+    """Flow-refiner settings plus the raster radius used for overlays."""
+
+    stride: int = 8
+    sigma: float = 1.0
+    lr: float = 0.05
+    radius: int = 15
+
+    def __post_init__(self):
+        if _count(self.stride, "stride") < 1:
+            raise InvalidInputError("stride must be >= 1")
+        if _finite_number(self.sigma, "sigma") < 0:
+            raise InvalidInputError("sigma must be >= 0")
+        _finite_number(self.lr, "learning rate")
+        object.__setattr__(self, "stride", int(self.stride))
+        object.__setattr__(self, "radius", _count(self.radius, "radius"))
 
 
 def grid_shape(width: int, height: int, stride: int) -> tuple[int, int]:
@@ -124,9 +144,9 @@ def flow_objective(grid_values: np.ndarray, base_uv: np.ndarray,
 
 
 def refine_flow(base: FlowField, target: TargetFlow, epochs: int,
-                lr: float = 0.05, stride: int = 8,
-                sigma: float = 1.0) -> tuple[FlowField, np.ndarray]:
-    """Run ``epochs`` Adam passes pulling the base flow toward the target.
+                params: FlowRefineParams | None = None) -> tuple[FlowField, np.ndarray]:
+    """Run ``epochs`` Adam passes pulling the base flow toward the target, at
+    the stride, blur and rate of ``params`` (default ``FlowRefineParams()``).
 
     Returns the refined field and the per-epoch objective values (the value
     *before* each step).  ``epochs=0`` returns the base unchanged, and a
@@ -135,15 +155,13 @@ def refine_flow(base: FlowField, target: TargetFlow, epochs: int,
     if target.flow.uv.shape != base.uv.shape:
         raise InvalidInputError("target dimensions do not match the base flow")
     epochs = _count(epochs, "epochs")
-    if _count(stride, "stride") < 1 or _finite_number(sigma, "sigma") < 0:
-        raise InvalidInputError("stride must be >= 1 and sigma >= 0")
-    _finite_number(lr, "learning rate")
+    params = params or FlowRefineParams()
     if epochs == 0:
         return base, np.zeros(0)
 
     losses = _epoch_history(epochs)
-    evaluate = _flow_objective(base.uv, target.flow.uv, stride, sigma)
-    values = np.zeros((2, *grid_shape(base.width, base.height, stride)))
+    evaluate = _flow_objective(base.uv, target.flow.uv, params.stride, params.sigma)
+    values = np.zeros((2, *grid_shape(base.width, base.height, params.stride)))
     state = adam_init(values)
     # divergence is detected right below; silence the transient fp noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -152,8 +170,8 @@ def refine_flow(base: FlowField, target: TargetFlow, epochs: int,
             if not isfinite(loss):
                 raise NumericalError(f"flow refinement diverged at epoch {e}")
             losses[e] = loss
-            values, state = adam_step(state, values, grad, lr)
+            values, state = adam_step(state, values, grad, params.lr)
     # every other step is caught by the next epoch's evaluation
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"flow refinement diverged at epoch {epochs - 1}")
-    return refiner_apply(values, base, stride, sigma), losses
+    return refiner_apply(values, base, params.stride, params.sigma), losses

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .geometry import (CameraTrack, DetectionTrack, FlowField, PoseTrack, SkeletonTopology,
                        _count, _finite_number, project_track)
-from .flow_refine import flow_objective, grid_shape
+from .flow_refine import FlowRefineParams, flow_objective, grid_shape
 from .optim import finite_diff_check
 from .pose_refine import PoseHyperParams, _only, _planes, _pose_objective, _to_params
 
@@ -115,12 +115,12 @@ def check_scene(seed: int, step: float = 1e-5) -> list[CheckResult]:
 
     base = flows[0].uv
     target = flows[-1].uv
-    stride, sigma = 8, 1.0
-    gh, gw = grid_shape(base.shape[1], base.shape[0], stride)
+    fp = FlowRefineParams()
+    gh, gw = grid_shape(base.shape[1], base.shape[0], fp.stride)
     grid0 = rng.normal(0.0, 0.3, size=(gh, gw, 2))
 
     results.append(CheckResult("flow_objective", seed, finite_diff_check(
-        lambda grid: flow_objective(grid, base, target, stride, sigma), grid0, step)))
+        lambda grid: flow_objective(grid, base, target, fp.stride, fp.sigma), grid0, step)))
     return results
 
 

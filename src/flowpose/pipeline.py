@@ -21,8 +21,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .geometry import MODE_2D, MODE_3D, SceneBundle, _count, _finite_number, project_track
-from .flow_refine import refine_flow
+from .geometry import MODE_2D, MODE_3D, SceneBundle, _count, project_track
+from .flow_refine import FlowRefineParams, refine_flow
 from .pose_refine import PoseHyperParams, refine_pose, refine_pose_2d
 from .raster import bone_flow, compose_target_flow
 from .synth import GroundTruthBundle, mpjpe, sequence_joint_epe
@@ -66,25 +66,6 @@ class CycleSchedule:
         return CycleSchedule((FlowStage(e), PoseStage(1500), FlowStage(e)))
 
 
-@dataclass(frozen=True)
-class FlowRefineParams:
-    """Flow-refiner settings plus the raster radius used for overlays."""
-
-    stride: int = 8
-    sigma: float = 1.0
-    lr: float = 0.05
-    radius: int = 15
-
-    def __post_init__(self):
-        if _count(self.stride, "stride") < 1:
-            raise InvalidInputError("stride must be >= 1")
-        if _finite_number(self.sigma, "sigma") < 0:
-            raise InvalidInputError("sigma must be >= 0")
-        _finite_number(self.lr, "learning rate")
-        object.__setattr__(self, "stride", int(self.stride))
-        object.__setattr__(self, "radius", _count(self.radius, "radius"))
-
-
 @dataclass
 class StageRecord:
     """Log entry for one executed stage.
@@ -122,8 +103,9 @@ def bootstrap(bundle: SceneBundle, schedule: CycleSchedule | None = None,
     stages are re-derived per cycle: every pose stage starts from and
     anchors to the bundle's original estimates, optimizing against the
     current flows (so cross-cycle drift enters through the accumulating
-    flow refinement, not through compounding pose updates).  An empty
-    schedule returns the bundle unchanged.
+    flow refinement, not through compounding pose updates).  Flow stages
+    pass ``flow_params`` to ``refine_flow`` and draw overlays at its
+    ``radius``.  An empty schedule returns the bundle unchanged.
     """
     schedule = schedule if schedule is not None else CycleSchedule.default(bundle.mode)
     hp = hp or PoseHyperParams()
@@ -157,9 +139,7 @@ def bootstrap(bundle: SceneBundle, schedule: CycleSchedule | None = None,
                     sparse, mask = bone_flow(joints2d[i], joints2d[i + 1], topo,
                                              bundle.width, bundle.height, fp.radius)
                     target = compose_target_flow(flows[i], sparse, mask)
-                    flows[i], losses = refine_flow(flows[i], target, stage.epochs,
-                                                   lr=fp.lr, stride=fp.stride,
-                                                   sigma=fp.sigma)
+                    flows[i], losses = refine_flow(flows[i], target, stage.epochs, fp)
                     if losses.size:
                         finals.append(losses[-1])
                 final_loss = float(np.mean(finals)) if finals else None

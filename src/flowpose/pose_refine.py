@@ -339,14 +339,7 @@ def _descend(evaluate, params: np.ndarray, epochs: int, lr: float, what: str,
 
 
 # ---------------------------------------------------------------------------
-# the objective's inputs: stacked flow fields, and weights that keep some terms
-
-def _stack_flows(flows: Sequence[FlowField]) -> np.ndarray:
-    shapes = {f.uv.shape for f in flows}
-    if len(shapes) > 1:
-        raise InvalidInputError("flow fields have different dimensions")
-    return np.stack([f.uv for f in flows])
-
+# weights that keep some terms
 
 def _only(**lams) -> PoseHyperParams:
     """Weights with every term switched off but the given ones."""
@@ -356,6 +349,37 @@ def _only(**lams) -> PoseHyperParams:
 
 # ---------------------------------------------------------------------------
 # refinement loops
+
+def _refine(x_init: np.ndarray, det: DetectionTrack, flows: Sequence[FlowField],
+            topo: SkeletonTopology, hp: PoseHyperParams | None, epochs: int,
+            what: str, camera: np.ndarray | None = None):
+    """Both refiners' body: check the inputs, build the objective on the
+    ``(T, J, D)`` track ``x_init`` (the anchor) and, in 3-D, the ``(T, 3)``
+    cameras, and descend.  Returns the refined track and cameras (``None``
+    without) in those layouts, and the history."""
+    hp = hp or PoseHyperParams()
+    frames, joints = x_init.shape[:2]
+    if frames < 2:
+        raise InvalidInputError("at least two frames are required")
+    if len(flows) != frames - 1:
+        raise InvalidInputError(f"expected {frames - 1} flow fields, got {len(flows)}")
+    if len({f.uv.shape for f in flows}) > 1:
+        raise InvalidInputError("flow fields have different dimensions")
+    if det.pixels.shape[:2] != (frames, joints):
+        raise InvalidInputError("detections do not match the track dimensions")
+    if joints != topo.joint_count:
+        raise InvalidInputError("track joint count does not match topology")
+
+    x0 = _planes(x_init)
+    n_x = x0.size
+    arrays = (x_init,) if camera is None else (x_init, camera)
+    evaluate = _pose_objective(hp, x0, det, np.stack([f.uv for f in flows]),
+                               topo.bone_array(), camera=camera is not None)
+    params, history = _descend(evaluate, _to_params(*arrays), epochs, hp.lr, what,
+                               None if camera is None else slice(n_x, n_x + frames))
+    cams = None if camera is None else _interleaved(params[n_x:].reshape(3, -1))
+    return _interleaved(params[:n_x].reshape(x0.shape)), cams, history
+
 
 def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
                 det: DetectionTrack, flows: Sequence[FlowField],
@@ -370,29 +394,11 @@ def refine_pose(pose_init: PoseTrack, camera_init: CameraTrack,
     epoch: ``[total, flow, anchor3d, detection2d, temporal]`` loss values
     (each already weighted) evaluated before that epoch's step.
     """
-    hp = hp or PoseHyperParams()
     if pose_init.frames != camera_init.frames:
         raise InvalidInputError("pose and camera frame counts differ")
-    if pose_init.frames < 2:
-        raise InvalidInputError("at least two frames are required")
-    if len(flows) != pose_init.frames - 1:
-        raise InvalidInputError(
-            f"expected {pose_init.frames - 1} flow fields, got {len(flows)}")
-    if det.pixels.shape[:2] != pose_init.positions.shape[:2]:
-        raise InvalidInputError("detections do not match the pose dimensions")
-    if pose_init.joints != topo.joint_count:
-        raise InvalidInputError("pose joint count does not match topology")
-
-    x0 = _planes(pose_init.positions)
-    n_x = x0.size
-    evaluate = _pose_objective(hp, x0, det, _stack_flows(flows),
-                               topo.bone_array(), camera=True)
-    params = _to_params(pose_init.positions, camera_init.params)
-    params, history = _descend(evaluate, params, epochs, hp.lr, "pose refinement",
-                               slice(n_x, n_x + pose_init.frames))
-    return (PoseTrack(_interleaved(params[:n_x].reshape(x0.shape))),
-            CameraTrack(_interleaved(params[n_x:].reshape(3, -1))),
-            history)
+    x, cams, history = _refine(pose_init.positions, det, flows, topo, hp, epochs,
+                               "pose refinement", camera_init.params)
+    return PoseTrack(x), CameraTrack(cams), history
 
 
 def refine_pose_2d(x_init: DetectionTrack, det: DetectionTrack,
@@ -407,19 +413,5 @@ def refine_pose_2d(x_init: DetectionTrack, det: DetectionTrack,
     anchor is the starting track.  Returns ``(track, history)``;
     confidences pass through from ``x_init``.
     """
-    hp = hp or PoseHyperParams()
-    if x_init.pixels.shape != det.pixels.shape:
-        raise InvalidInputError("initial and detected tracks have different dimensions")
-    if x_init.frames < 2:
-        raise InvalidInputError("at least two frames are required")
-    if len(flows) != x_init.frames - 1:
-        raise InvalidInputError(
-            f"expected {x_init.frames - 1} flow fields, got {len(flows)}")
-    if x_init.joints != topo.joint_count:
-        raise InvalidInputError("track joint count does not match topology")
-
-    x0 = _planes(x_init.pixels)
-    evaluate = _pose_objective(hp, x0, det, _stack_flows(flows), topo.bone_array())
-    params, history = _descend(evaluate, _to_params(x_init.pixels), epochs, hp.lr,
-                               "2d refinement")
-    return DetectionTrack(_interleaved(params.reshape(x0.shape)), x_init.confidence), history
+    x, _, history = _refine(x_init.pixels, det, flows, topo, hp, epochs, "2d refinement")
+    return DetectionTrack(x, x_init.confidence), history

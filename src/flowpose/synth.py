@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .geometry import (MODE_3D, CameraTrack, DetectionTrack, FlowField,
                        PoseTrack, SceneBundle, SkeletonTopology, _bone_tree, _count,
-                       default_topology, project_track)
+                       _finite_number, default_topology, project_track)
 from .optim import _epoch_history
 from .pose_refine import _sample_flow
 from .raster import bone_flow, compose_target_flow
@@ -54,8 +54,15 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pose_sigma < 0 or self.det_sigma < 0 or any(s < 0 for s in self.camera_sigma):
+        camera = tuple(_finite_number(s, "camera_sigma") for s in self.camera_sigma)
+        flow = tuple(_finite_number(v, "corrupt_flow") for v in self.corrupt_flow)
+        if len(camera) != 3 or len(flow) != 2:
+            raise InvalidInputError("camera_sigma needs 3 values and corrupt_flow 2")
+        if min(_finite_number(self.pose_sigma, "pose_sigma"),
+               _finite_number(self.det_sigma, "det_sigma"), *camera) < 0:
             raise InvalidInputError("noise sigmas must be >= 0")
+        object.__setattr__(self, "camera_sigma", camera)
+        object.__setattr__(self, "corrupt_flow", flow)
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if self.corrupt_rect is not None:
             rect = tuple(_count(v, "corrupt_rect") for v in self.corrupt_rect)

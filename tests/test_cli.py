@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from flowpose.cli import main
 from flowpose import fileio
+from flowpose.synth import generate_scene
 
 
 def _synth(tmp_path, name="gt", seed=30, frames=3, size=32):
@@ -227,6 +229,19 @@ def test_every_command_reads_the_whole_scene(tmp_path, capsys, command, damage):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["refine-pose", "bootstrap"])
+def test_mode_mismatch_names_the_missing_file(tmp_path, capsys, command):
+    # a 3-D run of a 2-D scene reads the scene as 3-D, so the error names
+    # the track it lacks
+    scene = tmp_path / "scene2d"
+    gt = generate_scene(seed=3, frames=3, width=16, height=16).scene
+    fileio.write_bundle(scene, replace(gt, mode="2d", pose=None, camera=None))
+    out = tmp_path / "out"
+    assert main([command, "--in", str(scene), "--out", str(out), "--mode", "3d"]) == 3
+    assert "pose.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bootstrap_needs_in_and_out_exit_2(tmp_path):
     # a config names no scene: a left-over block of scene and output paths
     # does not stand in for --in or --out
@@ -279,13 +294,14 @@ def test_check_grads_command(tmp_path, capsys):
     # sizes past the 128 TiB address space: no machine can allocate them
     "synth --frames 1000000000000", "synth --height 1000000000000",
     "synth --width 1000000000000000000",
+    "bootstrap --seed -1", "perturb --corrupt-flow nan 0", "perturb --pose-sigma nan",
 ])
 def test_bad_flag_value_exit_3(tmp_path, capsys, flags):
     # a bad value is the caller's fault: no traceback, no exit 4, no silent no-op
     command, *rest = flags.split()
     out = tmp_path / "out"
     io = [] if command == "check-grads" else ["--out", str(out)]
-    if command == "perturb":
+    if command in ("perturb", "bootstrap"):
         io += ["--in", str(_synth(tmp_path, frames=2, size=16))]
     capsys.readouterr()
     assert main([command, *io, *rest]) == 3
@@ -426,3 +442,52 @@ def test_malformed_input_is_exit_0_or_3(valid_run, tmp_path_factory, data):
                  ["bootstrap", "--config", str(cfg), "--in", str(scene),
                   "--out", str(work / "run")]):
         assert main(argv) in allowed, argv
+
+
+# ---------------------------------------------------------------------------
+# bad flag values, one at a time
+
+# each command's numeric flags, with the valid values the other flags keep:
+# a 16² three-frame scene, one-epoch stages and one gradient-check scene
+_NUMERIC_FLAGS = {
+    "synth": {"--seed": ["0"], "--frames": ["3"], "--width": ["16"], "--height": ["16"],
+              "--amplitude": ["1"], "--radius": ["15"], "--background": ["0", "0"]},
+    "perturb": {"--seed": ["0"], "--pose-sigma": ["0"], "--camera-sigma": ["0", "0", "0"],
+                "--det-sigma": ["0"], "--corrupt-rect": ["0", "0", "4", "4"],
+                "--corrupt-flow": ["0", "0"]},
+    "refine-flow": {"--epochs": ["1"]},
+    "refine-pose": {"--epochs": ["1"]},
+    "bootstrap": {"--seed": ["0"]},
+    "check-grads": {"--scenes": ["1"], "--seed": ["0"], "--step": ["1e-5"],
+                    "--threshold": ["1e-4"]},
+}
+# negative, zero, non-finite or non-integral; never a large positive size,
+# which a machine could really try to allocate, nor a positive fraction,
+# which is a valid float setting (check-grads --step 2.5 is a failing check,
+# exit 4)
+_BAD_NUMBERS = ("-1", "-7", "0", "-0.5", "nan", "inf", "-inf", "-1e400")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bad_flag_value_is_exit_0_2_or_3(valid_run, tmp_path_factory, data):
+    # one numeric flag of one command gets one bad value; the command runs,
+    # rejects the value (exit 3) or fails to parse it (exit 2), and never
+    # raises or reports a numerical failure
+    scene, cfg = valid_run
+    command = data.draw(st.sampled_from(sorted(_NUMERIC_FLAGS)), label="command")
+    flags = _NUMERIC_FLAGS[command]
+    flag = data.draw(st.sampled_from(sorted(flags)), label="flag")
+    values = list(flags[flag])
+    values[data.draw(st.integers(0, len(values) - 1), label="at")] = data.draw(
+        st.sampled_from(_BAD_NUMBERS), label="value")
+    out = tmp_path_factory.mktemp("flag") / "out"
+    io = {"synth": ["--out", str(out)],
+          "bootstrap": ["--config", str(cfg), "--in", str(scene), "--out", str(out)],
+          "check-grads": []}.get(command, ["--in", str(scene), "--out", str(out)])
+    argv = [command, *io]
+    for name, default in flags.items():
+        given = values if name == flag else default
+        # "--flag=-inf": a lone value that starts with "-" is not taken for a flag
+        argv += [f"{name}={given[0]}"] if len(given) == 1 else [name, *given]
+    assert main(argv) in (0, 2, 3), argv

@@ -248,6 +248,19 @@ def test_config_schema_errors():
                           "pose": {}, "flow": {}})
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"seed": -7}, "seed"),
+    ({"sede": 1}, "unknown field 'sede'"),
+    ({"schedule": [{"kind": "pose", "epochs": 1, "epocs": 99}]},
+     r"schedule\[0\]: unknown field 'epocs'"),
+], ids=["negative-seed", "unknown-field", "unknown-stage-field"])
+def test_config_rejects_fields_it_does_not_write(edit, message):
+    # the fields config_to_dict writes are the only ones a config may hold,
+    # and a negative seed is no seed
+    with pytest.raises(SchemaError, match=message):
+        config_from_dict({**config_to_dict(RunConfig()), **edit})
+
+
 def test_atomic_write_failure_leaves_no_output(tmp_path, monkeypatch):
     target = tmp_path / "out.flo"
 

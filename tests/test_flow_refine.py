@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowpose import FlowField, InvalidInputError, NumericalError, TargetFlow, refine_flow
+from flowpose import (FlowField, FlowRefineParams, InvalidInputError, NumericalError,
+                      TargetFlow, refine_flow)
 from flowpose.flow_refine import _axis_operator, flow_objective, grid_shape, refiner_apply
 from flowpose.optim import adam_init, adam_step
 
@@ -80,8 +81,8 @@ def test_refine_flow_converges_to_constant_target():
     base = FlowField(np.zeros((64, 64, 2)))
     uv = np.zeros((64, 64, 2))
     uv[:, :, 0] = 3.0
-    out, losses = refine_flow(base, _target(uv), epochs=200, lr=0.05,
-                              stride=8, sigma=1.0)
+    out, losses = refine_flow(base, _target(uv), epochs=200,
+                              params=FlowRefineParams(stride=8, sigma=1.0, lr=0.05))
     epe = float(np.linalg.norm(out.uv - uv, axis=-1).mean())
     assert epe < 0.1
     assert epe == pytest.approx(0.0002098, rel=1e-2)
@@ -135,11 +136,14 @@ def test_refine_flow_rejects_bad_input():
     {"stride": -8}, {"epochs": 10**400},
 ])
 def test_refine_flow_rejects_bad_settings(setting):
-    # every setting is checked before any work, so none trains or reports divergence
+    # every setting is checked before any work, so none trains or reports
+    # divergence: the epoch count by refine_flow, the rest by FlowRefineParams
     base = FlowField(np.zeros((8, 8, 2)))
-    kwargs = {"epochs": 2, **setting}
     with pytest.raises(InvalidInputError):
-        refine_flow(base, _target(np.ones((8, 8, 2))), **kwargs)
+        if "epochs" in setting:
+            refine_flow(base, _target(np.ones((8, 8, 2))), **setting)
+        else:
+            FlowRefineParams(**setting)
 
 
 def test_refine_flow_rejects_an_epoch_count_too_large_to_record():
@@ -156,7 +160,7 @@ def test_last_step_overflow_is_a_numerical_error():
     base = FlowField(np.zeros((1, 1, 2)))
     target = _target(np.array([[[1.5e308, 0.0]]]))
     with pytest.raises(NumericalError, match="diverged at epoch 1"):
-        refine_flow(base, target, epochs=2, lr=1e308)
+        refine_flow(base, target, epochs=2, params=FlowRefineParams(lr=1e308))
 
 
 _SIGMAS = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
@@ -258,7 +262,8 @@ def test_refine_flow_matches_oracle_loop(shape, stride, sigma, scale, epochs):
     rng = np.random.default_rng(sum(shape) + epochs)
     base = FlowField(rng.normal(size=(*shape, 2)) * 2 / scale)
     target = _target(rng.normal(size=(*shape, 2)) * 2 / scale)
-    out, losses = refine_flow(base, target, epochs, lr=0.1, stride=stride, sigma=sigma)
+    out, losses = refine_flow(base, target, epochs,
+                              FlowRefineParams(stride=stride, sigma=sigma, lr=0.1))
     want_uv, want_losses = _oracle_refine(base.uv, target.flow.uv, epochs, 0.1,
                                           stride, sigma)
     assert np.allclose(losses, want_losses, rtol=1e-12, atol=0.0)

@@ -83,6 +83,35 @@ def test_refine_pose_requires_two_frames():
         refine_pose_2d(det, det, [], _chain(2))
 
 
+_DAMAGES = ("flow-count", "flow-shapes", "det-frames", "det-joints", "topology")
+
+
+@pytest.mark.parametrize("mode, damage", [
+    *[(mode, damage) for mode in ("3d", "2d") for damage in _DAMAGES], ("3d", "camera-frames")])
+def test_refiners_reject_mismatched_inputs(mode, damage):
+    # three frames of five joints; each case breaks one of the dimensions
+    # the inputs must share
+    topo, pose, cam, det, flows = make_random_scene(2)
+    track = det
+    if damage == "flow-count":
+        flows = flows[:1]
+    elif damage == "flow-shapes":
+        flows = (flows[0], FlowField(np.zeros((16, 32, 2))))
+    elif damage == "det-frames":
+        det = DetectionTrack(det.pixels[:2], det.confidence[:2])
+    elif damage == "det-joints":
+        det = DetectionTrack(det.pixels[:, :4], det.confidence[:, :4])
+    elif damage == "topology":
+        topo = _chain(6)
+    else:
+        cam = CameraTrack(cam.params[:2])
+    with pytest.raises(InvalidInputError):
+        if mode == "3d":
+            refine_pose(pose, cam, det, flows, topo, epochs=1)
+        else:
+            refine_pose_2d(track, det, flows, topo, epochs=1)
+
+
 def test_one_frame_track_has_no_temporal_or_flow_term():
     # the temporal and flow blocks need a frame pair; the anchor term alone
     # is well defined on one frame

@@ -80,6 +80,21 @@ def test_perturb_corruption_is_local():
         assert np.all(fa.uv[12:22, 8:18] == np.array([5.0, -3.0]))
 
 
+@pytest.mark.parametrize("setting", [
+    {"pose_sigma": "a"}, {"pose_sigma": None}, {"pose_sigma": float("nan")},
+    {"det_sigma": float("inf")}, {"det_sigma": -1.0},
+    {"camera_sigma": (0, 0)}, {"camera_sigma": (0.0, float("nan"), 0.0)},
+    {"camera_sigma": (0.0, "x", 0.0)},
+    {"corrupt_flow": ("x", 0)}, {"corrupt_flow": (float("nan"), 0.0)},
+    {"corrupt_flow": (0.0,)},
+])
+def test_noise_config_rejects_bad_values(setting):
+    # every sigma and replacement flow is checked on construction, whether
+    # or not a corruption rectangle uses the flow
+    with pytest.raises(InvalidInputError):
+        NoiseConfig(**setting)
+
+
 def test_perturb_noise_matches_expected_norm():
     # E||N(0, sigma^2 I_3)|| = sigma * sqrt(8 / pi); J*T = 510 samples
     gt = generate_scene(seed=4, frames=30, width=64, height=64)
