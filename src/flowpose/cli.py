@@ -28,16 +28,12 @@ from .synth import (GroundTruthBundle, NoiseConfig, epe, generate_scene,
                     mpjpe, perturb, sequence_joint_epe)
 
 
-class UsageError(Exception):
-    pass
-
-
 def _fmt(value) -> str:
     return "n/a" if value is None else f"{value:.6g}"
 
 
-def _load_gt(dirpath) -> GroundTruthBundle:
-    return GroundTruthBundle(scene=fileio.read_bundle(dirpath))
+def _load_gt(dirpath, mode: str) -> GroundTruthBundle:
+    return GroundTruthBundle(scene=fileio.read_bundle(dirpath, mode))
 
 
 def _print_records(records) -> None:
@@ -53,7 +49,7 @@ def _run(cfg: RunConfig, scene_dir, out_dir, gt_dir) -> int:
     over the scene's; write the result and its report to ``out_dir`` and
     print the stage records."""
     bundle = fileio.read_bundle(scene_dir, cfg.mode)
-    gt = _load_gt(gt_dir) if gt_dir else None
+    gt = _load_gt(gt_dir, cfg.mode) if gt_dir else None
     out, records = bootstrap(bundle, cfg.schedule, cfg.pose_params,
                              cfg.flow_params, gt=gt)
     fileio.write_bundle(out_dir, out)
@@ -77,7 +73,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    gt = _load_gt(args.input)
+    gt = _load_gt(args.input, MODE_3D)
     cfg = NoiseConfig(pose_sigma=args.pose_sigma,
                       camera_sigma=tuple(args.camera_sigma),
                       det_sigma=args.det_sigma,
@@ -104,7 +100,9 @@ def _cmd_bootstrap(args) -> int:
         sys.stdout.write(json.dumps(fileio.config_to_dict(cfg), indent=2) + "\n")
         return 0
     if not args.input or not args.out:
-        raise UsageError("bootstrap needs an input and an output directory (--in, --out)")
+        print("error: bootstrap needs an input and an output directory (--in, --out)",
+              file=sys.stderr)
+        return 2
     cfg = fileio.read_config(args.config) if args.config else RunConfig(
         mode=args.mode or MODE_3D)
     if args.mode:
@@ -261,9 +259,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FormatError, FileNotFoundError, NotADirectoryError,
             IsADirectoryError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

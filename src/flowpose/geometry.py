@@ -58,6 +58,18 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _numbers(values, count: int, name: str, each=_finite_number) -> tuple:
+    """``values`` as a tuple of exactly ``count`` items, each passed through
+    ``each`` (by default a finite real number)."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be a sequence, got {values!r}") from None
+    if len(items) != count:
+        raise InvalidInputError(f"{name} needs {count} values, got {len(items)}")
+    return tuple(each(v, name) for v in items)
+
+
 def _bone_tree(bones) -> list[tuple[int, int, int]]:
     """Breadth-first ``(bone, parent, child)`` edges from the lowest joint the
     bones reference, each joint's bones visited in bone order.  Every reached

@@ -117,11 +117,12 @@ def bootstrap(bundle: SceneBundle, schedule: CycleSchedule | None = None,
     frames = bundle.frames
     flows = list(bundle.flows)
     pose, camera = bundle.pose, bundle.camera
-    observations = bundle.detections
     pose2d = bundle.detections
 
     prev_mpjpe = prev_epe = None
     if gt is not None:
+        if bundle.mode == MODE_3D and gt.scene.pose is None:
+            raise InvalidInputError("a 3d run needs ground truth with a pose track")
         prev_mpjpe = _pose_error(bundle.mode, pose, pose2d, gt)
         prev_epe = sequence_joint_epe(flows, gt.scene.flows, gt.joints2d)
 
@@ -146,11 +147,11 @@ def bootstrap(bundle: SceneBundle, schedule: CycleSchedule | None = None,
             else:
                 if bundle.mode == MODE_3D:
                     pose, camera, history = refine_pose(
-                        bundle.pose, bundle.camera, observations, flows,
+                        bundle.pose, bundle.camera, bundle.detections, flows,
                         topo, hp, stage.epochs)
                 else:
                     pose2d, history = refine_pose_2d(
-                        bundle.detections, observations, flows, topo, hp, stage.epochs)
+                        bundle.detections, bundle.detections, flows, topo, hp, stage.epochs)
                 final_loss = float(history[-1, 0]) if history.size else None
         except NumericalError as exc:
             raise NumericalError(f"stage {idx} ({kind}): {exc}") from exc

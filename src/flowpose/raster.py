@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import FlowField, SkeletonTopology, _count
+from .geometry import FlowField, SkeletonTopology, _count, _positive_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,14 +43,6 @@ class BoneRaster:
     def __post_init__(self):
         for arr in (self.mask, self.owner, self.frac):
             arr.setflags(write=False)
-
-    @property
-    def width(self) -> int:
-        return self.mask.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.mask.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,14 +61,10 @@ class TargetFlow:
 
 
 def _check_joints2d(joints2d, topo: SkeletonTopology) -> np.ndarray:
-    pts = np.asarray(joints2d, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise InvalidInputError(f"joints2d: expected (J, 2), got {pts.shape}")
+    pts = _positive_array(joints2d, "joints2d", ("J",), 2)
     if pts.shape[0] != topo.joint_count:
         raise InvalidInputError(
             f"joints2d: expected {topo.joint_count} joints, got {pts.shape[0]}")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("joints2d: non-finite coordinates")
     return pts
 
 
@@ -155,8 +143,8 @@ def bone_flow(joints2d_t, joints2d_t1, topo: SkeletonTopology, width: int,
     raster = rasterize_skeleton(a, topo, width, height, radius)
     disp = b - a  # (J, 2)
 
-    uv = np.zeros((raster.height, raster.width, 2))
     m = raster.mask
+    uv = np.zeros((*m.shape, 2))
     if m.any():
         bones = topo.bone_array()
         o = raster.owner[m]

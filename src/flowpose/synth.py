@@ -18,7 +18,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .geometry import (MODE_3D, CameraTrack, DetectionTrack, FlowField,
                        PoseTrack, SceneBundle, SkeletonTopology, _bone_tree, _count,
-                       _finite_number, default_topology, project_track)
+                       _finite_number, _numbers, _positive_array, default_topology,
+                       project_track)
 from .optim import _epoch_history
 from .pose_refine import _sample_flow
 from .raster import bone_flow, compose_target_flow
@@ -54,19 +55,16 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        camera = tuple(_finite_number(s, "camera_sigma") for s in self.camera_sigma)
-        flow = tuple(_finite_number(v, "corrupt_flow") for v in self.corrupt_flow)
-        if len(camera) != 3 or len(flow) != 2:
-            raise InvalidInputError("camera_sigma needs 3 values and corrupt_flow 2")
+        camera = _numbers(self.camera_sigma, 3, "camera_sigma")
         if min(_finite_number(self.pose_sigma, "pose_sigma"),
                _finite_number(self.det_sigma, "det_sigma"), *camera) < 0:
             raise InvalidInputError("noise sigmas must be >= 0")
         object.__setattr__(self, "camera_sigma", camera)
-        object.__setattr__(self, "corrupt_flow", flow)
+        object.__setattr__(self, "corrupt_flow", _numbers(self.corrupt_flow, 2, "corrupt_flow"))
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if self.corrupt_rect is not None:
-            rect = tuple(_count(v, "corrupt_rect") for v in self.corrupt_rect)
-            if len(rect) != 4 or min(rect[2:]) < 1:
+            rect = _numbers(self.corrupt_rect, 4, "corrupt_rect", each=_count)
+            if min(rect[2:]) < 1:
                 raise InvalidInputError(
                     f"corrupt_rect must be (x0, y0, w, h) with w, h >= 1, got {rect}")
             object.__setattr__(self, "corrupt_rect", rect)
@@ -96,12 +94,15 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
     The same seed always produces a bit-identical bundle.
     """
     topo = topo or default_topology()
+    frames = _count(frames, "frames")
+    width, height = _count(width, "width"), _count(height, "height")
     if frames < 2:
         raise InvalidInputError("generate_scene: at least two frames required")
     if width < 4 or height < 4:
         raise InvalidInputError("generate_scene: degenerate image dimensions")
-    if amplitude < 0:
+    if _finite_number(amplitude, "amplitude") < 0:
         raise InvalidInputError("generate_scene: amplitude must be >= 0")
+    background = _numbers(background, 2, "background")
     rng = np.random.Generator(np.random.PCG64(_count(seed, "seed")))
     tree = _bone_tree(topo.bones)
     if len(tree) != len(topo.bones):  # only a tree keeps every bone length constant
@@ -152,8 +153,7 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
     detections = DetectionTrack(joints2d, np.ones((frames, joint_count)))
 
     bg = _epoch_history(height, width, 2, what="image size")
-    bg[:, :, 0] = background[0]
-    bg[:, :, 1] = background[1]
+    bg[...] = background
     flows = []
     for i in range(frames - 1):
         sparse, mask = bone_flow(joints2d[i], joints2d[i + 1], topo, width, height, radius)
@@ -208,8 +208,8 @@ def mpjpe(pred: PoseTrack, gt: PoseTrack,
         raise InvalidInputError("pose tracks have different dimensions")
     a, b = pred.positions, gt.positions
     if subset is not None:
-        idx = np.asarray(subset, dtype=np.intp)
-        if idx.size == 0 or np.any(idx < 0) or np.any(idx >= pred.joints):
+        idx = [_count(i, "subset") for i in subset]
+        if not idx or max(idx) >= pred.joints:
             raise InvalidInputError("subset: joint index out of range")
         a, b = a[:, idx], b[:, idx]
     return float(np.linalg.norm(a - b, axis=-1).mean())
@@ -225,11 +225,8 @@ def epe(pred: FlowField, gt: FlowField, points=None) -> float:
         raise InvalidInputError("flow fields have different dimensions")
     if points is None:
         return float(np.linalg.norm(pred.uv - gt.uv, axis=-1).mean())
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-        raise InvalidInputError(f"points: expected non-empty (N, 2), got {pts.shape}")
-    if (np.any(pts[:, 0] < 0) or np.any(pts[:, 0] > pred.width - 1)
-            or np.any(pts[:, 1] < 0) or np.any(pts[:, 1] > pred.height - 1)):
+    pts = _positive_array(points, "points", ("N",), 2)
+    if np.any(pts < 0) or np.any(pts > (pred.width - 1, pred.height - 1)):
         raise InvalidInputError("points: position outside the flow field")
     at = pts.T[:, None]
     d = _sample_flow(pred.uv[None], at)[0] - _sample_flow(gt.uv[None], at)[0]
@@ -244,13 +241,11 @@ def sequence_joint_epe(pred_flows, gt_flows, joints2d) -> float:
     """
     if len(pred_flows) != len(gt_flows) or len(pred_flows) == 0:
         raise InvalidInputError("flow sequences must have equal, nonzero length")
-    vals = []
-    for i, (p, g) in enumerate(zip(pred_flows, gt_flows)):
-        pts = np.asarray(joints2d[i], dtype=np.float64).copy()
-        pts[:, 0] = np.clip(pts[:, 0], 0, p.width - 1)
-        pts[:, 1] = np.clip(pts[:, 1], 0, p.height - 1)
-        vals.append(epe(p, g, pts))
-    return float(np.mean(vals))
+    joints = _positive_array(joints2d, "joints2d", ("T", "J"), 2)
+    if len(joints) < len(pred_flows):
+        raise InvalidInputError(f"joints2d: {len(joints)} frames for {len(pred_flows)} pairs")
+    return float(np.mean([epe(p, g, np.clip(joints[i], 0, (p.width - 1, p.height - 1)))
+                          for i, (p, g) in enumerate(zip(pred_flows, gt_flows))]))
 
 
 def standard_benchmark(seed: int = 77):

@@ -229,17 +229,50 @@ def test_every_command_reads_the_whole_scene(tmp_path, capsys, command, damage):
     assert not out.exists()
 
 
+def _scene2d(tmp_path):
+    scene = tmp_path / "scene2d"
+    gt = generate_scene(seed=3, frames=3, width=16, height=16).scene
+    fileio.write_bundle(scene, replace(gt, mode="2d", pose=None, camera=None))
+    return scene
+
+
 @pytest.mark.parametrize("command", ["refine-pose", "bootstrap"])
 def test_mode_mismatch_names_the_missing_file(tmp_path, capsys, command):
     # a 3-D run of a 2-D scene reads the scene as 3-D, so the error names
     # the track it lacks
-    scene = tmp_path / "scene2d"
-    gt = generate_scene(seed=3, frames=3, width=16, height=16).scene
-    fileio.write_bundle(scene, replace(gt, mode="2d", pose=None, camera=None))
+    scene = _scene2d(tmp_path)
     out = tmp_path / "out"
     assert main([command, "--in", str(scene), "--out", str(out), "--mode", "3d"]) == 3
     assert "pose.json" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["perturb", "--in", "{scene2d}"],
+    ["bootstrap", "--in", "{gt}", "--gt", "{scene2d}"],
+    ["refine-pose", "--in", "{gt}", "--gt", "{scene2d}"],
+])
+def test_2d_scene_as_3d_ground_truth_names_the_missing_file(tmp_path, capsys, argv):
+    # ground truth is read in the run's mode, not the one its meta.json records
+    paths = {"scene2d": _scene2d(tmp_path), "gt": _synth(tmp_path, size=16)}
+    out = tmp_path / "out"
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 3
+    assert "pose.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_2d_bootstrap_takes_2d_ground_truth(tmp_path):
+    scene = _scene2d(tmp_path)
+    doc = fileio.config_to_dict(fileio.RunConfig(mode="2d"))
+    doc["schedule"] = [{"kind": "flow", "epochs": 2}, {"kind": "pose", "epochs": 2}]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["bootstrap", "--config", str(cfg_path), "--mode", "2d", "--in", str(scene),
+                 "--out", str(out), "--gt", str(scene)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert all(s["mpjpe"] is not None for s in report["stages"])
 
 
 def test_bootstrap_needs_in_and_out_exit_2(tmp_path):

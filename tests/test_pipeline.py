@@ -124,6 +124,13 @@ def test_bootstrap_2d_mode():
     assert records[1].mpjpe < err0  # refined 2-D track beats the noisy one
 
 
+def test_3d_run_needs_3d_ground_truth():
+    gt, noisy = _small_scene()
+    gt2d = replace(gt, scene=replace(gt.scene, mode="2d", pose=None, camera=None))
+    with pytest.raises(InvalidInputError, match="pose"):
+        bootstrap(noisy, CycleSchedule((PoseStage(1),)), gt=gt2d)
+
+
 def test_flow_params_respected():
     _, noisy = _small_scene()
     out, _ = bootstrap(noisy, CycleSchedule((FlowStage(2),)),

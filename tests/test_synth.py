@@ -48,6 +48,22 @@ def test_generate_scene_requires_tree_and_dims():
         generate_scene(seed=0, frames=4, width=2, height=2)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("frames", 3.5), ("width", 32.5), ("amplitude", float("nan")),
+    ("background", 5), ("background", (1.0,)),
+])
+def test_generate_scene_rejects_bad_values(name, value):
+    # each value is named, not truncated or left to fail deeper down
+    with pytest.raises(InvalidInputError, match=name):
+        generate_scene(**{"seed": 0, "frames": 3, "width": 32, "height": 32, name: value})
+
+
+def test_background_fills_every_off_skeleton_pixel():
+    gt = generate_scene(seed=3, frames=2, width=32, height=24, background=(0.5, -2))
+    _, mask = bone_flow(gt.joints2d[0], gt.joints2d[1], gt.scene.topology, 32, 24)
+    assert np.all(gt.scene.flows[0].uv[~mask] == (0.5, -2.0))
+
+
 def test_gt_flow_matches_bone_flow_recomputation():
     gt = generate_scene(seed=9, frames=4, width=64, height=64)
     scene = gt.scene
@@ -86,7 +102,8 @@ def test_perturb_corruption_is_local():
     {"camera_sigma": (0, 0)}, {"camera_sigma": (0.0, float("nan"), 0.0)},
     {"camera_sigma": (0.0, "x", 0.0)},
     {"corrupt_flow": ("x", 0)}, {"corrupt_flow": (float("nan"), 0.0)},
-    {"corrupt_flow": (0.0,)},
+    {"corrupt_flow": (0.0,)}, {"camera_sigma": None}, {"corrupt_flow": 5},
+    {"corrupt_rect": 5}, {"corrupt_rect": (0, 0, 4)},
 ])
 def test_noise_config_rejects_bad_values(setting):
     # every sigma and replacement flow is checked on construction, whether
@@ -146,6 +163,19 @@ def test_epe_examples():
         epe(f, f, points=[[100.0, 0.0]])
 
 
+def test_epe_rejects_a_nan_point():
+    f = FlowField(np.zeros((4, 4, 2)))
+    with pytest.raises(InvalidInputError, match="points"):
+        epe(f, f, points=[[np.nan, 1.0]])
+
+
+@pytest.mark.parametrize("subset", [(1.5,), (True,)])
+def test_mpjpe_rejects_a_non_index_subset(subset):
+    x = PoseTrack(np.zeros((2, 3, 3)))
+    with pytest.raises(InvalidInputError, match="subset"):
+        mpjpe(x, x, subset)
+
+
 def test_epe_zero_iff_identical():
     rng = np.random.default_rng(9)
     uv = rng.normal(size=(5, 5, 2))
@@ -179,6 +209,12 @@ def test_joint_restricted_epe_against_elementwise_oracle():
 def test_sequence_joint_epe():
     gt = generate_scene(seed=12, frames=3, width=48, height=48)
     assert sequence_joint_epe(gt.scene.flows, gt.scene.flows, gt.joints2d) == 0.0
+
+
+def test_sequence_joint_epe_needs_a_joint_frame_per_pair():
+    gt = generate_scene(seed=12, frames=3, width=48, height=48)
+    with pytest.raises(InvalidInputError, match="joints2d"):
+        sequence_joint_epe(gt.scene.flows, gt.scene.flows, gt.joints2d[:1])
 
 
 def test_fourteen_joint_subset():
