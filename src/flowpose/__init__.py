@@ -11,7 +11,7 @@ from .geometry import (EVAL_JOINTS_14, MODE_2D, MODE_3D, CameraTrack,
                        DetectionTrack, FlowField, PoseTrack, SceneBundle,
                        SkeletonTopology, average_tracks, default_topology,
                        project_track)
-from .optim import AdamState, adam_init, adam_step, finite_diff_check
+from .optim import finite_diff_check
 from .raster import BoneRaster, TargetFlow, bone_flow, compose_target_flow, rasterize_skeleton
 from .flow_refine import FlowRefineParams, refine_flow
 from .pose_refine import PoseHyperParams, refine_pose, refine_pose_2d
@@ -26,7 +26,7 @@ __all__ = [
     "EVAL_JOINTS_14", "MODE_2D", "MODE_3D", "CameraTrack", "DetectionTrack",
     "FlowField", "PoseTrack", "SceneBundle", "SkeletonTopology",
     "average_tracks", "default_topology", "project_track",
-    "AdamState", "adam_init", "adam_step", "finite_diff_check",
+    "finite_diff_check",
     "BoneRaster", "TargetFlow", "bone_flow", "compose_target_flow",
     "rasterize_skeleton",
     "refine_flow",

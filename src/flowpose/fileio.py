@@ -218,11 +218,9 @@ def read_topology(path) -> SkeletonTopology:
         raise SchemaError(f"{ctx}: unsupported format {doc['format']!r}")
     try:
         return SkeletonTopology(
-            joint_count=_require(doc, "joint_count", ctx),
-            bones=tuple(tuple(b) for b in _require(doc, "bones", ctx)),
-            names=tuple(doc["names"]) if doc.get("names") else None,
-            eval_subset=tuple(doc["eval_subset"]) if doc.get("eval_subset") else None)
-    except (InvalidInputError, TypeError, ValueError) as exc:
+            joint_count=_require(doc, "joint_count", ctx), bones=_require(doc, "bones", ctx),
+            names=doc.get("names") or None, eval_subset=doc.get("eval_subset") or None)
+    except InvalidInputError as exc:
         raise SchemaError(f"{ctx}: {exc}") from exc
 
 

@@ -7,11 +7,12 @@ against the target under a smooth-L1 objective.  The smoothing plays the
 role of a network's smoothness prior; early stopping (a small epoch
 budget) keeps the refined flow from collapsing onto the target's errors.
 
-The objective works on contiguous ``(2, H, W)`` planes and is built once
-per frame pair, with ``d = base - target``.  An epoch forms
+``flow_objective`` works on contiguous ``(2, H, W)`` planes and is built
+once per frame pair, with ``d = base - target``.  An epoch forms
 ``r = M_y V M_x.T + d`` from the grid planes ``V``, its Huber slope
 ``g = clip(r, -1, 1)``, the value ``(g.r - g.g / 2) / n`` from two dot
 products and the gradient ``M_y.T g M_x / n``, the ``1 / n`` on the grid.
+Adam then updates the grid planes and its moments in place.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .geometry import FlowField, _count, _finite_number
-from .optim import _epoch_history, adam_init, adam_step
+from .optim import _epoch_history, adam_step
 from .raster import TargetFlow
 
 
@@ -42,7 +43,8 @@ class FlowRefineParams:
             raise InvalidInputError("stride must be >= 1")
         if _finite_number(self.sigma, "sigma") < 0:
             raise InvalidInputError("sigma must be >= 0")
-        _finite_number(self.lr, "learning rate")
+        if _finite_number(self.lr, "learning rate") < 0:
+            raise InvalidInputError("learning rate must be >= 0")
         object.__setattr__(self, "stride", int(self.stride))
         object.__setattr__(self, "radius", _count(self.radius, "radius"))
 
@@ -108,10 +110,14 @@ def refiner_apply(values: np.ndarray, base: FlowField, stride: int,
     return FlowField(np.add(uv, base.uv, out=uv))
 
 
-def _flow_objective(base_uv: np.ndarray, target_uv: np.ndarray, stride: int,
-                    sigma: float):
-    """One frame pair's ``flow_objective`` on ``(2, gh, gw)`` grid planes, up to
-    rounding; returns ``evaluate(values) -> (value, fresh gradient)``."""
+def flow_objective(base_uv: np.ndarray, target_uv: np.ndarray, stride: int,
+                   sigma: float):
+    """One frame pair's objective, built once; returns ``evaluate(values)``.
+
+    ``evaluate`` takes the ``(2, gh, gw)`` grid planes of ``grid_shape`` and
+    returns the mean over pixels of the two-component smooth-L1 between the
+    corrected and the target flow, and a fresh gradient in the grid planes.
+    """
     height, width = base_uv.shape[:2]
     gh, gw = grid_shape(width, height, stride)
     m_y, m_x, m_yt, m_xt = (_axis_operator(n, int(stride), c, float(sigma), t)
@@ -133,16 +139,6 @@ def _flow_objective(base_uv: np.ndarray, target_uv: np.ndarray, stride: int,
     return evaluate
 
 
-def flow_objective(grid_values: np.ndarray, base_uv: np.ndarray,
-                   target_uv: np.ndarray, stride: int,
-                   sigma: float) -> tuple[float, np.ndarray]:
-    """Mean over pixels of the two-component smooth-L1 between the corrected and
-    target flow, with its gradient in the ``(gh, gw, 2)`` grid values."""
-    evaluate = _flow_objective(base_uv, target_uv, stride, sigma)
-    value, grad = evaluate(np.ascontiguousarray(grid_values.transpose(2, 0, 1)))
-    return value, grad.transpose(1, 2, 0)
-
-
 def refine_flow(base: FlowField, target: TargetFlow, epochs: int,
                 params: FlowRefineParams | None = None) -> tuple[FlowField, np.ndarray]:
     """Run ``epochs`` Adam passes pulling the base flow toward the target, at
@@ -160,9 +156,9 @@ def refine_flow(base: FlowField, target: TargetFlow, epochs: int,
         return base, np.zeros(0)
 
     losses = _epoch_history(epochs)
-    evaluate = _flow_objective(base.uv, target.flow.uv, params.stride, params.sigma)
+    evaluate = flow_objective(base.uv, target.flow.uv, params.stride, params.sigma)
     values = np.zeros((2, *grid_shape(base.width, base.height, params.stride)))
-    state = adam_init(values)
+    moments = np.zeros((2, *values.shape))
     # divergence is detected right below; silence the transient fp noise
     with np.errstate(over="ignore", invalid="ignore"):
         for e in range(epochs):
@@ -170,7 +166,7 @@ def refine_flow(base: FlowField, target: TargetFlow, epochs: int,
             if not isfinite(loss):
                 raise NumericalError(f"flow refinement diverged at epoch {e}")
             losses[e] = loss
-            values, state = adam_step(state, values, grad, params.lr)
+            adam_step(values, grad, moments, e + 1, params.lr)
     # every other step is caught by the next epoch's evaluation
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"flow refinement diverged at epoch {epochs - 1}")

@@ -58,14 +58,14 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
-def _numbers(values, count: int, name: str, each=_finite_number) -> tuple:
-    """``values`` as a tuple of exactly ``count`` items, each passed through
-    ``each`` (by default a finite real number)."""
+def _numbers(values, count: int | None, name: str, each=_finite_number) -> tuple:
+    """``values`` as a tuple of exactly ``count`` items (of any number if
+    ``None``), each passed through ``each`` (by default a finite real number)."""
     try:
         items = tuple(values)
     except TypeError:
         raise InvalidInputError(f"{name} must be a sequence, got {values!r}") from None
-    if len(items) != count:
+    if count is not None and len(items) != count:
         raise InvalidInputError(f"{name} needs {count} values, got {len(items)}")
     return tuple(each(v, name) for v in items)
 
@@ -109,8 +109,8 @@ class SkeletonTopology:
         object.__setattr__(self, "joint_count", _count(self.joint_count, "joint_count"))
         if self.joint_count <= 0:
             raise InvalidInputError("joint_count must be positive")
-        bones = tuple((_count(j, f"bones[{b}]"), _count(k, f"bones[{b}]"))
-                      for b, (j, k) in enumerate(self.bones))
+        bones = tuple(_numbers(bone, 2, f"bones[{b}]", each=_count) for b, bone
+                      in enumerate(_numbers(self.bones, None, "bones", each=lambda bone, _: bone)))
         object.__setattr__(self, "bones", bones)
         seen = set()
         for b, (j, k) in enumerate(bones):
@@ -126,12 +126,10 @@ class SkeletonTopology:
         if referenced and len(_bone_tree(bones)) != len(referenced) - 1:
             raise InvalidInputError("bones do not form a connected graph")
         if self.names is not None:
-            names = tuple(str(n) for n in self.names)
-            if len(names) != self.joint_count:
-                raise InvalidInputError("names length must equal joint_count")
-            object.__setattr__(self, "names", names)
+            object.__setattr__(self, "names", _numbers(self.names, self.joint_count, "names",
+                                                       each=lambda n, _: str(n)))
         if self.eval_subset is not None:
-            subset = tuple(_count(i, "eval_subset") for i in self.eval_subset)
+            subset = _numbers(self.eval_subset, None, "eval_subset", each=_count)
             if any(not 0 <= i < self.joint_count for i in subset):
                 raise InvalidInputError("eval_subset: joint index out of range")
             object.__setattr__(self, "eval_subset", subset)

@@ -117,10 +117,9 @@ def check_scene(seed: int, step: float = 1e-5) -> list[CheckResult]:
     target = flows[-1].uv
     fp = FlowRefineParams()
     gh, gw = grid_shape(base.shape[1], base.shape[0], fp.stride)
-    grid0 = rng.normal(0.0, 0.3, size=(gh, gw, 2))
-
-    results.append(CheckResult("flow_objective", seed, finite_diff_check(
-        lambda grid: flow_objective(grid, base, target, fp.stride, fp.sigma), grid0, step)))
+    grid0 = rng.normal(0.0, 0.3, size=(gh, gw, 2)).transpose(2, 0, 1).copy()
+    objective = flow_objective(base, target, fp.stride, fp.sigma)
+    results.append(CheckResult("flow_objective", seed, finite_diff_check(objective, grid0, step)))
     return results
 
 

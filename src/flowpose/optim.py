@@ -1,6 +1,6 @@
 """Shared numerical machinery: the smooth-L1 penalty (threshold 1) of the
-pose objective, Adam with fixed moment rates, and finite-difference
-gradient checking.
+pose objective, Adam with fixed moment rates updating the refiners' arrays
+in place, and finite-difference gradient checking.
 
 All reductions elsewhere in the package are arithmetic means over the
 enumerated indices, so the loss weights keep their meaning regardless of
@@ -9,7 +9,6 @@ sequence length or image size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,21 +31,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class AdamState:
-    """Step counter and moment accumulators shaped like the parameter vector."""
-
-    step: int
-    m: np.ndarray
-    v: np.ndarray
-
-
-def adam_init(params) -> AdamState:
-    """Fresh optimizer state for parameters of the given shape."""
-    p = np.asarray(params, dtype=np.float64)
-    return AdamState(0, np.zeros_like(p), np.zeros_like(p))
-
-
 def _epoch_history(epochs: int, *row: int, what: str = "epochs") -> np.ndarray:
     """Zeroed ``(epochs, *row)`` array, a per-epoch record or any other; a
     size too large to allocate is bad input, named by ``what``."""
@@ -57,25 +41,24 @@ def _epoch_history(epochs: int, *row: int, what: str = "epochs") -> np.ndarray:
             f"{what}: cannot allocate a {(epochs, *row)} array") from None
 
 
-def adam_step(state: AdamState, params, grads, lr: float):
-    """One bias-corrected Adam update; returns ``(new_params, new_state)``.
+def adam_step(params: np.ndarray, grads: np.ndarray, moments: np.ndarray,
+              step: int, lr: float) -> None:
+    """Adam update number ``step`` (from 1), bias-corrected, in place.
 
-    Deterministic: identical state and inputs give bit-identical outputs.
-    A zero gradient leaves the parameters exactly unchanged.
+    ``moments`` is the ``(2, *params.shape)`` stack of the first and second
+    moments, zero before step 1; ``params`` and ``moments`` are overwritten.
+    No input validation: the refiners' hot path, called once per epoch on
+    arrays they own.  A zero gradient leaves the parameters exactly
+    unchanged.
     """
-    p = np.asarray(params, dtype=np.float64)
-    g = np.asarray(grads, dtype=np.float64)
-    if p.shape != g.shape or p.shape != state.m.shape:
-        raise InvalidInputError(
-            f"adam_step: shape mismatch params {p.shape}, grads {g.shape}, "
-            f"state {state.m.shape}")
-    t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new_params = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return new_params, AdamState(t, m, v)
+    m, v = moments
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    den = np.sqrt(v / (1.0 - ADAM_BETA2 ** step))
+    den += ADAM_EPS
+    params -= lr * (m / (1.0 - ADAM_BETA1 ** step)) / den
 
 
 LossAndGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]

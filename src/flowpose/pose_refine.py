@@ -45,7 +45,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .geometry import (CameraTrack, DetectionTrack, FlowField, PoseTrack,
                        SkeletonTopology, _count, _finite_number)
-from .optim import _epoch_history, _huber_parts, adam_init, adam_step
+from .optim import _epoch_history, _huber_parts, adam_step
 
 _NORM_EPS = 1e-12  # guards the bone-direction derivative at zero length
 
@@ -67,7 +67,8 @@ class PoseHyperParams:
         for name in ("lam_opt", "lam_3d", "lam_2d", "lam_pos", "lam_cam", "lam_bone"):
             if _finite_number(getattr(self, name), name) < 0:
                 raise InvalidInputError("loss weights must be finite and >= 0")
-        _finite_number(self.lr, "learning rate")
+        if _finite_number(self.lr, "learning rate") < 0:
+            raise InvalidInputError("learning rate must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +306,15 @@ def _pose_objective(hp: PoseHyperParams, x0: np.ndarray,
 
 def _descend(evaluate, params: np.ndarray, epochs: int, lr: float, what: str,
              scales: slice | None = None):
-    """``epochs`` Adam steps of rate ``lr`` on ``evaluate``; returns
-    ``(params, history)``.
+    """``epochs`` Adam steps of rate ``lr`` on ``evaluate``, updating
+    ``params`` in place; returns ``(params, history)``.
 
     ``history`` holds each epoch's row before its step.  ``scales`` is the
     slice of ``params`` holding the per-frame camera scales, if any; a scale
     that reaches zero raises ``NumericalError``, and so do non-finite
     parameters.
     """
-    state = adam_init(params)
+    moments = np.zeros((2, *params.shape))
     history = _epoch_history(_count(epochs, "epochs"), 5)
     # divergence is detected right below; silence the transient fp noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -323,7 +324,7 @@ def _descend(evaluate, params: np.ndarray, epochs: int, lr: float, what: str,
                 raise NumericalError(
                     f"{what} diverged at epoch {e}: "
                     f"flow={row[1]:g} anchor={row[2]:g} det={row[3]:g} temporal={row[4]:g}")
-            params, state = adam_step(state, params, grad, lr)
+            adam_step(params, grad, moments, e + 1, lr)
             # a non-positive scale is an optimizer failure, not a bad input;
             # fmin passes over a NaN scale, which the next evaluation reports
             if scales is not None and np.fmin.reduce(params[scales]) <= 0.0:

@@ -171,8 +171,10 @@ def perturb(gt: GroundTruthBundle, cfg: NoiseConfig) -> SceneBundle:
     Adds seeded Gaussian noise to pose, camera and detections and overwrites
     the configured rectangle of every flow field with the replacement flow.
     """
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
     scene = gt.scene
+    if scene.pose is None:
+        raise InvalidInputError("perturb needs ground truth with a pose track")
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
     pose = PoseTrack(scene.pose.positions
                      + rng.normal(0.0, 1.0, scene.pose.positions.shape) * cfg.pose_sigma)
     cam_sigma = np.asarray(cfg.camera_sigma)
@@ -208,7 +210,7 @@ def mpjpe(pred: PoseTrack, gt: PoseTrack,
         raise InvalidInputError("pose tracks have different dimensions")
     a, b = pred.positions, gt.positions
     if subset is not None:
-        idx = [_count(i, "subset") for i in subset]
+        idx = list(_numbers(subset, None, "subset", each=_count))
         if not idx or max(idx) >= pred.joints:
             raise InvalidInputError("subset: joint index out of range")
         a, b = a[:, idx], b[:, idx]

@@ -1,15 +1,16 @@
 """Brute-force reference implementations used to verify the fast paths.
 
 Everything here is written as plain per-pixel Python loops, independent of
-the vectorized library code, except four numpy references:
+the vectorized library code, except five numpy references:
 ``raster_full_image``, too slow for the library but fast enough for property
 tests at full image sizes; ``interleaved_pose_objective``, the pose
 objective on the public ``(T, J, D)`` layout with the flow term from the
 per-pair loop; ``allocating_pose_objective``, the planar objective
 written plainly, every array built per call, which the library's workspace
-objective must match bit for bit; and ``interleaved_flow_objective``, the
+objective must match bit for bit; ``interleaved_flow_objective``, the
 flow refiner's objective on the ``(H, W, 2)`` layout, with the residual
-formed whole every call.
+formed whole every call; and ``functional_adam_step``, Adam returning new
+arrays, which the library's in-place step must match bit for bit.
 """
 
 import math
@@ -17,6 +18,7 @@ import math
 import numpy as np
 
 from flowpose.flow_refine import _axis_operator
+from flowpose.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def _huber_parts(r, beta):
@@ -24,6 +26,16 @@ def _huber_parts(r, beta):
     at ``beta = 1`` it gives the bits of the library's penalty."""
     slope = np.clip(np.divide(r, beta), -1.0, 1.0)
     return slope * (r - 0.5 * beta * slope), slope
+
+
+def functional_adam_step(params, grads, m, v, t, lr):
+    """Adam update number ``t`` (from 1) written as new arrays; returns
+    ``(params, m, v)`` and leaves its inputs alone."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
 def seg_distance_and_frac(px, py, ax, ay, bx, by):

@@ -16,7 +16,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 # work counts of one traced smoke operation at seed 3
-_BOOTSTRAP = {"optim.adam_calls": 28, "raster.bone_flow_calls": 18, "pose_refine.epochs": 10}
+_BOOTSTRAP = {"optim.adam_calls": 28, "raster.bone_flow_calls": 18, "pose_refine.epochs": 10,
+              "flow_refine.objective_calls": 18}
 _SEAMS = {"bootstrap-3d": _BOOTSTRAP, "bootstrap-2d": _BOOTSTRAP,
           "cli-chain": {"optim.adam_calls": 10, "fileio.files_written": 25}}
 

@@ -160,6 +160,7 @@ def _bootstrap_with(tmp_path, block, field, json_value):
     ("pose", "epochs", "1500"),    # the pose budget is each schedule stage's
     ("pose", "lr", '"abc"'),
     ("pose", "lr", "[1]"),
+    ("pose", "lr", "-0.001"),
     ("pose", "lam_opt", "true"),
     ("pose", "lam_bone", "NaN"),
     ("flow", "stride", "1e400"),
@@ -169,6 +170,7 @@ def _bootstrap_with(tmp_path, block, field, json_value):
     ("flow", "lr", '"abc"'),
     ("flow", "lr", "null"),
     ("flow", "lr", "{}"),
+    ("flow", "lr", "-0.05"),
     ("flow", "radius", "1e400"),
     ("flow", "radius", "2.5"),
 ])

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from flowpose import (FlowField, FlowRefineParams, InvalidInputError, NumericalError,
                       TargetFlow, refine_flow)
 from flowpose.flow_refine import _axis_operator, flow_objective, grid_shape, refiner_apply
-from flowpose.optim import adam_init, adam_step
 
-from oracles import axis_operator_oracle, bilinear_oracle, interleaved_flow_objective
+from oracles import (axis_operator_oracle, bilinear_oracle, functional_adam_step,
+                     interleaved_flow_objective)
 
 
 def _target(uv, mask=None):
@@ -132,7 +132,7 @@ def test_refine_flow_rejects_bad_input():
     {"epochs": 2.5}, {"epochs": True}, {"epochs": float("nan")}, {"epochs": "3"},
     {"stride": 2.5}, {"stride": 0}, {"stride": True},
     {"stride": 1e400}, {"sigma": float("inf")}, {"sigma": -0.5}, {"sigma": None},
-    {"lr": float("nan")}, {"lr": "0.05"}, {"lr": True}, {"sigma": True},
+    {"lr": float("nan")}, {"lr": "0.05"}, {"lr": True}, {"lr": -0.05}, {"sigma": True},
     {"stride": -8}, {"epochs": 10**400},
 ])
 def test_refine_flow_rejects_bad_settings(setting):
@@ -222,13 +222,14 @@ def test_planar_objective_matches_interleaved_oracle(height, width, stride, sigm
     grid = rng.normal(0.0, spread, size=(gh, gw, 2))
     base = rng.normal(0.0, spread, size=(height, width, 2))
     target = rng.normal(0.0, spread, size=(height, width, 2))
-    value, grad = flow_objective(grid, base, target, stride, sigma)
+    value, grad = flow_objective(base, target, stride, sigma)(
+        grid.transpose(2, 0, 1).copy())
     want_value, want_grad = interleaved_flow_objective(grid, base, target, stride,
                                                        sigma, 1.0)
-    assert grad.shape == (gh, gw, 2)
+    assert grad.shape == (2, gh, gw)
     assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
     # each gradient entry is a sum of slopes of at most 1 spread over the image
-    assert np.max(np.abs(grad - want_grad), initial=0.0) <= 1e-12 * max(
+    assert np.max(np.abs(grad - want_grad.transpose(2, 0, 1)), initial=0.0) <= 1e-12 * max(
         np.abs(want_grad).max(), 1.0 / (height * width))
 
 
@@ -236,13 +237,13 @@ def _oracle_refine(base_uv, target_uv, epochs, lr, stride, sigma):
     """``refine_flow``'s loop on the interleaved oracle objective."""
     height, width = base_uv.shape[:2]
     values = np.zeros((*grid_shape(width, height, stride), 2))
-    state = adam_init(values)
+    m = v = np.zeros_like(values)
     losses = []
-    for _ in range(epochs):
+    for t in range(1, epochs + 1):
         loss, grad = interleaved_flow_objective(values, base_uv, target_uv,
                                                 stride, sigma, 1.0)
         losses.append(loss)
-        values, state = adam_step(state, values, grad, lr)
+        values, m, v = functional_adam_step(values, grad, m, v, t, lr)
     m_y = _axis_operator(height, stride, values.shape[0], sigma)
     m_x = _axis_operator(width, stride, values.shape[1], sigma)
     corr = (m_y @ values.transpose(2, 0, 1) @ m_x.T).transpose(1, 2, 0)

@@ -172,6 +172,14 @@ def test_topology_invariants():
     assert len(topo.bones) == 16
 
 
+@pytest.mark.parametrize("setting", [
+    {"eval_subset": 5}, {"bones": 5}, {"names": 5}, {"bones": ((0, 1, 2),)},
+])
+def test_topology_rejects_a_malformed_sequence(setting):
+    with pytest.raises(InvalidInputError, match=next(iter(setting))):
+        SkeletonTopology(**{"joint_count": 3, "bones": ((0, 1),), **setting})
+
+
 def test_bone_tree_walks_breadth_first_from_the_lowest_joint():
     # a star on joint 2 reached through joint 1: bones in bone order per joint
     bones = ((2, 4), (1, 2), (3, 2), (2, 5))

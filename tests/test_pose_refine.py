@@ -33,6 +33,8 @@ def test_hyperparam_defaults():
         assert inspect.signature(refiner).parameters["epochs"].default == 1500
     with pytest.raises(InvalidInputError):
         PoseHyperParams(lam_opt=-1.0)
+    with pytest.raises(InvalidInputError, match="learning rate"):
+        PoseHyperParams(lr=-0.001)
     topo, pose, cam, det, flows = make_random_scene(3)
     with pytest.raises(InvalidInputError):
         refine_pose(pose, cam, det, flows, topo, epochs=-5)

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flowpose import (FlowField, InvalidInputError, NoiseConfig, PoseTrack,
-                      SkeletonTopology, bone_flow, default_topology, epe,
+from flowpose import (MODE_2D, FlowField, GroundTruthBundle, InvalidInputError, NoiseConfig,
+                      PoseTrack, SkeletonTopology, bone_flow, default_topology, epe,
                       generate_scene, mpjpe, perturb, sequence_joint_epe,
                       standard_benchmark)
 from flowpose.pose_refine import _only, _planes, _pose_objective
@@ -96,6 +98,13 @@ def test_perturb_corruption_is_local():
         assert np.all(fa.uv[12:22, 8:18] == np.array([5.0, -3.0]))
 
 
+def test_perturb_names_the_missing_pose_track():
+    scene = generate_scene(seed=2, frames=3, width=16, height=16).scene
+    flat = GroundTruthBundle(replace(scene, mode=MODE_2D, pose=None, camera=None))
+    with pytest.raises(InvalidInputError, match="pose track"):
+        perturb(flat, NoiseConfig())
+
+
 @pytest.mark.parametrize("setting", [
     {"pose_sigma": "a"}, {"pose_sigma": None}, {"pose_sigma": float("nan")},
     {"det_sigma": float("inf")}, {"det_sigma": -1.0},
@@ -169,7 +178,7 @@ def test_epe_rejects_a_nan_point():
         epe(f, f, points=[[np.nan, 1.0]])
 
 
-@pytest.mark.parametrize("subset", [(1.5,), (True,)])
+@pytest.mark.parametrize("subset", [(1.5,), (True,), 5])
 def test_mpjpe_rejects_a_non_index_subset(subset):
     x = PoseTrack(np.zeros((2, 3, 3)))
     with pytest.raises(InvalidInputError, match="subset"):
