@@ -259,7 +259,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError, NotADirectoryError,
+    except (FormatError, FileExistsError, FileNotFoundError, NotADirectoryError,
             IsADirectoryError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

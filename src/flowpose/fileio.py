@@ -79,10 +79,14 @@ def _load_json(path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text", offset=exc.start) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 def _require(doc: dict, key: str, context: str):
@@ -186,7 +190,9 @@ def read_track(path, kind: str | None = None):
     if kind is not None and found != kind:
         raise SchemaError(f"{ctx}: expected a {kind} track")
     cls, dims, _ = _TRACKS[found]
-    units = str(_require(doc, "units", ctx))
+    units = _require(doc, "units", ctx)
+    if not isinstance(units, str):
+        raise SchemaError(f"{ctx}: units must be a string, got {type(units).__name__}")
     try:
         shape = tuple(_count(_require(doc, d, ctx), d) for d in dims)
         arrays = []
@@ -263,6 +269,9 @@ def read_bundle(dirpath, mode: str | None = None) -> SceneBundle:
         camera, _ = read_track(d / "camera.json", "camera")
     flows = read_flow_dir(d / "flows")
     try:
+        if _count(_require(meta, "frames", ctx), "frames") != detections.frames:
+            raise SchemaError(f"{ctx}: frames {meta['frames']} does not match the "
+                              f"{detections.frames} frames of the detections")
         return SceneBundle(topology=topo, width=_require(meta, "width", ctx),
                            height=_require(meta, "height", ctx),
                            detections=detections, flows=tuple(flows), mode=mode,
@@ -313,22 +322,24 @@ def config_from_dict(doc: dict, context: str = "config") -> RunConfig:
         raise SchemaError(f"{context}: unsupported format {doc['format']!r}")
     known = config_to_dict(RunConfig())
     _known_fields(doc, known, context)
+    for key, kind in (("schedule", list), ("pose", dict), ("flow", dict)):
+        if not isinstance(_require(doc, key, context), kind):
+            raise SchemaError(f"{context}: {key} must be a JSON "
+                              f"{'array' if kind is list else 'object'}")
     try:
         stages = []
-        for i, s in enumerate(_require(doc, "schedule", context)):
+        for i, s in enumerate(doc["schedule"]):
             kind = _require(s, "kind", f"{context}: schedule[{i}]")
             _known_fields(s, known["schedule"][0], f"{context}: schedule[{i}]")
             if not isinstance(kind, str) or kind not in _STAGES:
                 raise SchemaError(f"{context}: schedule[{i}]: unknown kind {kind!r}")
             stages.append(_STAGES[kind](_require(s, "epochs", f"{context}: schedule[{i}]")))
-        hp_doc = _require(doc, "pose", context)
-        fp_doc = _require(doc, "flow", context)
         return RunConfig(
             mode=_require(doc, "mode", context),
             seed=doc.get("seed", 0),
             schedule=CycleSchedule(tuple(stages)),
-            pose_params=PoseHyperParams(**hp_doc),
-            flow_params=FlowRefineParams(**fp_doc))
+            pose_params=PoseHyperParams(**doc["pose"]),
+            flow_params=FlowRefineParams(**doc["flow"]))
     except (InvalidInputError, TypeError, ValueError) as exc:
         raise SchemaError(f"{context}: {exc}") from exc
 

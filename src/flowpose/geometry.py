@@ -1,4 +1,5 @@
-"""Core domain types, skeleton topology, and weak-perspective camera geometry.
+"""Core domain types, skeleton topology, weak-perspective camera geometry,
+and the bilinear sampler of stacked flow fields.
 
 Conventions: 3-D joint positions are in meters, image quantities in pixels.
 A camera is the triple ``(s, tx, ty)`` (pixels-per-meter scale plus a 2-D
@@ -315,6 +316,61 @@ def project_track(pose: PoseTrack, camera: CameraTrack) -> np.ndarray:
     x = c[..., 0] * p[..., 0] + c[..., 1]
     y = c[..., 0] * p[..., 1] + c[..., 2]
     return np.stack([x, y], axis=-1)
+
+
+def _sampler(uv: np.ndarray):
+    """Bilinear sampling plan for stacked fields ``(P, H, W, 2)``; returns
+    ``sample(q)`` for ``(2, P, N)`` pixels.
+
+    Field ``k`` is sampled at the points ``q[:, k]``, all pairs in one
+    gather.  Positions are clamped to the field; where clamping was active
+    the positional derivative in that axis is zero (the sample no longer
+    moves with the point).  ``sample`` returns the ``(2, P, N)`` planes of
+    the value ``(u, v)``, its ``(2, 2, P, N)`` Jacobian (``jac[0]`` is
+    d(value)/dx and ``jac[1]`` d(value)/dy) and the ``(2, P, N)`` mask of
+    clamped x and y coordinates.  The plan holds what does not depend on
+    ``q``: the clamp bounds, the corner cap, the flat field and a table of
+    the gather offsets of each pair and corner.
+    """
+    pairs, h, w = uv.shape[:3]
+    hi = np.array([w - 1.0, h - 1.0]).reshape(2, 1, 1)
+    cap = np.array([max(w - 2.0, 0.0), max(h - 2.0, 0.0)]).reshape(2, 1, 1)
+    # corner (x0, y0) of pair k is u entry 2 * x0 + 2 * w * y0 of field k in
+    # the flat (P * H * W * 2) stack; the products and sums are exact
+    step = np.array([2.0, 2.0 * w])
+    flat = uv.reshape(-1)
+    # corners (x0, y0), (x1, y0), (x0, y1), (x1, y1), each as its u and v
+    # entries, plus each pair's offset; a one-pixel axis has x1 = x0 (or y1 = y0)
+    dx = 2 * int(w > 1)
+    dy = 2 * w * int(h > 1)
+    table = (np.array([0, 1, dx, dx + 1, dy, dy + 1, dx + dy, dx + dy + 1]).reshape(4, 2, 1, 1)
+             + np.arange(0, 2 * pairs * h * w, 2 * h * w)[:, None])
+
+    def sample(q: np.ndarray):
+        c = q.clip(0.0, hi)
+        clamped = c != q
+        # fmin keeps a NaN point's corner in range: its sample is NaN, not an index error
+        i0 = np.floor(np.fmin(c, cap))
+        gf = np.empty((2,) + c.shape)          # (1 - f, f), each an (x, y) pair of planes
+        f = np.subtract(c, i0, out=gf[1])
+        np.subtract(1, f, out=gf[0])
+        corner = (step @ i0.reshape(2, -1)).astype(np.intp).reshape(c.shape[1:])
+        v = flat.take(corner + table).reshape((2, 2) + c.shape)   # (y, x, u|v, P, N)
+        # rows[y] = gx * v[y, 0] + fx * v[y, 1], then val = gy * rows[0] + fy * rows[1]
+        t = v * gf[:, 0, None]
+        rows = np.add(t[:, 0], t[:, 1])
+        t = rows * gf[:, 1, None]
+        val = np.add(t[0], t[1])
+        # jac[0] = gy * (v01 - v00) + fy * (v11 - v10), and jac[1] alike in y
+        diff = np.empty((2,) + v.shape[1:])
+        np.subtract(v[:, 1], v[:, 0], out=diff[0])
+        np.subtract(v[1], v[0], out=diff[1])
+        np.multiply(diff, gf[:, ::-1].swapaxes(0, 1)[:, :, None], out=diff)
+        jac = np.add(diff[:, 0], diff[:, 1])
+        np.copyto(jac, 0.0, where=clamped[:, None])
+        return val, jac, clamped
+
+    return sample
 
 
 def average_tracks(a, b):

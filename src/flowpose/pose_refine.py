@@ -20,18 +20,24 @@ segmented sum evaluate every term.
 
 A refinement runs about 1500 epochs on arrays of a few hundred elements, so
 an epoch costs numpy calls, not arithmetic.  The objective is therefore
-built once per refinement as a workspace: a parameter buffer that each
-evaluation copies its input into, the projected pixels, the residuals, the
-bone buffers and the gradient, with every slice the epoch uses made once as
-a view, plus a sampling plan for the stacked flow fields (clamp bounds and
-one table of gather offsets).  Each evaluation writes through these buffers
-and returns a copy of the gradient; it gives the same bits as building
-every array afresh.
+built once per refinement as a workspace around one buffer
+``z = [x | C | p | bone lengths | x0 | detections]``, where ``p`` holds the
+projected pixels, plus a sampling plan for the stacked flow fields
+(``geometry._sampler``).  Each term is one row of a table: its history
+column, the weight of each element and two index arrays into ``z``,
+``plus`` and ``minus``.  An evaluation copies its input into ``z``,
+projects it and measures the bones, then forms every residual with one
+gather, ``z[plus] - z[minus]``, to which the flow term adds the sampled
+flow.  The linear part of the gradient is that gather's transpose,
+``bincount(plus, w g) - bincount(minus, w g)``, a fresh array on every
+call; only the adjoints of the bone lengths, the flow sampling and the
+projection are written out.  It gives the same bits as building every
+array afresh.
 
 A 2-D fallback optimizes pixel tracks directly when no trustworthy 3-D
-estimate exists: projected points are replaced by the 2-D variables, the
-camera terms drop out, and the anchor term compares against the initial
-2-D estimates.
+estimate exists: the projection is the identity (``p`` is a copy of the
+track), the camera terms drop out, and the anchor term compares against
+the initial 2-D estimates.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .geometry import (CameraTrack, DetectionTrack, FlowField, PoseTrack,
-                       SkeletonTopology, _count, _finite_number)
+                       SkeletonTopology, _count, _finite_number, _sampler)
 from .optim import _epoch_history, _huber_parts, adam_step
 
 _NORM_EPS = 1e-12  # guards the bone-direction derivative at zero length
@@ -89,66 +95,6 @@ def _to_params(*arrays: np.ndarray) -> np.ndarray:
     return np.concatenate([_planes(a).ravel() for a in arrays])
 
 
-def _sampler(uv: np.ndarray):
-    """Bilinear sampling plan for stacked fields ``(P, H, W, 2)``; returns
-    ``sample(q)`` for ``(2, P, N)`` pixels.
-
-    Field ``k`` is sampled at the points ``q[:, k]``, all pairs in one
-    gather.  Positions are clamped to the field; where clamping was active
-    the positional derivative in that axis is zero (the sample no longer
-    moves with the point).  ``sample`` returns the ``(2, P, N)`` planes of
-    the value ``(u, v)``, its ``(2, 2, P, N)`` Jacobian (``jac[0]`` is
-    d(value)/dx and ``jac[1]`` d(value)/dy) and the ``(2, P, N)`` mask of
-    clamped x and y coordinates.  The plan holds what does not depend on
-    ``q``: the clamp bounds, the corner cap, the flat field and a table of
-    the gather offsets of each pair and corner.
-    """
-    pairs, h, w = uv.shape[:3]
-    hi = np.array([w - 1.0, h - 1.0]).reshape(2, 1, 1)
-    cap = np.array([max(w - 2.0, 0.0), max(h - 2.0, 0.0)]).reshape(2, 1, 1)
-    # corner (x0, y0) of pair k is u entry 2 * x0 + 2 * w * y0 of field k in
-    # the flat (P * H * W * 2) stack; the products and sums are exact
-    step = np.array([2.0, 2.0 * w])
-    flat = uv.reshape(-1)
-    # corners (x0, y0), (x1, y0), (x0, y1), (x1, y1), each as its u and v
-    # entries, plus each pair's offset; a one-pixel axis has x1 = x0 (or y1 = y0)
-    dx = 2 * int(w > 1)
-    dy = 2 * w * int(h > 1)
-    table = (np.array([0, 1, dx, dx + 1, dy, dy + 1, dx + dy, dx + dy + 1]).reshape(4, 2, 1, 1)
-             + np.arange(0, 2 * pairs * h * w, 2 * h * w)[:, None])
-
-    def sample(q: np.ndarray):
-        c = q.clip(0.0, hi)
-        clamped = c != q
-        # fmin keeps a NaN point's corner in range: its sample is NaN, not an index error
-        i0 = np.floor(np.fmin(c, cap))
-        gf = np.empty((2,) + c.shape)          # (1 - f, f), each an (x, y) pair of planes
-        f = np.subtract(c, i0, out=gf[1])
-        np.subtract(1, f, out=gf[0])
-        corner = (step @ i0.reshape(2, -1)).astype(np.intp).reshape(c.shape[1:])
-        v = flat.take(corner + table).reshape((2, 2) + c.shape)   # (y, x, u|v, P, N)
-        # rows[y] = gx * v[y, 0] + fx * v[y, 1], then val = gy * rows[0] + fy * rows[1]
-        t = v * gf[:, 0, None]
-        rows = np.add(t[:, 0], t[:, 1])
-        t = rows * gf[:, 1, None]
-        val = np.add(t[0], t[1])
-        # jac[0] = gy * (v01 - v00) + fy * (v11 - v10), and jac[1] alike in y
-        diff = np.empty((2,) + v.shape[1:])
-        np.subtract(v[:, 1], v[:, 0], out=diff[0])
-        np.subtract(v[1], v[0], out=diff[1])
-        np.multiply(diff, gf[:, ::-1].swapaxes(0, 1)[:, :, None], out=diff)
-        jac = np.add(diff[:, 0], diff[:, 1])
-        np.copyto(jac, 0.0, where=clamped[:, None])
-        return val, jac, clamped
-
-    return sample
-
-
-def _sample_flow(uv: np.ndarray, q: np.ndarray):
-    """One bilinear sample of the fields ``uv`` at ``q``; see ``_sampler``."""
-    return _sampler(uv)(q)
-
-
 def _pose_objective(hp: PoseHyperParams, x0: np.ndarray,
                     det: DetectionTrack | None = None,
                     flows_uv: np.ndarray | None = None,
@@ -170,136 +116,112 @@ def _pose_objective(hp: PoseHyperParams, x0: np.ndarray,
 
     ``evaluate`` works in the workspace built here (see the module
     docstring): it copies ``params`` in, never writes to them, and returns
-    a copy of the gradient, so a later call leaves an earlier result alone.
+    a fresh gradient, so a later call leaves an earlier result alone.
     """
     dim, frames, joints = x0.shape
-    n_x = x0.size
     nb = 0 if bones is None else len(bones)
     moves = frames - 1   # frame pairs; the flow and temporal terms need one
-    # (name, history column, residual shape, weight of each element)
-    blocks = [b for b in (
-        ("flow", 1, (2, moves, joints), hp.lam_opt / (moves * joints) if moves else 0.0),
-        ("anchor", 2, x0.shape, hp.lam_3d / (frames * joints)),
-        ("det", 3, (2, frames, joints),
-         hp.lam_2d / (frames * joints) * det.confidence if hp.lam_2d else 0.0),
-        ("pos", 4, (dim, moves, joints), hp.lam_pos / (moves * joints) if moves else 0.0),
-        ("cam", 4, (3, moves), hp.lam_cam / moves if camera and moves else 0.0),
-        ("bone", 4, (moves, nb), hp.lam_bone / (moves * nb) if moves and nb else 0.0),
-    ) if np.any(b[3])]
-    sizes = [int(np.prod(shape)) for _, _, shape, _ in blocks]
-    resid, wgrad, weights = np.empty((3, sum(sizes)))
-    starts = np.cumsum([0] + sizes[:-1])
-    columns = np.array([column for _, column, _, _ in blocks], dtype=np.intp)
-    r, wg = {}, {}
-    for (name, _, shape, w), a, size in zip(blocks, starts, sizes):
-        r[name] = resid[a:a + size].reshape(shape)
-        wg[name] = wgrad[a:a + size].reshape(shape)
-        weights[a:a + size].reshape(shape)[...] = w
-    projected = camera and ("flow" in r or "det" in r)
-    # the workspace, and every view an evaluation uses
-    work = np.empty(n_x + 3 * frames * camera)
-    grad = np.empty_like(work)
-    x = work[:n_x].reshape(x0.shape)
-    gx = grad[:n_x].reshape(x0.shape)
-    x_head, x_tail, gx_head, gx_tail = x[:, :-1], x[:, 1:], gx[:, :-1], gx[:, 1:]
+    # z = [x | C | p | bone lengths | x0 | detections]: each region's span,
+    # a view of it and the indices of its elements
+    shapes = (x0.shape, (3 * camera, frames), (2, frames, joints), (frames, nb), x0.shape,
+              (2, frames, joints))
+    sizes = [math.prod(shape) for shape in shapes]
+    spans = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+    z, at, regions = np.zeros(sum(sizes)), np.arange(sum(sizes)), list(zip(spans, shapes))
+    x, C, p, lengths, anchor, pixels = (z[span].reshape(shape) for span, shape in regions)
+    xi, ci, pi, li, x0i, di = (at[span].reshape(shape) for span, shape in regions)
+    anchor[...] = x0
+    if det is not None:
+        pixels[...] = _planes(det.pixels)
+    # each term's residual is z[plus] - z[minus], to which the flow term adds
+    # the flow sampled at p_t: (history column, weight of each element, plus, minus)
+    terms = (
+        (1, hp.lam_opt / (moves * joints) if moves else 0.0, pi[:, :-1], pi[:, 1:]),
+        (2, hp.lam_3d / (frames * joints), xi, x0i),
+        (3, hp.lam_2d / (frames * joints) * det.confidence if hp.lam_2d else 0.0, pi, di),
+        (4, hp.lam_pos / (moves * joints) if moves else 0.0, xi[:, 1:], xi[:, :-1]),
+        (4, hp.lam_cam / moves if camera and moves else 0.0, ci[:, 1:], ci[:, :-1]),
+        (4, hp.lam_bone / (moves * nb) if moves and nb else 0.0, li[1:], li[:-1]))
+    blocks = [term for term in terms if np.any(term[1])]
+    # the trailing empty array keeps the table's dtypes when every term is off
+    weights, plus, minus = (np.concatenate(
+        [np.broadcast_to(b[k], b[2].shape).ravel() for b in blocks] + [np.zeros(0, np.intp)])
+        for k in (1, 2, 3))
+    columns = np.array([b[0] for b in blocks], dtype=np.intp)
+    starts = np.cumsum([0] + [b[2].size for b in blocks[:-1]])
+    resid, wgrad = np.empty((2, plus.size))
+    # the terms with a non-linear adjoint: the sampled flow and the bone lengths
+    flow, bone = np.any(terms[0][1]), np.any(terms[-1][1])
+    n, xy = xi.size + ci.size, x[:2]
     if camera:
-        C = work[n_x:].reshape(3, frames)
-        gC = grad[n_x:].reshape(3, frames)
-        C_head, C_tail, gC_head, gC_tail = C[:, :-1], C[:, 1:], gC[:, :-1], gC[:, 1:]
-        scale, shift, g_scale, g_shift = C[0, :, None], C[1:, :, None], gC[0], gC[1:]
-        xy, gxy = x[:2], gx[:2]
-    p = np.empty((2, frames, joints)) if projected else x
-    p_head, p_tail = p[:, :-1], p[:, 1:]
-    # the pixel gradient: the detection slopes, or a buffer zeroed per call
-    gp = wg.get("det", np.empty((2, frames, joints)))
-    gp_head, gp_tail = gp[:, :-1], gp[:, 1:]
-    if projected:
-        gp_scaled = np.empty((2, frames, joints))
-    if "flow" in r:
+        scale, shift = C[0, :, None], C[1:, :, None]
+        gp_scaled = np.empty(p.shape)
+    if flow:
         sample = _sampler(flows_uv)
-    if "det" in r:
-        det_pixels = _planes(det.pixels)
-    if "bone" in r:
+        r_flow = resid[:pi[:, :-1].size].reshape(pi[:, :-1].shape)
+        w_flow = wgrad[:r_flow.size].reshape(r_flow.shape)
+    if bone:
         incidence = np.zeros((joints, nb))             # bone b is x_j - x_k
         incidence[bones[:, 0], np.arange(nb)] = 1.0
         incidence[bones[:, 1], np.arange(nb)] = -1.0
         incidence_t = incidence.T.copy()
         d = np.empty((dim, frames, nb))                # bone vectors
         d_g = np.empty_like(d)                         # their squares, then d * gl
-        lengths = np.empty((frames, nb))
-        gl = np.empty((frames, nb))                    # d(loss) / d(length)
         gx_bone = np.empty(x0.shape)
         x_rows, d_rows, d_g_rows = x.reshape(-1, joints), d.reshape(-1, nb), d_g.reshape(-1, nb)
         gx_bone_rows = gx_bone.reshape(-1, joints)
-        lengths_head, lengths_tail, gl_head, gl_tail = lengths[:-1], lengths[1:], gl[:-1], gl[1:]
 
     def evaluate(params: np.ndarray, row: np.ndarray | None = None):
         row = np.zeros(5) if row is None else row
-        grad.fill(0.0)
         if not resid.size:
             row[:] = 0.0
-            return row[0], grad.copy()
-        np.copyto(work, params)
-        if projected:
+            return row[0], np.zeros(n)
+        np.copyto(z[:n], params)
+        if camera:
             np.multiply(xy, scale, out=p)
             np.add(p, shift, out=p)
-        if "flow" in r:
-            val, jac, _ = sample(p_head)
-            np.subtract(p_tail, p_head, out=r["flow"])
-            np.subtract(val, r["flow"], out=r["flow"])
-        if "anchor" in r:
-            np.subtract(x, x0, out=r["anchor"])
-        if "det" in r:
-            np.subtract(p, det_pixels, out=r["det"])
-        if "pos" in r:
-            np.subtract(x_tail, x_head, out=r["pos"])
-        if "cam" in r:
-            np.subtract(C_tail, C_head, out=r["cam"])
-        if "bone" in r:
+        else:
+            np.copyto(p, xy)
+        if bone:
             np.matmul(x_rows, incidence, out=d_rows)
             np.add.reduce(np.multiply(d, d, out=d_g), axis=0, out=lengths)
             np.sqrt(lengths, out=lengths)
-            np.subtract(lengths_tail, lengths_head, out=r["bone"])
+        np.subtract(z.take(plus), z.take(minus), out=resid)
+        if flow:
+            val, jac, _ = sample(p[:, :-1])
+            np.add(r_flow, val, out=r_flow)
         vals, g = _huber_parts(resid)
         np.multiply(weights, g, out=wgrad)
         # each term summed on its own, the temporal ones then added in order
         row[:] = np.bincount(columns, np.add.reduceat(
             np.multiply(weights, vals, out=vals), starts), minlength=5)
         row[0] = row[1] + row[2] + row[3] + row[4]
-        if "anchor" in r:
-            np.add(gx, wg["anchor"], out=gx)
-        if "pos" in r:
-            np.add(gx_tail, wg["pos"], out=gx_tail)
-            np.subtract(gx_head, wg["pos"], out=gx_head)
-        if "cam" in r:
-            np.add(gC_tail, wg["cam"], out=gC_tail)
-            np.subtract(gC_head, wg["cam"], out=gC_head)
-        if "bone" in r:
+        # the linear part of the gradient is the gather's transpose, a fresh
+        # array on every call
+        gz = np.bincount(plus, wgrad, z.size)
+        np.subtract(gz, np.bincount(minus, wgrad, z.size), out=gz)
+        gx, gp = gz[spans[0]].reshape(x0.shape), gz[spans[2]].reshape(p.shape)
+        if bone:
             # d|x_j - x_k| / dx_j is the unit bone vector
-            gl[0] = 0.0
-            np.copyto(gl_tail, wg["bone"])
-            np.subtract(gl_head, wg["bone"], out=gl_head)
+            gl = gz[spans[3]].reshape(lengths.shape)
             np.divide(gl, np.maximum(lengths, _NORM_EPS, out=lengths), out=gl)
             np.multiply(d, gl, out=d_g)
             np.matmul(d_g_rows, incidence_t, out=gx_bone_rows)
             np.add(gx, gx_bone, out=gx)
-        if "flow" in r:
-            # residual = flow(p_t) + p_t - p_{t+1}, a (u, v) pair per joint
-            wf = wg["flow"]
-            if "det" not in r:
-                gp.fill(0.0)
-            np.add(gp_head, wf, out=gp_head)
-            np.subtract(gp_tail, wf, out=gp_tail)
-            np.add(gp_head, np.add.reduce(np.multiply(jac, wf, out=jac), axis=1),
+        if flow:
+            gp_head = gp[:, :-1]
+            np.add(gp_head, np.add.reduce(np.multiply(jac, w_flow, out=jac), axis=1),
                    out=gp_head)
-        if projected:
+        gxy = gx[:2]
+        if camera:
+            gC = gz[spans[1]].reshape(C.shape)
             np.add(gxy, np.multiply(gp, scale, out=gp_scaled), out=gxy)
-            np.add(g_scale, np.add.reduce(np.multiply(gp, xy, out=gp_scaled), axis=(0, 2)),
-                   out=g_scale)
-            np.add(g_shift, np.add.reduce(gp, axis=2), out=g_shift)
-        elif "flow" in r or "det" in r:
-            np.add(gx, gp, out=gx)
-        return row[0], grad.copy()
+            np.add(gC[0], np.add.reduce(np.multiply(gp, xy, out=gp_scaled), axis=(0, 2)),
+                   out=gC[0])
+            np.add(gC[1:], np.add.reduce(gp, axis=2), out=gC[1:])
+        else:
+            np.add(gxy, gp, out=gxy)
+        return row[0], gz[:n]
 
     return evaluate
 

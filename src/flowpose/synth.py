@@ -18,10 +18,9 @@ import numpy as np
 from .errors import InvalidInputError
 from .geometry import (MODE_3D, CameraTrack, DetectionTrack, FlowField,
                        PoseTrack, SceneBundle, SkeletonTopology, _bone_tree, _count,
-                       _finite_number, _numbers, _positive_array, default_topology,
-                       project_track)
+                       _finite_number, _numbers, _positive_array, _sampler,
+                       default_topology, project_track)
 from .optim import _epoch_history
-from .pose_refine import _sample_flow
 from .raster import bone_flow, compose_target_flow
 
 
@@ -231,7 +230,7 @@ def epe(pred: FlowField, gt: FlowField, points=None) -> float:
     if np.any(pts < 0) or np.any(pts > (pred.width - 1, pred.height - 1)):
         raise InvalidInputError("points: position outside the flow field")
     at = pts.T[:, None]
-    d = _sample_flow(pred.uv[None], at)[0] - _sample_flow(gt.uv[None], at)[0]
+    d = _sampler(pred.uv[None])(at)[0] - _sampler(gt.uv[None])(at)[0]
     return float(np.linalg.norm(d, axis=0).mean())
 
 

@@ -132,7 +132,11 @@ def test_format_error_exit_3(tmp_path):
     ("meta.json", r"(?s).*", "16"),
     ("pose.json", r"(?s).*", "16"),
     ("topology.json", r'"joint_count": \d+', '"joint_count": 1e400'),
-], ids=["width-string", "meta-number", "pose-number", "joint-count-overflow"])
+    ("meta.json", r'"frames": \d+', '"frames": 2'),
+    ("meta.json", r'"frames": \d+', '"frames": 1' + '0' * 30),
+    ("detections.json", r'"units": "\w+"', '"units": [1]'),
+], ids=["width-string", "meta-number", "pose-number", "joint-count-overflow",
+        "frames-mismatch", "frames-huge", "units-list"])
 def test_malformed_scene_json_exit_3(tmp_path, name, pattern, replacement):
     gt = _synth(tmp_path, size=16)
     path = gt / name
@@ -142,14 +146,44 @@ def test_malformed_scene_json_exit_3(tmp_path, name, pattern, replacement):
     assert main(["eval", "--pred", str(gt), "--gt", str(gt)]) == 3
 
 
+@pytest.mark.parametrize("damage", ["not-utf8", "deep"])
+@pytest.mark.parametrize("target", ["meta.json", "pose.json", "topology.json", "config",
+                                    "synth-topology"])
+def test_undecodable_json_exit_3(tmp_path, capsys, target, damage):
+    # bytes that are not UTF-8, and nesting deeper than the parser recurses,
+    # make a malformed file, which the error names
+    gt = _synth(tmp_path, size=16)
+    path = gt / target if target.endswith(".json") else tmp_path / "doc.json"
+    path.write_bytes(b'{"format": "\xff"}' if damage == "not-utf8"
+                     else b"[" * 100_000 + b"]" * 100_000)
+    out = str(tmp_path / "out")
+    argv = {"config": ["bootstrap", "--config", str(path), "--in", str(gt), "--out", out],
+            "synth-topology": ["synth", "--topology", str(path), "--out", out]}
+    assert main(argv.get(target, ["eval", "--pred", str(gt), "--gt", str(gt)])) == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_synth_onto_an_existing_file_exit_3(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert main(["synth", "--out", str(taken), "--frames", "2", "--width", "16",
+                 "--height", "16"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == "kept"
+
+
 def _bootstrap_with(tmp_path, block, field, json_value):
-    """Run a short bootstrap whose config has ``block.field`` set to the raw
-    JSON text ``json_value``; returns the exit code."""
+    """Run a short bootstrap whose config has ``block.field`` (the whole
+    ``block`` if ``field`` is None) set to the raw JSON text ``json_value``;
+    returns the exit code."""
     gt = _synth(tmp_path, size=16)
     doc = fileio.config_to_dict(fileio.RunConfig())
     doc["schedule"] = [{"kind": "flow", "epochs": 1}, {"kind": "pose", "epochs": 1},
                        {"kind": "flow", "epochs": 1}]
-    doc[block][field] = "@value@"
+    if field is None:
+        doc[block] = "@value@"
+    else:
+        doc[block][field] = "@value@"
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc).replace('"@value@"', json_value))
     return main(["bootstrap", "--config", str(cfg_path), "--in", str(gt),
@@ -173,10 +207,18 @@ def _bootstrap_with(tmp_path, block, field, json_value):
     ("flow", "lr", "-0.05"),
     ("flow", "radius", "1e400"),
     ("flow", "radius", "2.5"),
+    ("schedule", None, "5"),
+    ("schedule", None, '{"kind": "pose", "epochs": 1}'),
+    ("pose", None, "[1]"),
+    ("flow", None, '"abc"'),
 ])
 def test_malformed_config_hyperparameters_exit_3(tmp_path, capsys, block, field, json_value):
     assert _bootstrap_with(tmp_path, block, field, json_value) == 3
-    assert f"error: {tmp_path / 'cfg.json'}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'cfg.json'}" in err
+    if field is None:
+        # a block of the wrong type is named, not Python's complaint about it
+        assert f"{block} must be a JSON" in err
 
 
 @pytest.mark.parametrize("block, field, json_value", [

@@ -9,10 +9,10 @@ from hypothesis.extra.numpy import arrays
 from flowpose import (CameraTrack, DetectionTrack, FlowField, InvalidInputError,
                       NumericalError, PoseHyperParams, PoseTrack, SkeletonTopology,
                       project_track, refine_pose, refine_pose_2d, standard_benchmark)
+from flowpose.geometry import _sampler
 from flowpose.gradcheck import make_random_scene
 from flowpose.optim import _huber_parts, finite_diff_check
-from flowpose.pose_refine import (_interleaved, _only, _planes, _pose_objective,
-                                  _sample_flow, _to_params)
+from flowpose.pose_refine import _interleaved, _only, _planes, _pose_objective, _to_params
 from flowpose.synth import generate_scene, mpjpe
 
 from oracles import (allocating_pose_objective, allocating_sample_flow, flow_consistency_oracle,
@@ -61,7 +61,7 @@ def test_loss_opt_zero_for_consistent_flow():
     uv = np.broadcast_to(disp, (1, 64, 64, 2)).copy()
     v, _ = _term(_only(lam_opt=1.0), pose.positions, cam.params, flows_uv=uv)
     assert v == pytest.approx(0.0, abs=1e-18)
-    clamped = _sample_flow(uv, _planes(project_track(pose, cam))[:, :-1])[2]
+    clamped = _sampler(uv)(_planes(project_track(pose, cam))[:, :-1])[2]
     assert not clamped.any()
 
 
@@ -308,10 +308,10 @@ _LAMS = ("lam_opt", "lam_3d", "lam_2d", "lam_pos", "lam_cam", "lam_bone")
 _weight = st.one_of(st.just(0.0), st.floats(1e-3, 1e4))
 
 
-def _scene_point(seed, camera):
+def _scene_point(seed, camera, frames=3, joints=5):
     """A random scene, its track (3-D or projected), the objective's plan and
     an anchor offset from the track."""
-    topo, pose, cam, det, flows = make_random_scene(seed)
+    topo, pose, cam, det, flows = make_random_scene(seed, frames, joints)
     rng = np.random.Generator(np.random.PCG64(seed))
     x = pose.positions if camera else project_track(pose, cam)
     anchor = x + rng.normal(0.0, 0.05, x.shape)
@@ -394,7 +394,7 @@ def test_batched_flow_consistency_matches_per_pair_loop(case):
     grad = _interleaved(grad.reshape(_planes(track).shape))
     want = np.array(want_grad)
     assert np.all(np.abs(grad - want) <= 1e-12 * np.abs(want).max())
-    clamped = _sample_flow(fields, _planes(track)[:, :-1])[2]
+    clamped = _sampler(fields)(_planes(track)[:, :-1])[2]
     assert np.count_nonzero(clamped.any(axis=0)) == want_clamped
 
 
@@ -421,7 +421,7 @@ def _points_on_fields(draw):
 @given(_points_on_fields())
 def test_planar_sampler_matches_oracle(case):
     q, fields = case
-    val, jac, clamped = _sample_flow(fields, q)
+    val, jac, clamped = _sampler(fields)(q)
     want = [[flow_sample_oracle(fields[k].tolist(), *q[:, k, i].tolist())
              for i in range(q.shape[2])] for k in range(q.shape[1])]
     for got, part in ((val, 0), (jac[0], 1), (jac[1], 2)):
@@ -442,10 +442,12 @@ def _planes_of(x, cams, camera):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), camera=st.booleans(),
-       lams=st.tuples(*[_weight] * len(_LAMS)))
-def test_workspace_objective_matches_allocating_oracle(seed, camera, lams):
-    # several points on one plan, so state left in the workspace would show
-    x, cams, anchor, plan = _scene_point(seed, camera)
+       lams=st.tuples(*[_weight] * len(_LAMS)), frames=st.integers(2, 4),
+       joints=st.integers(1, 6))
+def test_workspace_objective_matches_allocating_oracle(seed, camera, lams, frames, joints):
+    # several points on one plan, so state left in the workspace would show;
+    # one joint has no bone, and zero weights drop terms from the table
+    x, cams, anchor, plan = _scene_point(seed, camera, frames, joints)
     hp = PoseHyperParams(**dict(zip(_LAMS, lams)))
     evaluate = _pose_objective(hp, _planes(anchor), **plan)
     oracle = allocating_pose_objective(hp, 1.0, _planes(anchor), **plan)
@@ -497,7 +499,7 @@ def test_nan_pixel_samples_nan_instead_of_failing():
     # allocating sampler does, so the refiner reports a NumericalError
     fields = np.random.default_rng(0).normal(size=(2, 5, 4, 2))
     q = np.array([[[np.nan, 1.5], [2.0, np.nan]], [[0.5, np.nan], [np.nan, np.nan]]])
-    got = _sample_flow(fields, q)
+    got = _sampler(fields)(q)
     with np.errstate(invalid="ignore"):     # the reference casts NaN to an index
         want = allocating_sample_flow(fields, q)
     for a, b in zip(got, want):
