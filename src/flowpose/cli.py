@@ -25,7 +25,7 @@ from .geometry import MODE_2D, MODE_3D, average_tracks, default_topology
 from .gradcheck import run_gradient_checks
 from .pipeline import CycleSchedule, bootstrap
 from .synth import (GroundTruthBundle, NoiseConfig, epe, generate_scene,
-                    mpjpe, perturb, sequence_joint_epe)
+                    joint2d_error, mpjpe, perturb, sequence_joint_epe)
 
 
 def _fmt(value) -> str:
@@ -95,19 +95,20 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
+    """The config file's settings, or the defaults of ``--mode``; ``--mode``
+    overrides a config's mode but keeps its schedule."""
+    cfg = RunConfig(mode=args.mode or MODE_3D)
     if args.print_config:
-        cfg = RunConfig(mode=args.mode or MODE_3D)
         sys.stdout.write(json.dumps(fileio.config_to_dict(cfg), indent=2) + "\n")
         return 0
     if not args.input or not args.out:
         print("error: bootstrap needs an input and an output directory (--in, --out)",
               file=sys.stderr)
         return 2
-    cfg = fileio.read_config(args.config) if args.config else RunConfig(
-        mode=args.mode or MODE_3D)
-    if args.mode:
-        cfg = replace(cfg, mode=args.mode,
-                      schedule=cfg.schedule if args.config else None)
+    if args.config:
+        cfg = fileio.read_config(args.config)
+        if args.mode:
+            cfg = replace(cfg, mode=args.mode)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return _run(cfg, args.input, args.out, args.gt)
@@ -124,9 +125,7 @@ def _cmd_eval(args) -> int:
         if subset:
             print(f"MPJPE (mm)  subset  {1000.0 * mpjpe(pred.pose, gt.pose, subset):.6f}")
     else:
-        err = float(np.linalg.norm(pred.detections.pixels - gt.detections.pixels,
-                                   axis=-1).mean())
-        print(f"JOINT2D (px) all    {err:.6f}")
+        print(f"JOINT2D (px) all    {joint2d_error(pred.detections, gt.detections):.6f}")
     full = float(np.mean([epe(p, g) for p, g in zip(pred.flows, gt.flows)]))
     joint = sequence_joint_epe(pred.flows, gt.flows, gt.detections.pixels)
     print(f"EPE (px)    all     {full:.6f}")
@@ -169,11 +168,10 @@ def _cmd_check_grads(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_scene_io(p, gt_flag=True):
+def _add_scene_io(p):
     p.add_argument("--in", dest="input", required=True, help="input scene directory")
     p.add_argument("--out", required=True, help="output scene directory")
-    if gt_flag:
-        p.add_argument("--gt", help="ground-truth scene directory for per-stage metrics")
+    p.add_argument("--gt", help="ground-truth scene directory for per-stage metrics")
     p.add_argument("--mode", choices=[MODE_3D, MODE_2D], default=MODE_3D)
 
 

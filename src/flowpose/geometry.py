@@ -127,8 +127,10 @@ class SkeletonTopology:
         if referenced and len(_bone_tree(bones)) != len(referenced) - 1:
             raise InvalidInputError("bones do not form a connected graph")
         if self.names is not None:
-            object.__setattr__(self, "names", _numbers(self.names, self.joint_count, "names",
-                                                       each=lambda n, _: str(n)))
+            names = _numbers(self.names, self.joint_count, "names", each=lambda n, _: n)
+            if not all(isinstance(n, str) for n in names):
+                raise InvalidInputError(f"names must be strings, got {names!r}")
+            object.__setattr__(self, "names", names)
         if self.eval_subset is not None:
             subset = _numbers(self.eval_subset, None, "eval_subset", each=_count)
             if any(not 0 <= i < self.joint_count for i in subset):

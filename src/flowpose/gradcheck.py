@@ -31,15 +31,14 @@ class CheckResult:
     max_rel_error: float
 
 
-def _near_sampling_kink(p: np.ndarray, width: int, height: int,
-                        margin: float = 1e-3) -> bool:
-    """True if any projected coordinate sits within ``margin`` of a pixel-grid
+def _near_sampling_kink(p: np.ndarray, width: int, height: int) -> bool:
+    """True if any projected coordinate sits within 1e-3 px of a pixel-grid
     line or of the clamping border, where the sampled flow is not smooth."""
     for coords, n in ((p[..., 0], width), (p[..., 1], height)):
         interior = (coords > 0) & (coords < n - 1)
-        if np.any(interior & (np.abs(coords - np.round(coords)) < margin)):
+        if np.any(interior & (np.abs(coords - np.round(coords)) < 1e-3)):
             return True
-        if np.any(np.minimum(np.abs(coords), np.abs(coords - (n - 1))) < margin):
+        if np.any(np.minimum(np.abs(coords), np.abs(coords - (n - 1))) < 1e-3):
             return True
     return False
 

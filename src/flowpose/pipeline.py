@@ -21,11 +21,11 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .geometry import MODE_2D, MODE_3D, SceneBundle, _count, project_track
+from .geometry import MODE_3D, SceneBundle, _count, project_track
 from .flow_refine import FlowRefineParams, refine_flow
 from .pose_refine import PoseHyperParams, refine_pose, refine_pose_2d
 from .raster import bone_flow, compose_target_flow
-from .synth import GroundTruthBundle, mpjpe, sequence_joint_epe
+from .synth import GroundTruthBundle, joint2d_error, mpjpe, sequence_joint_epe
 
 
 @dataclass(frozen=True)
@@ -85,73 +85,68 @@ class StageRecord:
     drift_warning: bool = False
 
 
-def _pose_error(mode, pose, pose2d, gt: GroundTruthBundle) -> float:
-    if mode == MODE_3D:
-        return mpjpe(pose, gt.scene.pose)
-    diff = pose2d.pixels - gt.scene.detections.pixels
-    return float(np.linalg.norm(diff, axis=-1).mean())
+def _errors(scene: SceneBundle, gt: GroundTruthBundle) -> dict[str, float]:
+    """The scene's pose and joint-flow errors against ground truth, by stage kind."""
+    pose = (mpjpe(scene.pose, gt.scene.pose) if scene.mode == MODE_3D
+            else joint2d_error(scene.detections, gt.scene.detections))
+    return {"pose": pose, "flow": sequence_joint_epe(scene.flows, gt.scene.flows, gt.joints2d)}
 
 
 def bootstrap(bundle: SceneBundle, schedule: CycleSchedule | None = None,
               hp: PoseHyperParams | None = None,
               flow_params: FlowRefineParams | None = None,
               gt: GroundTruthBundle | None = None):
-    """Run the refinement schedule on a scene; returns ``(bundle, records)``.
+    """Run the refinement schedule on a scene; returns ``(scene, records)``.
 
-    Flow stages carry their state forward: each one further refines the
-    current flow fields toward sketches built from the latest pose.  Pose
-    stages are re-derived per cycle: every pose stage starts from and
-    anchors to the bundle's original estimates, optimizing against the
-    current flows (so cross-cycle drift enters through the accumulating
-    flow refinement, not through compounding pose updates).  Flow stages
-    pass ``flow_params`` to ``refine_flow`` and draw overlays at its
-    ``radius``.  An empty schedule returns the bundle unchanged.
+    One running scene starts as ``bundle``, and each stage replaces what it
+    refines: a flow stage the ``flows``, a 3-D pose stage the ``pose`` and
+    ``camera``, a 2-D pose stage the ``detections``.  So each flow stage
+    further refines the current flows toward sketches built from the latest
+    pose, while every pose stage starts from and anchors to ``bundle``'s
+    original estimates, optimizing against the current flows (cross-cycle
+    drift enters through the accumulating flow refinement, not through
+    compounding pose updates).  Flow stages pass ``flow_params`` to
+    ``refine_flow`` and draw overlays at its ``radius``.  An empty schedule
+    returns ``bundle`` itself.
     """
     schedule = schedule if schedule is not None else CycleSchedule.default(bundle.mode)
-    hp = hp or PoseHyperParams()
     fp = flow_params or FlowRefineParams()
     if not schedule.stages:
         return bundle, []
+    if gt is not None and bundle.mode == MODE_3D and gt.scene.pose is None:
+        raise InvalidInputError("a 3d run needs ground truth with a pose track")
 
-    topo = bundle.topology
-    frames = bundle.frames
-    flows = list(bundle.flows)
-    pose, camera = bundle.pose, bundle.camera
-    pose2d = bundle.detections
-
-    prev_mpjpe = prev_epe = None
-    if gt is not None:
-        if bundle.mode == MODE_3D and gt.scene.pose is None:
-            raise InvalidInputError("a 3d run needs ground truth with a pose track")
-        prev_mpjpe = _pose_error(bundle.mode, pose, pose2d, gt)
-        prev_epe = sequence_joint_epe(flows, gt.scene.flows, gt.joints2d)
-
+    scene = bundle
+    before = _errors(scene, gt) if gt is not None else None
     records: list[StageRecord] = []
     for idx, stage in enumerate(schedule.stages):
         kind = stage.kind
         try:
             if kind == "flow":
-                if bundle.mode == MODE_3D:
-                    joints2d = project_track(pose, camera)
-                else:
-                    joints2d = pose2d.pixels
-                finals = []
-                for i in range(frames - 1):
-                    sparse, mask = bone_flow(joints2d[i], joints2d[i + 1], topo,
-                                             bundle.width, bundle.height, fp.radius)
-                    target = compose_target_flow(flows[i], sparse, mask)
-                    flows[i], losses = refine_flow(flows[i], target, stage.epochs, fp)
+                joints2d = (project_track(scene.pose, scene.camera) if scene.mode == MODE_3D
+                            else scene.detections.pixels)
+                flows, finals = [], []
+                for i, flow in enumerate(scene.flows):
+                    sparse, mask = bone_flow(joints2d[i], joints2d[i + 1], scene.topology,
+                                             scene.width, scene.height, fp.radius)
+                    flow, losses = refine_flow(flow, compose_target_flow(flow, sparse, mask),
+                                               stage.epochs, fp)
+                    flows.append(flow)
                     if losses.size:
                         finals.append(losses[-1])
+                scene = replace(scene, flows=flows)
                 final_loss = float(np.mean(finals)) if finals else None
             else:
-                if bundle.mode == MODE_3D:
+                if scene.mode == MODE_3D:
                     pose, camera, history = refine_pose(
-                        bundle.pose, bundle.camera, bundle.detections, flows,
-                        topo, hp, stage.epochs)
+                        bundle.pose, bundle.camera, bundle.detections, scene.flows,
+                        scene.topology, hp, stage.epochs)
+                    scene = replace(scene, pose=pose, camera=camera)
                 else:
-                    pose2d, history = refine_pose_2d(
-                        bundle.detections, bundle.detections, flows, topo, hp, stage.epochs)
+                    track, history = refine_pose_2d(
+                        bundle.detections, bundle.detections, scene.flows,
+                        scene.topology, hp, stage.epochs)
+                    scene = replace(scene, detections=track)
                 final_loss = float(history[-1, 0]) if history.size else None
         except NumericalError as exc:
             raise NumericalError(f"stage {idx} ({kind}): {exc}") from exc
@@ -159,20 +154,15 @@ def bootstrap(bundle: SceneBundle, schedule: CycleSchedule | None = None,
         record = StageRecord(index=idx, kind=kind, epochs=stage.epochs,
                              final_loss=final_loss)
         if gt is not None:
-            record.mpjpe = _pose_error(bundle.mode, pose, pose2d, gt)
-            record.epe = sequence_joint_epe(flows, gt.scene.flows, gt.joints2d)
-            own_metric, prev = ((record.epe, prev_epe) if kind == "flow"
-                                else (record.mpjpe, prev_mpjpe))
-            if prev is not None and own_metric > prev + 1e-12:
+            after = _errors(scene, gt)
+            record.mpjpe, record.epe = after["pose"], after["flow"]
+            if after[kind] > before[kind] + 1e-12:
                 record.drift_warning = True
                 warnings.warn(
-                    f"stage {idx} ({kind}) increased the {('flow error' if kind == 'flow' else 'pose error')} "
-                    f"from {prev:.6g} to {own_metric:.6g}; the schedule may be "
+                    f"stage {idx} ({kind}) increased the {kind} error "
+                    f"from {before[kind]:.6g} to {after[kind]:.6g}; the schedule may be "
                     f"drifting past its useful length", RuntimeWarning,
                     stacklevel=2)
-            prev_mpjpe, prev_epe = record.mpjpe, record.epe
+            before = after
         records.append(record)
-
-    out = replace(bundle, flows=tuple(flows), pose=pose, camera=camera,
-                  detections=pose2d if bundle.mode == MODE_2D else bundle.detections)
-    return out, records
+    return scene, records

@@ -216,6 +216,14 @@ def mpjpe(pred: PoseTrack, gt: PoseTrack,
     return float(np.linalg.norm(a - b, axis=-1).mean())
 
 
+def joint2d_error(pred: DetectionTrack, gt: DetectionTrack) -> float:
+    """Mean Euclidean distance in pixels between two 2-D joint tracks, over
+    frames and joints."""
+    if pred.pixels.shape != gt.pixels.shape:
+        raise InvalidInputError("2-D joint tracks have different dimensions")
+    return float(np.linalg.norm(pred.pixels - gt.pixels, axis=-1).mean())
+
+
 def epe(pred: FlowField, gt: FlowField, points=None) -> float:
     """Mean endpoint error in pixels, over all pixels or at given points.
 

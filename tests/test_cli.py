@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowpose.cli import main
-from flowpose import fileio
+from flowpose import SkeletonTopology, fileio
 from flowpose.synth import generate_scene
 
 
@@ -135,8 +135,9 @@ def test_format_error_exit_3(tmp_path):
     ("meta.json", r'"frames": \d+', '"frames": 2'),
     ("meta.json", r'"frames": \d+', '"frames": 1' + '0' * 30),
     ("detections.json", r'"units": "\w+"', '"units": [1]'),
+    ("topology.json", r'"names": \[\s*"\w+"', '"names": [[1]'),
 ], ids=["width-string", "meta-number", "pose-number", "joint-count-overflow",
-        "frames-mismatch", "frames-huge", "units-list"])
+        "frames-mismatch", "frames-huge", "units-list", "names-list"])
 def test_malformed_scene_json_exit_3(tmp_path, name, pattern, replacement):
     gt = _synth(tmp_path, size=16)
     path = gt / name
@@ -317,6 +318,61 @@ def test_2d_bootstrap_takes_2d_ground_truth(tmp_path):
                  "--out", str(out), "--gt", str(scene)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert all(s["mpjpe"] is not None for s in report["stages"])
+
+
+def _synth_joints(tmp_path, joints, eval_subset=None):
+    """A 32-px, 3-frame scene on a chain of ``joints`` joints (17: the default
+    topology), as written by ``synth``, and a pose-less 2-D copy of it."""
+    out = tmp_path / f"j{joints}"
+    argv = ["synth", "--out", str(out), "--frames", "3", "--width", "32", "--height", "32"]
+    if joints != 17:
+        path = tmp_path / f"topology{joints}.json"
+        fileio.write_topology(path, SkeletonTopology(
+            joints, tuple((j, j + 1) for j in range(joints - 1)), eval_subset=eval_subset))
+        argv += ["--topology", str(path)]
+    assert main(argv) == 0
+    flat = tmp_path / f"j{joints}-2d"
+    fileio.write_bundle(flat, replace(fileio.read_bundle(out), mode="2d", pose=None,
+                                      camera=None))
+    return out, flat
+
+
+def test_eval_lines_and_mismatched_joint_counts(tmp_path, capsys):
+    full, full2d = _synth_joints(tmp_path, 17)
+    five, five2d = _synth_joints(tmp_path, 5, eval_subset=(1, 3))
+    one, one2d = _synth_joints(tmp_path, 1)
+    noisy = tmp_path / "noisy"
+    assert main(["perturb", "--in", str(full), "--out", str(noisy), "--det-sigma", "2"]) == 0
+    noisy2d = tmp_path / "noisy-2d"
+    fileio.write_bundle(noisy2d, replace(fileio.read_bundle(noisy), mode="2d", pose=None,
+                                         camera=None))
+    capsys.readouterr()
+    # with a pose on both sides: the subset line follows the topology's eval_subset
+    assert main(["eval", "--pred", str(five), "--gt", str(five)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["MPJPE (mm)  all     0.000000", "MPJPE (mm)  subset  0.000000"]
+    # a side without a pose compares the 2-D joints
+    assert main(["eval", "--pred", str(noisy2d), "--gt", str(full)]) == 0
+    a = fileio.read_bundle(noisy2d).detections.pixels
+    b = fileio.read_bundle(full).detections.pixels
+    want = float(np.linalg.norm(a - b, axis=-1).mean())
+    assert want > 0.5
+    assert capsys.readouterr().out.splitlines()[0] == f"JOINT2D (px) all    {want:.6f}"
+    # different joint counts are bad input on every path that compares joints
+    out = tmp_path / "out"
+    for argv in (["eval", "--pred", str(one2d), "--gt", str(full)],
+                 ["eval", "--pred", str(full2d), "--gt", str(five)],
+                 ["eval", "--pred", str(five), "--gt", str(one)],
+                 ["bootstrap", "--mode", "2d", "--in", str(full), "--gt", str(five),
+                  "--out", str(out)],
+                 ["bootstrap", "--mode", "2d", "--in", str(full), "--gt", str(one),
+                  "--out", str(out)],
+                 ["bootstrap", "--in", str(full), "--gt", str(five), "--out", str(out)]):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: [^\n]*tracks have different dimensions\n", captured.err)
+        assert not out.exists()
 
 
 def test_bootstrap_needs_in_and_out_exit_2(tmp_path):

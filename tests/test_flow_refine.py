@@ -152,6 +152,13 @@ def test_refine_flow_rejects_an_epoch_count_too_large_to_record():
         refine_flow(base, _target(np.ones((8, 8, 2))), epochs=10**30)
 
 
+def test_divergence_inside_the_loop_names_the_epoch():
+    # the first step overflows the grid, and the next evaluation sees it
+    base = FlowField(np.zeros((8, 8, 2)))
+    with pytest.raises(NumericalError, match=r"^flow refinement diverged at epoch 1$"):
+        refine_flow(base, _target(np.ones((8, 8, 2))), 5, FlowRefineParams(lr=1e307))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_last_step_overflow_is_a_numerical_error():
     # the target is so far off that both steps push the single grid cell the

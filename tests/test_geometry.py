@@ -174,6 +174,7 @@ def test_topology_invariants():
 
 @pytest.mark.parametrize("setting", [
     {"eval_subset": 5}, {"bones": 5}, {"names": 5}, {"bones": ((0, 1, 2),)},
+    {"names": ([1], {}, "c")}, {"names": ("a", None, "c")},
 ])
 def test_topology_rejects_a_malformed_sequence(setting):
     with pytest.raises(InvalidInputError, match=next(iter(setting))):

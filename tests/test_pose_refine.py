@@ -286,6 +286,14 @@ def test_collapsing_camera_scale_is_a_numerical_error():
                     noisy.topology, PoseHyperParams(lr=50.0))
 
 
+def test_divergence_inside_the_loop_names_the_epoch_and_terms():
+    # the first step overflows the track, and the next evaluation sees it
+    topo, _, _, det, flows = make_random_scene(1)
+    with pytest.raises(NumericalError, match=r"^2d refinement diverged at epoch 1: "
+                       r"flow=\S+ anchor=\S+ det=\S+ temporal=nan$"):
+        refine_pose_2d(det, det, flows, topo, PoseHyperParams(lr=1e200), epochs=5)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("mode", ["3d", "2d"])
 def test_last_step_overflow_is_a_numerical_error(mode):
