@@ -155,10 +155,14 @@ def read_flow_dir(path) -> list[FlowField]:
 
 
 def write_flow_dir(path, flows) -> None:
+    """Write ``flow_000000.flo``, ... and remove every other .flo file there."""
     d = Path(path)
     d.mkdir(parents=True, exist_ok=True)
-    for i, f in enumerate(flows):
-        write_flo(d / f"flow_{i:06d}.flo", f)
+    written = [d / f"flow_{i:06d}.flo" for i in range(len(flows))]
+    for flo, f in zip(written, flows):
+        write_flo(flo, f)
+    for stale in set(d.glob("*.flo")).difference(written):
+        stale.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +226,13 @@ def read_topology(path) -> SkeletonTopology:
     ctx = str(path)
     if _require(doc, "format", ctx) != "topology-v1":
         raise SchemaError(f"{ctx}: unsupported format {doc['format']!r}")
+    for key in ("bones", "names", "eval_subset"):     # names and eval_subset may be null
+        if not isinstance(doc.get(key), (list, type(None))):
+            raise SchemaError(f"{ctx}: {key} must be a JSON array, got {doc[key]!r}")
     try:
         return SkeletonTopology(
             joint_count=_require(doc, "joint_count", ctx), bones=_require(doc, "bones", ctx),
-            names=doc.get("names") or None, eval_subset=doc.get("eval_subset") or None)
+            names=doc.get("names"), eval_subset=doc.get("eval_subset"))
     except InvalidInputError as exc:
         raise SchemaError(f"{ctx}: {exc}") from exc
 
@@ -234,7 +241,8 @@ def read_topology(path) -> SkeletonTopology:
 # scene directories
 
 def write_bundle(dirpath, bundle: SceneBundle) -> None:
-    """Write a scene as a directory of track files plus a flow subdirectory."""
+    """Write a scene as a directory of track files plus a flow subdirectory,
+    removing the scene files of an older scene there; other files stay."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     meta = {"format": "bundle-v1", "mode": bundle.mode, "width": bundle.width,
@@ -242,10 +250,11 @@ def write_bundle(dirpath, bundle: SceneBundle) -> None:
     _atomic_write_text(d / "meta.json", _dump_json(meta))
     write_topology(d / "topology.json", bundle.topology)
     write_track(d / "detections.json", bundle.detections)
-    if bundle.pose is not None:
-        write_track(d / "pose.json", bundle.pose)
-    if bundle.camera is not None:
-        write_track(d / "camera.json", bundle.camera)
+    for name, track in (("pose.json", bundle.pose), ("camera.json", bundle.camera)):
+        if track is not None:
+            write_track(d / name, track)
+        else:
+            (d / name).unlink(missing_ok=True)
     write_flow_dir(d / "flows", bundle.flows)
 
 

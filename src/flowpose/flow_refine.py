@@ -12,20 +12,20 @@ once per frame pair, with ``d = base - target``.  An epoch forms
 ``r = M_y V M_x.T + d`` from the grid planes ``V``, its Huber slope
 ``g = clip(r, -1, 1)``, the value ``(g.r - g.g / 2) / n`` from two dot
 products and the gradient ``M_y.T g M_x / n``, the ``1 / n`` on the grid.
-Adam then updates the grid planes and its moments in place.
+Adam then updates the grid planes in place, in ``optim.descend``'s epochs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, isfinite
+from math import ceil
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError
 from .geometry import FlowField, _count, _finite_number
-from .optim import _epoch_history, adam_step
+from .optim import _epoch_history, adam_step, descend
 from .raster import TargetFlow
 
 
@@ -112,11 +112,12 @@ def refiner_apply(values: np.ndarray, base: FlowField, stride: int,
 
 def flow_objective(base_uv: np.ndarray, target_uv: np.ndarray, stride: int,
                    sigma: float):
-    """One frame pair's objective, built once; returns ``evaluate(values)``.
+    """One frame pair's objective, built once; returns ``evaluate``.
 
-    ``evaluate`` takes the ``(2, gh, gw)`` grid planes of ``grid_shape`` and
-    returns the mean over pixels of the two-component smooth-L1 between the
-    corrected and the target flow, and a fresh gradient in the grid planes.
+    ``evaluate(values, row=None)`` takes the ``(2, gh, gw)`` grid planes of
+    ``grid_shape`` and returns the mean over pixels of the two-component
+    smooth-L1 between the corrected and the target flow, also written into
+    ``row[0]``, and a fresh gradient in the grid planes.
     """
     height, width = base_uv.shape[:2]
     gh, gw = grid_shape(width, height, stride)
@@ -127,14 +128,15 @@ def flow_objective(base_uv: np.ndarray, target_uv: np.ndarray, stride: int,
     r, g = np.empty_like(d), np.empty_like(d)
     n = height * width
 
-    def evaluate(values: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(values: np.ndarray, row: np.ndarray | None = None):
+        row = np.zeros(1) if row is None else row
         np.matmul(m_y, values, out=half)
         np.matmul(half, m_xt, out=r)
         np.add(r, d, out=r)
         r.clip(-1.0, 1.0, out=g)
-        value = (np.vdot(g, r) - 0.5 * np.vdot(g, g)) / n
+        row[0] = (np.vdot(g, r) - 0.5 * np.vdot(g, g)) / n
         np.matmul(g, m_x, out=half)
-        return value, np.divide(m_yt @ half, n)
+        return row[0], np.divide(m_yt @ half, n)
 
     return evaluate
 
@@ -155,19 +157,10 @@ def refine_flow(base: FlowField, target: TargetFlow, epochs: int,
     if epochs == 0:
         return base, np.zeros(0)
 
-    losses = _epoch_history(epochs)
+    losses = _epoch_history(epochs, 1)
     evaluate = flow_objective(base.uv, target.flow.uv, params.stride, params.sigma)
     values = np.zeros((2, *grid_shape(base.width, base.height, params.stride)))
     moments = np.zeros((2, *values.shape))
-    # divergence is detected right below; silence the transient fp noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for e in range(epochs):
-            loss, grad = evaluate(values)
-            if not isfinite(loss):
-                raise NumericalError(f"flow refinement diverged at epoch {e}")
-            losses[e] = loss
-            adam_step(values, grad, moments, e + 1, params.lr)
-    # every other step is caught by the next epoch's evaluation
-    if not np.all(np.isfinite(values)):
-        raise NumericalError(f"flow refinement diverged at epoch {epochs - 1}")
-    return refiner_apply(values, base, params.stride, params.sigma), losses
+    for e, grad in descend(evaluate, values, losses, "flow refinement"):
+        adam_step(values, grad, moments, e + 1, params.lr)
+    return refiner_apply(values, base, params.stride, params.sigma), losses[:, 0]

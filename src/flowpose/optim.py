@@ -1,6 +1,7 @@
 """Shared numerical machinery: the smooth-L1 penalty (threshold 1) of the
 pose objective, Adam with fixed moment rates updating the refiners' arrays
-in place, and finite-difference gradient checking.
+in place, ``descend``, the one epoch loop of both refiners (each steps its
+own parameters in the loop body), and finite-difference gradient checking.
 
 All reductions elsewhere in the package are arithmetic means over the
 enumerated indices, so the loss weights keep their meaning regardless of
@@ -9,7 +10,8 @@ sequence length or image size.
 
 from __future__ import annotations
 
-from typing import Callable
+from math import isfinite
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -59,6 +61,26 @@ def adam_step(params: np.ndarray, grads: np.ndarray, moments: np.ndarray,
     den = np.sqrt(v / (1.0 - ADAM_BETA2 ** step))
     den += ADAM_EPS
     params -= lr * (m / (1.0 - ADAM_BETA1 ** step)) / den
+
+
+def descend(evaluate, params: np.ndarray, history: np.ndarray, what: str,
+            terms: tuple[str, ...] = ()) -> Iterator[tuple[int, np.ndarray]]:
+    """Yields ``(epoch, grad)`` of ``evaluate(params, row)`` for each ``row``
+    of ``history``, which ``evaluate`` fills, for the caller to step
+    ``params``.  A non-finite total raises ``NumericalError`` naming
+    ``what``, the epoch and the ``terms`` columns after the total, and so do
+    non-finite ``params`` after the last epoch.  Overflow and invalid
+    warnings are silenced, in the caller's loop body too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e, row in enumerate(history):
+            total, grad = evaluate(params, row)
+            if not isfinite(total):
+                detail = " ".join(f"{name}={row[k]:g}" for k, name in enumerate(terms, 1))
+                raise NumericalError(f"{what} diverged at epoch {e}" + (detail and f": {detail}"))
+            yield e, grad
+    # every other step is caught by the next epoch's evaluation
+    if not np.all(np.isfinite(params)):
+        raise NumericalError(f"{what} diverged at epoch {len(history) - 1}")
 
 
 LossAndGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]

@@ -51,7 +51,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .geometry import (CameraTrack, DetectionTrack, FlowField, PoseTrack,
                        SkeletonTopology, _count, _finite_number, _sampler)
-from .optim import _epoch_history, _huber_parts, adam_step
+from .optim import _epoch_history, _huber_parts, adam_step, descend
 
 _NORM_EPS = 1e-12  # guards the bone-direction derivative at zero length
 
@@ -226,41 +226,6 @@ def _pose_objective(hp: PoseHyperParams, x0: np.ndarray,
     return evaluate
 
 
-def _descend(evaluate, params: np.ndarray, epochs: int, lr: float, what: str,
-             scales: slice | None = None):
-    """``epochs`` Adam steps of rate ``lr`` on ``evaluate``, updating
-    ``params`` in place; returns ``(params, history)``.
-
-    ``history`` holds each epoch's row before its step.  ``scales`` is the
-    slice of ``params`` holding the per-frame camera scales, if any; a scale
-    that reaches zero raises ``NumericalError``, and so do non-finite
-    parameters.
-    """
-    moments = np.zeros((2, *params.shape))
-    history = _epoch_history(_count(epochs, "epochs"), 5)
-    # divergence is detected right below; silence the transient fp noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for e, row in enumerate(history):
-            total, grad = evaluate(params, row)
-            if not math.isfinite(total):
-                raise NumericalError(
-                    f"{what} diverged at epoch {e}: "
-                    f"flow={row[1]:g} anchor={row[2]:g} det={row[3]:g} temporal={row[4]:g}")
-            adam_step(params, grad, moments, e + 1, lr)
-            # a non-positive scale is an optimizer failure, not a bad input;
-            # fmin passes over a NaN scale, which the next evaluation reports
-            if scales is not None and np.fmin.reduce(params[scales]) <= 0.0:
-                bad = np.flatnonzero(params[scales] <= 0.0)[0]
-                raise NumericalError(
-                    f"{what} drove the camera scale of frame {bad} "
-                    f"to {params[scales][bad]:g} at epoch {e}")
-    # every other step is caught by the next epoch's evaluation
-    if not np.all(np.isfinite(params)):
-        raise NumericalError(
-            f"{what} produced non-finite parameters at epoch {epochs - 1}")
-    return params, history
-
-
 # ---------------------------------------------------------------------------
 # weights that keep some terms
 
@@ -295,11 +260,21 @@ def _refine(x_init: np.ndarray, det: DetectionTrack, flows: Sequence[FlowField],
 
     x0 = _planes(x_init)
     n_x = x0.size
-    arrays = (x_init,) if camera is None else (x_init, camera)
     evaluate = _pose_objective(hp, x0, det, np.stack([f.uv for f in flows]),
                                topo.bone_array(), camera=camera is not None)
-    params, history = _descend(evaluate, _to_params(*arrays), epochs, hp.lr, what,
-                               None if camera is None else slice(n_x, n_x + frames))
+    params = _to_params(x_init) if camera is None else _to_params(x_init, camera)
+    moments = np.zeros((2, *params.shape))
+    history = _epoch_history(_count(epochs, "epochs"), 5)
+    scales = params[n_x:n_x + frames] if camera is not None else None
+    for e, grad in descend(evaluate, params, history, what,
+                           ("flow", "anchor", "det", "temporal")):
+        adam_step(params, grad, moments, e + 1, hp.lr)
+        # a non-positive scale is an optimizer failure, not a bad input;
+        # fmin passes over a NaN scale, which the next evaluation reports
+        if scales is not None and np.fmin.reduce(scales) <= 0.0:
+            bad = np.flatnonzero(scales <= 0.0)[0]
+            raise NumericalError(f"{what} drove the camera scale of frame {bad} "
+                                 f"to {scales[bad]:g} at epoch {e}")
     cams = None if camera is None else _interleaved(params[n_x:].reshape(3, -1))
     return _interleaved(params[:n_x].reshape(x0.shape)), cams, history
 

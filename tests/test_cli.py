@@ -136,8 +136,16 @@ def test_format_error_exit_3(tmp_path):
     ("meta.json", r'"frames": \d+', '"frames": 1' + '0' * 30),
     ("detections.json", r'"units": "\w+"', '"units": [1]'),
     ("topology.json", r'"names": \[\s*"\w+"', '"names": [[1]'),
+    # only a missing key or null means no names or subset
+    ("topology.json", r'"names": \[[^\]]*\]', '"names": 0'),
+    ("topology.json", r'"names": \[[^\]]*\]', '"names": false'),
+    ("topology.json", r'"names": \[[^\]]*\]', '"names": ""'),
+    ("topology.json", r'"eval_subset": null', '"eval_subset": 0'),
+    ("topology.json", r'"eval_subset": null', '"eval_subset": {}'),
+    ("topology.json", r'(?s)"bones": \[.*?\]\s*\]', '"bones": {}'),
 ], ids=["width-string", "meta-number", "pose-number", "joint-count-overflow",
-        "frames-mismatch", "frames-huge", "units-list", "names-list"])
+        "frames-mismatch", "frames-huge", "units-list", "names-list", "names-zero",
+        "names-false", "names-empty-string", "subset-zero", "subset-object", "bones-object"])
 def test_malformed_scene_json_exit_3(tmp_path, name, pattern, replacement):
     gt = _synth(tmp_path, size=16)
     path = gt / name
@@ -162,6 +170,43 @@ def test_undecodable_json_exit_3(tmp_path, capsys, target, damage):
             "synth-topology": ["synth", "--topology", str(path), "--out", out]}
     assert main(argv.get(target, ["eval", "--pred", str(gt), "--gt", str(gt)])) == 3
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_a_scene_without_a_pose_replaces_one_with_a_pose(tmp_path, capsys):
+    # writing a 2-D scene over a 3-D one removes the older pose and cameras,
+    # so eval compares the 2-D joints of the scene just written
+    out = _synth(tmp_path, name="out", seed=1, frames=4)
+    b = _synth(tmp_path, name="b", seed=2, frames=4)
+    b2d = tmp_path / "b2d"
+    fileio.write_bundle(b2d, replace(fileio.read_bundle(b), mode="2d", pose=None,
+                                     camera=None))
+    assert main(["refine-flow", "--mode", "2d", "--epochs", "1", "--in", str(b2d),
+                 "--out", str(out)]) == 0
+    assert not (out / "pose.json").exists() and not (out / "camera.json").exists()
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(out), "--gt", str(b)]) == 0
+    assert capsys.readouterr().out.startswith("JOINT2D (px) all ")
+
+
+def test_fewer_frames_replace_more_and_leave_other_files(tmp_path, capsys):
+    # a scene or an averaged flow directory written over a longer one keeps
+    # none of its surplus .flo files; files outside the scene stay
+    out = _synth(tmp_path, name="out", seed=1, frames=6)
+    assert main(["refine-flow", "--epochs", "1", "--in", str(out), "--out", str(out)]) == 0
+    report = (out / "report.json").read_bytes()
+    (out / "flows" / "notes.txt").write_text("kept")
+    _synth(tmp_path, name="out", seed=2, frames=4)
+    assert sorted(f.name for f in (out / "flows").iterdir()) == [
+        "flow_000000.flo", "flow_000001.flo", "flow_000002.flo", "notes.txt"]
+    assert (out / "report.json").read_bytes() == report
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(out), "--gt", str(out)]) == 0
+    assert "MPJPE (mm)  all     0.000000" in capsys.readouterr().out
+    four = _synth(tmp_path, name="four", seed=3, frames=4)
+    six = _synth(tmp_path, name="six", seed=4, frames=6)
+    assert main(["avg", str(four / "flows"), str(four / "flows"),
+                 "--out", str(six / "flows")]) == 0
+    assert len(fileio.read_flow_dir(six / "flows")) == 3
 
 
 def test_synth_onto_an_existing_file_exit_3(tmp_path, capsys):

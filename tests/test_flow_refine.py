@@ -166,7 +166,7 @@ def test_last_step_overflow_is_a_numerical_error():
     # with no later evaluation to see it
     base = FlowField(np.zeros((1, 1, 2)))
     target = _target(np.array([[[1.5e308, 0.0]]]))
-    with pytest.raises(NumericalError, match="diverged at epoch 1"):
+    with pytest.raises(NumericalError, match=r"^flow refinement diverged at epoch 1$"):
         refine_flow(base, target, epochs=2, params=FlowRefineParams(lr=1e308))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowpose import NumericalError, finite_diff_check
-from flowpose.optim import _huber_parts, adam_step
+from flowpose.optim import _huber_parts, adam_step, descend
 
 from oracles import functional_adam_step
 
@@ -86,6 +86,60 @@ def test_in_place_adam_matches_the_functional_form_bit_for_bit():
         want_p, want_m, want_v = functional_adam_step(want_p, g, want_m, want_v, t, lr)
         assert np.array_equal(p, want_p)
         assert np.array_equal(moments[0], want_m) and np.array_equal(moments[1], want_v)
+
+
+def _quadratic(values=None):
+    """``evaluate`` of ``sum(p**2)`` writing ``[total, 2 * total]``; the
+    total at epoch ``e`` is ``values[e]`` when given."""
+    calls = []
+
+    def evaluate(params, row):
+        row[0] = float(params @ params) if values is None else values[len(calls)]
+        row[1] = 2.0 * row[0]
+        calls.append(params.copy())
+        return row[0], 2.0 * params
+    return evaluate, calls
+
+
+def test_descend_evaluates_then_yields_each_epoch_to_the_caller():
+    evaluate, calls = _quadratic()
+    p = np.array([1.0, -2.0])
+    history = np.zeros((4, 2))
+    before = np.geterr()
+    epochs = []
+    for e, grad in descend(evaluate, p, history, "test"):
+        # the loop body runs with overflow and invalid operations silenced
+        assert np.geterr()["over"] == np.geterr()["invalid"] == "ignore"
+        assert np.array_equal(grad, 2.0 * p)
+        p -= 0.25 * grad
+        epochs.append(e)
+    assert epochs == [0, 1, 2, 3]
+    # each evaluation saw the previous epoch's step, and filled its row
+    assert [c.tolist() for c in calls] == [[1.0, -2.0], [0.5, -1.0], [0.25, -0.5],
+                                           [0.125, -0.25]]
+    assert history[:, 0].tolist() == [5.0, 1.25, 0.3125, 0.078125]
+    assert np.array_equal(history[:, 1], 2.0 * history[:, 0])
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("terms, tail", [((), ""), (("twice",), ": twice=nan")])
+def test_descend_names_the_diverged_epoch_and_terms(terms, tail):
+    evaluate, _ = _quadratic([3.0, 2.0, float("nan"), 1.0])
+    before = np.geterr()
+    steps = []
+    with pytest.raises(NumericalError, match=rf"^test diverged at epoch 2{tail}$"):
+        for e, _ in descend(evaluate, np.zeros(1), np.zeros((4, 2)), "test", terms):
+            steps.append(e)
+    assert steps == [0, 1] and np.geterr() == before
+
+
+def test_descend_checks_the_parameters_after_the_last_step():
+    evaluate, calls = _quadratic([1.0, 1.0])
+    p = np.zeros(2)
+    with pytest.raises(NumericalError, match=r"^test diverged at epoch 1$"):
+        for e, _ in descend(evaluate, p, np.zeros((2, 2)), "test", ("twice",)):
+            p[0] = np.inf if e == 1 else 0.0
+    assert len(calls) == 2
 
 
 def test_finite_diff_exact_for_quadratic():

@@ -16,7 +16,7 @@ from flowpose.pose_refine import _interleaved, _only, _planes, _pose_objective, 
 from flowpose.synth import generate_scene, mpjpe
 
 from oracles import (allocating_pose_objective, allocating_sample_flow, flow_consistency_oracle,
-                     flow_sample_oracle, interleaved_pose_objective)
+                     flow_sample_oracle, functional_adam_step, interleaved_pose_objective)
 
 
 def _chain(joints):
@@ -277,13 +277,67 @@ def test_refine_pose_2d_gradients():
     assert err < 1e-4
 
 
+def _oracle_refine(x_init, det, flows, topo, hp, epochs, camera=None):
+    """The refiners' descent as a plain loop: evaluate, a functional Adam
+    step, then the camera-scale check.  Returns the ``(T, J, D)`` track, the
+    ``(T, 3)`` cameras (``None`` without), the history, and the epoch whose
+    step drove a scale to zero (``None`` if none did)."""
+    x0 = np.moveaxis(x_init, -1, 0).copy()
+    evaluate = _pose_objective(hp, x0, det, np.stack([f.uv for f in flows]),
+                               topo.bone_array(), camera=camera is not None)
+    params = np.concatenate([x0.ravel()] + ([] if camera is None else [camera.T.ravel()]))
+    m = v = np.zeros_like(params)
+    history, collapsed = [], None
+    for t in range(1, epochs + 1):
+        row = np.zeros(5)
+        _, grad = evaluate(params, row)
+        history.append(row)
+        params, m, v = functional_adam_step(params, grad, m, v, t, hp.lr)
+        if camera is not None and np.any(params[x0.size:x0.size + len(camera)] <= 0.0):
+            collapsed = t - 1
+            break
+    x = np.moveaxis(params[:x0.size].reshape(x0.shape), 0, -1)
+    cams = None if camera is None else params[x0.size:].reshape(3, -1).T
+    return x, cams, np.array(history), collapsed
+
+
+@pytest.mark.parametrize("mode", ["3d", "2d"])
+def test_refiners_match_a_plain_oracle_loop(mode):
+    _, noisy, _ = standard_benchmark(5)
+    det, hp = noisy.detections, PoseHyperParams()
+    before = np.geterr()
+    if mode == "3d":
+        pose, cams, history = refine_pose(noisy.pose, noisy.camera, det, noisy.flows,
+                                          noisy.topology, hp, epochs=120)
+        got = (pose.positions, cams.params, history)
+        want = _oracle_refine(noisy.pose.positions, det, noisy.flows, noisy.topology, hp,
+                              120, noisy.camera.params)
+    else:
+        track, history = refine_pose_2d(det, det, noisy.flows, noisy.topology, hp, epochs=120)
+        got = (track.pixels, None, history)
+        want = _oracle_refine(det.pixels, det, noisy.flows, noisy.topology, hp, 120)
+    # the descent's silenced fp warnings end with it
+    assert np.geterr() == before and want[3] is None
+    assert want[2].shape == (120, 5)
+    for g, w in zip(got, want[:3]):
+        assert (g is None and w is None) or (g.shape == w.shape and g.tobytes() == w.tobytes())
+
+
 def test_collapsing_camera_scale_is_a_numerical_error():
     # an oversized step drives a scale through zero: the optimizer failed,
-    # the input was fine
+    # the input was fine.  The check follows each epoch's step, as in the
+    # oracle loop, and raising out of the refiner's loop body leaves the fp
+    # error state as it was
     _, noisy, _ = standard_benchmark()
-    with pytest.raises(NumericalError, match=r"camera scale of frame \d+ .* at epoch \d+"):
+    hp = PoseHyperParams(lr=50.0)
+    *_, collapsed = _oracle_refine(noisy.pose.positions, noisy.detections, noisy.flows,
+                                   noisy.topology, hp, 20, noisy.camera.params)
+    before = np.geterr()
+    with pytest.raises(NumericalError,
+                       match=rf"camera scale of frame \d+ .* at epoch {collapsed}$"):
         refine_pose(noisy.pose, noisy.camera, noisy.detections, noisy.flows,
-                    noisy.topology, PoseHyperParams(lr=50.0))
+                    noisy.topology, hp)
+    assert np.geterr() == before
 
 
 def test_divergence_inside_the_loop_names_the_epoch_and_terms():
@@ -300,7 +354,8 @@ def test_last_step_overflow_is_a_numerical_error(mode):
     # the only epoch's step overflows, and no later evaluation would see it
     _, noisy, _ = standard_benchmark(77)
     det = noisy.detections
-    with pytest.raises(NumericalError, match=r"non-finite parameters at epoch 0"):
+    what = "2d refinement" if mode == "2d" else "pose refinement"
+    with pytest.raises(NumericalError, match=rf"^{what} diverged at epoch 0$"):
         if mode == "2d":
             refine_pose_2d(det, det, noisy.flows, noisy.topology,
                            PoseHyperParams(lr=1e308), epochs=1)
