@@ -11,7 +11,6 @@ writes one with ``fileio.write_bundle``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -99,7 +98,7 @@ def _cmd_bootstrap(args) -> int:
     overrides a config's mode but keeps its schedule."""
     cfg = RunConfig(mode=args.mode or MODE_3D)
     if args.print_config:
-        sys.stdout.write(json.dumps(fileio.config_to_dict(cfg), indent=2) + "\n")
+        sys.stdout.write(fileio._dump_json(fileio.config_to_dict(cfg)))
         return 0
     if not args.input or not args.out:
         print("error: bootstrap needs an input and an output directory (--in, --out)",

@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, SchemaError
-from .geometry import (MODE_2D, MODE_3D, CameraTrack, DetectionTrack,
-                       FlowField, PoseTrack, SceneBundle, SkeletonTopology, _count)
+from .geometry import (MODE_3D, CameraTrack, DetectionTrack, FlowField, PoseTrack,
+                       SceneBundle, SkeletonTopology, _count, _mode)
 from .flow_refine import FlowRefineParams
 from .pipeline import CycleSchedule, FlowStage, PoseStage
 from .pose_refine import PoseHyperParams
@@ -259,22 +259,23 @@ def write_bundle(dirpath, bundle: SceneBundle) -> None:
 
 
 def read_bundle(dirpath, mode: str | None = None) -> SceneBundle:
-    """Read a scene directory; ``mode``, when given, overrides the one in
-    ``meta.json``, and a 3-D read needs ``pose.json`` and ``camera.json``."""
+    """Read a scene directory in ``mode``, else in the mode ``meta.json``
+    records; only a 3-D read reads (and needs) ``pose.json`` and ``camera.json``."""
     d = Path(dirpath)
     meta = _load_json(d / "meta.json")
     ctx = str(d / "meta.json")
     if _require(meta, "format", ctx) != "bundle-v1":
         raise SchemaError(f"{ctx}: unsupported format {meta['format']!r}")
-    if _require(meta, "mode", ctx) not in (MODE_3D, MODE_2D):
-        raise SchemaError(f"{ctx}: unknown mode {meta['mode']!r}")
-    mode = mode or meta["mode"]
+    try:
+        recorded = _mode(_require(meta, "mode", ctx))
+    except InvalidInputError as exc:
+        raise SchemaError(f"{ctx}: {exc}") from exc
+    mode = mode or recorded
     topo = read_topology(d / "topology.json")
     detections, _ = read_track(d / "detections.json", "detections")
     pose = camera = None
-    if mode == MODE_3D or (d / "pose.json").exists():
+    if mode == MODE_3D:
         pose, _ = read_track(d / "pose.json", "pose")
-    if mode == MODE_3D or (d / "camera.json").exists():
         camera, _ = read_track(d / "camera.json", "camera")
     flows = read_flow_dir(d / "flows")
     try:
@@ -304,8 +305,7 @@ class RunConfig:
     flow_params: FlowRefineParams = FlowRefineParams()
 
     def __post_init__(self):
-        if self.mode not in (MODE_3D, MODE_2D):
-            raise InvalidInputError(f"mode must be '3d' or '2d', got {self.mode!r}")
+        _mode(self.mode)
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if self.schedule is None:
             object.__setattr__(self, "schedule", CycleSchedule.default(self.mode))

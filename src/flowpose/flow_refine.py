@@ -24,8 +24,8 @@ from math import ceil
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import FlowField, _count, _finite_number
-from .optim import _epoch_history, adam_step, descend
+from .geometry import FlowField, _count, _epoch_history, _finite_number
+from .optim import adam_step, descend
 from .raster import TargetFlow
 
 
@@ -39,13 +39,9 @@ class FlowRefineParams:
     radius: int = 15
 
     def __post_init__(self):
-        if _count(self.stride, "stride") < 1:
-            raise InvalidInputError("stride must be >= 1")
-        if _finite_number(self.sigma, "sigma") < 0:
-            raise InvalidInputError("sigma must be >= 0")
-        if _finite_number(self.lr, "learning rate") < 0:
-            raise InvalidInputError("learning rate must be >= 0")
-        object.__setattr__(self, "stride", int(self.stride))
+        object.__setattr__(self, "stride", _count(self.stride, "stride", 1))
+        _finite_number(self.sigma, "sigma", 0)
+        _finite_number(self.lr, "learning rate", 0)
         object.__setattr__(self, "radius", _count(self.radius, "radius"))
 
 

@@ -38,9 +38,9 @@ def _positive_array(data, name: str, layout: tuple[str, ...], last: int) -> np.n
     return arr
 
 
-def _finite_number(value, name: str):
-    """``value`` itself if it is a finite real number; a bool, a non-number or
-    an integer beyond float range is invalid input."""
+def _finite_number(value, name: str, least=None):
+    """``value`` if it is a finite real number, not below ``least`` if given;
+    a bool, a non-number or an integer beyond float range is invalid input."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidInputError(f"{name} must be a number, got {value!r}")
     try:
@@ -49,14 +49,36 @@ def _finite_number(value, name: str):
         finite = False
     if not finite:
         raise InvalidInputError(f"{name} must be finite, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {value!r}")
     return value
 
 
-def _count(value, name: str) -> int:
-    """A finite, integral, non-negative number as an ``int``."""
-    if _finite_number(value, name) < 0 or value != math.floor(value):
-        raise InvalidInputError(f"{name} must be an integer >= 0, got {value!r}")
+def _count(value, name: str, least: int = 0) -> int:
+    """A finite, integral number not below ``least``, as an ``int``."""
+    if _finite_number(value, name) < least or value != math.floor(value):
+        raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+MODE_3D = "3d"
+MODE_2D = "2d"
+
+
+def _mode(value) -> str:
+    """``value`` if it names a mode, ``'3d'`` or ``'2d'``."""
+    if value not in (MODE_3D, MODE_2D):
+        raise InvalidInputError(f"mode must be '3d' or '2d', got {value!r}")
+    return value
+
+
+def _epoch_history(epochs: int, *row: int, what: str = "epochs") -> np.ndarray:
+    """Zeroed ``(epochs, *row)`` array, a per-epoch record or any other; a
+    size too large to allocate is bad input, named by ``what``."""
+    try:
+        return np.zeros((epochs, *row))
+    except (ValueError, MemoryError):
+        raise InvalidInputError(f"{what}: cannot allocate a {(epochs, *row)} array") from None
 
 
 def _numbers(values, count: int | None, name: str, each=_finite_number) -> tuple:
@@ -107,9 +129,7 @@ class SkeletonTopology:
     eval_subset: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "joint_count", _count(self.joint_count, "joint_count"))
-        if self.joint_count <= 0:
-            raise InvalidInputError("joint_count must be positive")
+        object.__setattr__(self, "joint_count", _count(self.joint_count, "joint_count", 1))
         bones = tuple(_numbers(bone, 2, f"bones[{b}]", each=_count) for b, bone
                       in enumerate(_numbers(self.bones, None, "bones", each=lambda bone, _: bone)))
         object.__setattr__(self, "bones", bones)
@@ -257,17 +277,13 @@ class FlowField:
         return self.uv.shape[0]
 
 
-MODE_3D = "3d"
-MODE_2D = "2d"
-
-
 @dataclass(frozen=True, eq=False)
 class SceneBundle:
     """Everything one scene carries through the pipeline.
 
-    3-D mode requires ``pose`` and ``camera``; 2-D mode runs purely on the
-    detections.  ``flows`` holds exactly ``T - 1`` fields, one per consecutive
-    frame pair, each matching the stated image dimensions.
+    3-D mode requires ``pose`` and ``camera``; a 2-D scene holds neither and
+    runs on the detections.  ``flows`` holds exactly ``T - 1`` fields, one per
+    consecutive frame pair, each matching the stated image dimensions.
     """
 
     topology: SkeletonTopology
@@ -280,12 +296,9 @@ class SceneBundle:
     camera: CameraTrack | None = None
 
     def __post_init__(self):
-        if self.mode not in (MODE_3D, MODE_2D):
-            raise InvalidInputError(f"mode must be '3d' or '2d', got {self.mode!r}")
-        object.__setattr__(self, "width", _count(self.width, "width"))
-        object.__setattr__(self, "height", _count(self.height, "height"))
-        if self.width < 1 or self.height < 1:
-            raise InvalidInputError("image dimensions must be positive")
+        _mode(self.mode)
+        object.__setattr__(self, "width", _count(self.width, "width", 1))
+        object.__setattr__(self, "height", _count(self.height, "height", 1))
         object.__setattr__(self, "flows", tuple(self.flows))
         t = self.detections.frames
         if self.detections.joints != self.topology.joint_count:
@@ -297,6 +310,8 @@ class SceneBundle:
                 raise InvalidInputError("pose/camera frame count does not match detections")
             if self.pose.joints != self.topology.joint_count:
                 raise InvalidInputError("pose joint count does not match topology")
+        elif self.pose is not None or self.camera is not None:
+            raise InvalidInputError("2d mode holds no pose or camera track")
         if len(self.flows) != t - 1:
             raise InvalidInputError(
                 f"expected {t - 1} flow fields for {t} frames, got {len(self.flows)}")

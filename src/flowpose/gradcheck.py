@@ -125,8 +125,7 @@ def check_scene(seed: int, step: float = 1e-5) -> list[CheckResult]:
 def run_gradient_checks(scenes: int = 20, seed0: int = 0, step: float = 1e-5,
                         threshold: float = 1e-4):
     """Run the whole suite; returns ``(results, all_passed)``."""
-    if _count(scenes, "scenes") < 1:
-        raise InvalidInputError("scenes must be >= 1")
+    _count(scenes, "scenes", 1)
     _count(seed0, "seed")
     if _finite_number(step, "step") <= 0 or _finite_number(threshold, "threshold") <= 0:
         raise InvalidInputError("step and threshold must be > 0")

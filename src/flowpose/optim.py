@@ -33,16 +33,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _epoch_history(epochs: int, *row: int, what: str = "epochs") -> np.ndarray:
-    """Zeroed ``(epochs, *row)`` array, a per-epoch record or any other; a
-    size too large to allocate is bad input, named by ``what``."""
-    try:
-        return np.zeros((epochs, *row))
-    except (ValueError, MemoryError):
-        raise InvalidInputError(
-            f"{what}: cannot allocate a {(epochs, *row)} array") from None
-
-
 def adam_step(params: np.ndarray, grads: np.ndarray, moments: np.ndarray,
               step: int, lr: float) -> None:
     """Adam update number ``step`` (from 1), bias-corrected, in place.

@@ -50,8 +50,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .geometry import (CameraTrack, DetectionTrack, FlowField, PoseTrack,
-                       SkeletonTopology, _count, _finite_number, _sampler)
-from .optim import _epoch_history, _huber_parts, adam_step, descend
+                       SkeletonTopology, _count, _epoch_history, _finite_number, _sampler)
+from .optim import _huber_parts, adam_step, descend
 
 _NORM_EPS = 1e-12  # guards the bone-direction derivative at zero length
 
@@ -71,10 +71,8 @@ class PoseHyperParams:
 
     def __post_init__(self):
         for name in ("lam_opt", "lam_3d", "lam_2d", "lam_pos", "lam_cam", "lam_bone"):
-            if _finite_number(getattr(self, name), name) < 0:
-                raise InvalidInputError("loss weights must be finite and >= 0")
-        if _finite_number(self.lr, "learning rate") < 0:
-            raise InvalidInputError("learning rate must be >= 0")
+            _finite_number(getattr(self, name), name, 0)
+        _finite_number(self.lr, "learning rate", 0)
 
 
 # ---------------------------------------------------------------------------

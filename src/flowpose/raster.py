@@ -76,9 +76,7 @@ def rasterize_skeleton(joints2d, topo: SkeletonTopology, width: int, height: int
     ``radius=0`` leaves the one-pixel-wide centerlines.  Joints may lie
     outside the image; off-image parts are clipped.
     """
-    width, height = _count(width, "width"), _count(height, "height")
-    if width < 1 or height < 1:
-        raise InvalidInputError("rasterize_skeleton: zero-area image")
+    width, height = _count(width, "width", 1), _count(height, "height", 1)
     radius = _count(radius, "radius")
     pts = _check_joints2d(joints2d, topo)
 

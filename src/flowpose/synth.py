@@ -18,9 +18,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .geometry import (MODE_3D, CameraTrack, DetectionTrack, FlowField,
                        PoseTrack, SceneBundle, SkeletonTopology, _bone_tree, _count,
-                       _finite_number, _numbers, _positive_array, _sampler,
-                       default_topology, project_track)
-from .optim import _epoch_history
+                       _epoch_history, _finite_number, _numbers, _positive_array,
+                       _sampler, default_topology, project_track)
 from .raster import bone_flow, compose_target_flow
 
 
@@ -54,11 +53,10 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        camera = _numbers(self.camera_sigma, 3, "camera_sigma")
-        if min(_finite_number(self.pose_sigma, "pose_sigma"),
-               _finite_number(self.det_sigma, "det_sigma"), *camera) < 0:
-            raise InvalidInputError("noise sigmas must be >= 0")
-        object.__setattr__(self, "camera_sigma", camera)
+        _finite_number(self.pose_sigma, "pose_sigma", 0)
+        _finite_number(self.det_sigma, "det_sigma", 0)
+        object.__setattr__(self, "camera_sigma", _numbers(
+            self.camera_sigma, 3, "camera_sigma", each=lambda s, name: _finite_number(s, name, 0)))
         object.__setattr__(self, "corrupt_flow", _numbers(self.corrupt_flow, 2, "corrupt_flow"))
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if self.corrupt_rect is not None:
@@ -93,14 +91,9 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
     The same seed always produces a bit-identical bundle.
     """
     topo = topo or default_topology()
-    frames = _count(frames, "frames")
-    width, height = _count(width, "width"), _count(height, "height")
-    if frames < 2:
-        raise InvalidInputError("generate_scene: at least two frames required")
-    if width < 4 or height < 4:
-        raise InvalidInputError("generate_scene: degenerate image dimensions")
-    if _finite_number(amplitude, "amplitude") < 0:
-        raise InvalidInputError("generate_scene: amplitude must be >= 0")
+    frames = _count(frames, "frames", 2)
+    width, height = _count(width, "width", 4), _count(height, "height", 4)
+    _finite_number(amplitude, "amplitude", 0)
     background = _numbers(background, 2, "background")
     rng = np.random.Generator(np.random.PCG64(_count(seed, "seed")))
     tree = _bone_tree(topo.bones)

@@ -39,8 +39,9 @@ def _package_imports(path: Path) -> set:
 
 
 def test_metrics_and_geometry_do_not_depend_on_the_pose_optimizer():
-    # the bilinear sampler lives in geometry, so evaluating a run needs no
-    # part of the refiner, directly or through another module
+    # the bilinear sampler and the allocation guard live in geometry, so
+    # evaluating a run needs no part of the refiners or their optimizer,
+    # directly or through another module
     src = Path(flowpose.__file__).parent
     graph = {path.stem: _package_imports(path) for path in src.glob("*.py")}
     for module in ("synth", "geometry"):
@@ -50,4 +51,4 @@ def test_metrics_and_geometry_do_not_depend_on_the_pose_optimizer():
             if name not in reached:
                 reached.add(name)
                 todo.extend(graph.get(name, ()))
-        assert "pose_refine" not in reached, module
+        assert not reached & {"pose_refine", "flow_refine", "optim"}, module

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from flowpose.cli import main
 from flowpose import SkeletonTopology, fileio
-from flowpose.synth import generate_scene
+from flowpose.synth import generate_scene, joint2d_error
 
 
 def _synth(tmp_path, name="gt", seed=30, frames=3, size=32):
@@ -143,16 +143,26 @@ def test_format_error_exit_3(tmp_path):
     ("topology.json", r'"eval_subset": null', '"eval_subset": 0'),
     ("topology.json", r'"eval_subset": null', '"eval_subset": {}'),
     ("topology.json", r'(?s)"bones": \[.*?\]\s*\]', '"bones": {}'),
+    ("meta.json", r'"bundle-v1"', '"bundle-v2"'),
+    ("pose.json", r'"track-v1"', '"track-v2"'),
+    ("topology.json", r'"topology-v1"', '"topology-v2"'),
+    ("detections.json", r'"kind": "detections"', '"kind": "pose"'),
+    # three frames of one number each: the leading dimension matches, the rank does not
+    ("camera.json", r'(?s)"params": \[.*?\]\s*\]', '"params": [1.0, 2.0, 3.0]'),
+    ("meta.json", r'"mode": "3d"', '"mode": "4d"'),
 ], ids=["width-string", "meta-number", "pose-number", "joint-count-overflow",
         "frames-mismatch", "frames-huge", "units-list", "names-list", "names-zero",
-        "names-false", "names-empty-string", "subset-zero", "subset-object", "bones-object"])
-def test_malformed_scene_json_exit_3(tmp_path, name, pattern, replacement):
+        "names-false", "names-empty-string", "subset-zero", "subset-object", "bones-object",
+        "meta-format", "track-format", "topology-format", "detections-as-pose",
+        "camera-rank", "meta-mode"])
+def test_malformed_scene_json_exit_3(tmp_path, capsys, name, pattern, replacement):
     gt = _synth(tmp_path, size=16)
     path = gt / name
     text, count = re.subn(pattern, replacement, path.read_text(), count=1)
     assert count == 1
     path.write_text(text)
     assert main(["eval", "--pred", str(gt), "--gt", str(gt)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("damage", ["not-utf8", "deep"])
@@ -303,16 +313,21 @@ def test_config_stage_too_large_to_record_exit_3(tmp_path, capsys, kind, json_va
     assert "epochs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["meta-number", "no-topology"])
+@pytest.mark.parametrize("damage", ["meta-number", "no-topology", "no-flows", "empty-flows"])
 @pytest.mark.parametrize("command", ["refine-pose", "bootstrap"])
 def test_every_command_reads_the_whole_scene(tmp_path, capsys, command, damage):
-    # refine-pose and bootstrap read a scene as eval does, meta.json and
-    # topology.json included: a malformed or missing member is exit 3
+    # refine-pose and bootstrap read a scene as eval does, meta.json,
+    # topology.json and flows/ included: a malformed or missing member is exit 3
     gt = _synth(tmp_path, size=16)
     if damage == "meta-number":
         (gt / "meta.json").write_text("16")
-    else:
+    elif damage == "no-topology":
         (gt / "topology.json").unlink()
+    else:
+        for flo in (gt / "flows").iterdir():
+            flo.unlink()
+        if damage == "no-flows":
+            (gt / "flows").rmdir()
     out = tmp_path / "out"
     assert main([command, "--in", str(gt), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
@@ -420,6 +435,44 @@ def test_eval_lines_and_mismatched_joint_counts(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_mismatched_scenes_exit_3(tmp_path, capsys):
+    # eval compares scenes of one size, avg flow directories of one count
+    a = _synth(tmp_path, name="a", frames=3, size=16)
+    longer = _synth(tmp_path, name="longer", frames=4, size=16)
+    wider = _synth(tmp_path, name="wider", frames=3, size=20)
+    out = tmp_path / "out"
+    differ = "prediction and ground truth dimensions differ"
+    for argv, message in ((["eval", "--pred", a, "--gt", longer], differ),
+                          (["eval", "--pred", wider, "--gt", a], differ),
+                          (["avg", a / "flows", longer / "flows", "--out", out],
+                           "flow directories hold different counts")):
+        assert main([str(arg) for arg in argv]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_2d_run_of_a_3d_scene_writes_no_pose(tmp_path, capsys):
+    # a 2-D run reads no pose or camera, so it writes none, and eval reports
+    # the 2-D joints it refined, not the input's untouched pose
+    gt = tmp_path / "gt"
+    noisy = tmp_path / "noisy"
+    out = tmp_path / "out2d"
+    assert main(["synth", "--out", str(gt), "--seed", "5", "--frames", "4",
+                 "--width", "48", "--height", "48"]) == 0
+    assert main(["perturb", "--in", str(gt), "--out", str(noisy), "--pose-sigma", "0.02",
+                 "--det-sigma", "0.5", "--seed", "9"]) == 0
+    assert main(["bootstrap", "--mode", "2d", "--in", str(noisy), "--out", str(out),
+                 "--gt", str(gt)]) == 0
+    assert not (out / "pose.json").exists() and not (out / "camera.json").exists()
+    refined = fileio.read_bundle(out)
+    assert refined.mode == "2d" and refined.pose is None
+    want = joint2d_error(refined.detections, fileio.read_bundle(gt).detections)
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(out), "--gt", str(gt)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"JOINT2D (px) all    {want:.6f}"
+
+
 def test_bootstrap_needs_in_and_out_exit_2(tmp_path):
     # a config names no scene: a left-over block of scene and output paths
     # does not stand in for --in or --out
@@ -465,6 +518,12 @@ def test_check_grads_command(tmp_path, capsys):
     assert main(["check-grads", "--scenes", "2", "--threshold", "1e-12"]) == 4
 
 
+# a value below its bound is named with the bound and the value
+_BOUND_MESSAGES = {"synth --width 3": "width must be an integer >= 4, got 3\n",
+                   "perturb --pose-sigma -1": "pose_sigma must be >= 0, got -1.0\n",
+                   "check-grads --scenes 0": "scenes must be an integer >= 1, got 0\n"}
+
+
 @pytest.mark.parametrize("flags", [
     "synth --seed -1", "perturb --seed -1", "perturb --corrupt-rect 0 0 -5 -5",
     "check-grads --seed -1", "check-grads --scenes 0", "check-grads --scenes -2",
@@ -473,6 +532,7 @@ def test_check_grads_command(tmp_path, capsys):
     "synth --frames 1000000000000", "synth --height 1000000000000",
     "synth --width 1000000000000000000",
     "bootstrap --seed -1", "perturb --corrupt-flow nan 0", "perturb --pose-sigma nan",
+    "synth --width 3", "perturb --pose-sigma -1",
 ])
 def test_bad_flag_value_exit_3(tmp_path, capsys, flags):
     # a bad value is the caller's fault: no traceback, no exit 4, no silent no-op
@@ -483,7 +543,7 @@ def test_bad_flag_value_exit_3(tmp_path, capsys, flags):
         io += ["--in", str(_synth(tmp_path, frames=2, size=16))]
     capsys.readouterr()
     assert main([command, *io, *rest]) == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: " + _BOUND_MESSAGES.get(flags, ""))
     assert not out.exists()
 
 
@@ -585,6 +645,17 @@ def _mutate_json(path, data):
     return where
 
 
+def _damage_bytes(path, data):
+    """Truncate the file ``path`` at a drawn byte, or flip bits of that byte."""
+    blob = bytearray(path.read_bytes())
+    at = data.draw(st.integers(0, len(blob) - 1), label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[at:]
+    else:
+        blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+    path.write_bytes(bytes(blob))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_malformed_input_is_exit_0_or_3(valid_run, tmp_path_factory, data):
@@ -600,14 +671,8 @@ def test_malformed_input_is_exit_0_or_3(valid_run, tmp_path_factory, data):
     target = data.draw(st.sampled_from(_SCENE_FILES + ("cfg.json", "flows")), label="file")
     where = ()
     if target == "flows":
-        flo = data.draw(st.sampled_from(sorted((scene / "flows").glob("*.flo"))), label="flo")
-        blob = bytearray(flo.read_bytes())
-        at = data.draw(st.integers(0, len(blob) - 1), label="at")
-        if data.draw(st.booleans(), label="truncate"):
-            del blob[at:]
-        else:
-            blob[at] ^= data.draw(st.integers(1, 255), label="mask")
-        flo.write_bytes(bytes(blob))
+        _damage_bytes(data.draw(st.sampled_from(sorted((scene / "flows").glob("*.flo"))),
+                                label="flo"), data)
     else:
         where = _mutate_json(cfg if target == "cfg.json" else scene / target, data)
     # a finite learning rate too large for the optimizer is a numerical
@@ -620,6 +685,39 @@ def test_malformed_input_is_exit_0_or_3(valid_run, tmp_path_factory, data):
                  ["bootstrap", "--config", str(cfg), "--in", str(scene),
                   "--out", str(work / "run")]):
         assert main(argv) in allowed, argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_damaged_file_exits_0_3_or_4(valid_run, tmp_path_factory, data):
+    # one file of a scene, a config or a topology file truncated, a byte of
+    # it flipped, or one of its JSON values replaced; every command that
+    # reads the file runs (0), rejects it (3) or reports a numerical
+    # failure (4), and never raises
+    valid, valid_cfg = valid_run
+    work = tmp_path_factory.mktemp("damage")
+    scene, cfg, topology = work / "scene", work / "cfg.json", work / "topology.json"
+    shutil.copytree(valid, scene)
+    shutil.copyfile(valid_cfg, cfg)
+    shutil.copyfile(valid / "topology.json", topology)
+    files = [scene / name for name in _SCENE_FILES] + [cfg, topology]
+    path = data.draw(st.sampled_from(files + sorted((scene / "flows").glob("*.flo"))),
+                     label="file")
+    if path.suffix == ".json" and data.draw(st.booleans(), label="json"):
+        _mutate_json(path, data)
+    else:
+        _damage_bytes(path, data)
+    runs = {cfg: [["bootstrap", "--config", cfg, "--in", valid]],
+            topology: [["synth", "--topology", topology, "--frames", "2", "--width", "16",
+                        "--height", "16"]]}
+    for argv in runs.get(path, [["eval", "--pred", scene, "--gt", valid],
+                                ["refine-pose", "--in", scene, "--epochs", "1"],
+                                ["refine-pose", "--mode", "2d", "--in", scene, "--epochs", "1"],
+                                ["refine-flow", "--in", scene, "--epochs", "1"],
+                                ["bootstrap", "--config", valid_cfg, "--in", scene]]):
+        if argv[0] != "eval":
+            argv += ["--out", work / "out"]
+        assert main([str(arg) for arg in argv]) in (0, 3, 4), argv
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,12 @@ def test_refine_flow_rejects_bad_input():
 ])
 def test_refine_flow_rejects_bad_settings(setting):
     # every setting is checked before any work, so none trains or reports
-    # divergence: the epoch count by refine_flow, the rest by FlowRefineParams
+    # divergence: the epoch count by refine_flow, the rest by FlowRefineParams;
+    # the error names the setting
     base = FlowField(np.zeros((8, 8, 2)))
-    with pytest.raises(InvalidInputError):
+    [(field, _)] = setting.items()
+    name = "learning rate" if field == "lr" else field
+    with pytest.raises(InvalidInputError, match=f"^{name} "):
         if "epochs" in setting:
             refine_flow(base, _target(np.ones((8, 8, 2))), **setting)
         else:

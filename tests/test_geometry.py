@@ -1,10 +1,15 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flowpose import (CameraTrack, DetectionTrack, FlowField, InvalidInputError,
-                      PoseTrack, SceneBundle, SkeletonTopology, average_tracks,
-                      default_topology, project_track)
+from flowpose import (CameraTrack, DetectionTrack, FlowField, FlowRefineParams,
+                      InvalidInputError, NoiseConfig, PoseHyperParams, PoseTrack, SceneBundle,
+                      SkeletonTopology, average_tracks, default_topology, generate_scene,
+                      project_track, rasterize_skeleton)
 from flowpose.geometry import _bone_tree
+from flowpose.gradcheck import run_gradient_checks
 from flowpose.pose_refine import _only, _planes, _pose_objective
 
 
@@ -216,21 +221,75 @@ def test_scene_bundle_validation():
     bundle = SceneBundle(topology=topo, width=4, height=4, detections=det,
                          flows=flows, pose=pose, camera=cam)
     assert bundle.frames == 3
-    with pytest.raises(InvalidInputError):
-        SceneBundle(topology=topo, width=4, height=4, detections=det,
-                    flows=flows[:1], pose=pose, camera=cam)  # wrong flow count
-    with pytest.raises(InvalidInputError):
-        SceneBundle(topology=topo, width=4, height=4, detections=det,
-                    flows=flows)  # 3d mode without pose/camera
-    two_d = SceneBundle(topology=topo, width=4, height=4, detections=det,
-                        flows=flows, mode="2d")
+    for change, message in (
+            ({"flows": flows[:1]}, "expected 2 flow fields for 3 frames, got 1"),
+            ({"pose": None}, "3d mode requires pose and camera tracks"),
+            ({"topology": SkeletonTopology(3, ((0, 1), (1, 2)))},
+             "detections joint count does not match topology"),
+            ({"pose": PoseTrack(np.zeros((2, 2, 3)))}, "frame count does not match"),
+            ({"camera": CameraTrack(np.tile([1.0, 0.0, 0.0], (4, 1)))},
+             "frame count does not match"),
+            ({"pose": PoseTrack(np.zeros((3, 3, 3)))}, "pose joint count does not match"),
+            ({"width": 5}, r"flows\[0\]: dimensions do not match"),
+            ({"mode": "4d"}, "mode must be '3d' or '2d', got '4d'"),
+            # a 2-D scene holds neither track, so none can stand in for its result
+            ({"mode": "2d"}, "2d mode holds no pose or camera track"),
+            ({"mode": "2d", "pose": None}, "2d mode holds no pose or camera track")):
+        with pytest.raises(InvalidInputError, match=message):
+            replace(bundle, **change)
+    two_d = replace(bundle, mode="2d", pose=None, camera=None)
     assert two_d.pose is None
     # the image dimensions are whole numbers: no escape, no silent truncation
     for bad in ("abc", float("nan"), float("inf"), 2.5, 0):
-        for dims in ({"width": bad, "height": 4}, {"width": 4, "height": bad}):
-            with pytest.raises(InvalidInputError):
-                SceneBundle(topology=topo, detections=det, flows=flows, mode="2d",
-                            **dims)
+        for name in ("width", "height"):
+            with pytest.raises(InvalidInputError, match=f"^{name} "):
+                replace(two_d, **{name: bad})
+
+
+def _one_pixel_bundle(width=1, height=1):
+    """A two-frame, one-joint 2-D scene whose flows are one pixel."""
+    return SceneBundle(topology=SkeletonTopology(1, ()), width=width, height=height,
+                       detections=DetectionTrack(np.zeros((2, 1, 2)), np.ones((2, 1))),
+                       flows=(FlowField(np.zeros((1, 1, 2))),), mode="2d")
+
+
+# (field as the message names it, least allowed value, a value just below it,
+# the constructor or call that checks it)
+_LOWER_BOUNDS = [
+    ("stride", 1, 0, lambda v: FlowRefineParams(stride=v)),
+    ("sigma", 0, -0.5, lambda v: FlowRefineParams(sigma=v)),
+    ("learning rate", 0, -0.05, lambda v: FlowRefineParams(lr=v)),
+    *[(name, 0, -1.0, lambda v, name=name: PoseHyperParams(**{name: v}))
+      for name in ("lam_opt", "lam_3d", "lam_2d", "lam_pos", "lam_cam", "lam_bone")],
+    ("learning rate", 0, -0.001, lambda v: PoseHyperParams(lr=v)),
+    ("joint_count", 1, 0, lambda v: SkeletonTopology(joint_count=v, bones=())),
+    ("width", 1, 0, lambda v: _one_pixel_bundle(width=v)),
+    ("height", 1, 0, lambda v: _one_pixel_bundle(height=v)),
+    ("width", 1, 0, lambda v: rasterize_skeleton(np.zeros((1, 2)), SkeletonTopology(1, ()),
+                                                 v, 1)),
+    ("height", 1, 0, lambda v: rasterize_skeleton(np.zeros((1, 2)), SkeletonTopology(1, ()),
+                                                  1, v)),
+    ("scenes", 1, 0, lambda v: run_gradient_checks(scenes=v)),
+    ("pose_sigma", 0, -0.1, lambda v: NoiseConfig(pose_sigma=v)),
+    ("det_sigma", 0, -0.1, lambda v: NoiseConfig(det_sigma=v)),
+    ("camera_sigma", 0, -0.1, lambda v: NoiseConfig(camera_sigma=(0.0, v, 0.0))),
+    ("frames", 2, 1, lambda v: generate_scene(0, frames=v, width=4, height=4)),
+    ("width", 4, 3, lambda v: generate_scene(0, frames=2, width=v, height=4)),
+    ("height", 4, 3, lambda v: generate_scene(0, frames=2, width=4, height=v)),
+    ("amplitude", 0, -0.1, lambda v: generate_scene(0, frames=2, width=4, height=4,
+                                                    amplitude=v)),
+]
+
+
+@pytest.mark.parametrize("field, least, below, check", _LOWER_BOUNDS,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(_LOWER_BOUNDS)])
+def test_lower_bounds_name_the_field_and_the_value(field, least, below, check):
+    # one message form for every bound: the field, the bound and the value
+    kind = "an integer " if isinstance(least, int) and isinstance(below, int) else ""
+    with pytest.raises(InvalidInputError,
+                       match=f"^{field} must be {kind}>= {least}, got {re.escape(repr(below))}$"):
+        check(below)
+    check(least)
 
 
 def test_project_track_shapes():

@@ -36,7 +36,7 @@ def test_stage_validation():
                                     "abc", "3", None, -1])
 def test_stage_epochs_must_be_a_count(stage, epochs):
     # no truncation (2.5 -> 2) and no bool-as-int (True -> 1)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^stage epochs "):
         stage(epochs)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowpose import (FlowField, InvalidInputError, SkeletonTopology,
+from flowpose import (FlowField, InvalidInputError, SkeletonTopology, TargetFlow,
                       bone_flow, compose_target_flow, rasterize_skeleton)
 
 from oracles import bone_flow_oracle, raster_full_image, raster_oracle
@@ -221,5 +221,17 @@ def test_compose_target_flow_idempotent():
 def test_compose_rejects_mismatch():
     base = FlowField(np.zeros((4, 4, 2)))
     bone = FlowField(np.zeros((4, 5, 2)))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="bone flow dimensions"):
         compose_target_flow(base, bone, np.zeros((4, 4), bool))
+    with pytest.raises(InvalidInputError, match="mask dimensions"):
+        compose_target_flow(base, base, np.zeros((4, 5), bool))
+    with pytest.raises(InvalidInputError, match="overlay mask dimensions"):
+        TargetFlow(base, np.zeros((5, 4), bool))
+
+
+def test_joints_must_match_the_topology():
+    joints = np.zeros((3, 2))
+    with pytest.raises(InvalidInputError, match="joints2d: expected 2 joints, got 3"):
+        rasterize_skeleton(joints, _line_topo(), 8, 8)
+    with pytest.raises(InvalidInputError, match="joints2d: expected 2 joints, got 3"):
+        bone_flow(np.zeros((2, 2)), joints, _line_topo(), 8, 8)

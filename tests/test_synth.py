@@ -116,8 +116,9 @@ def test_perturb_names_the_missing_pose_track():
 ])
 def test_noise_config_rejects_bad_values(setting):
     # every sigma and replacement flow is checked on construction, whether
-    # or not a corruption rectangle uses the flow
-    with pytest.raises(InvalidInputError):
+    # or not a corruption rectangle uses the flow, and the error names it
+    [(field, _)] = setting.items()
+    with pytest.raises(InvalidInputError, match=f"^{field} "):
         NoiseConfig(**setting)
 
 
