@@ -66,12 +66,12 @@ def _atomic_write_bytes(path, blob: bytes) -> None:
         raise
 
 
-def _atomic_write_text(path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def _dump_json(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _write_json(path, doc) -> None:
+    _atomic_write_bytes(path, _dump_json(doc).encode("utf-8"))
 
 
 def _load_json(path):
@@ -97,20 +97,19 @@ def _require(doc: dict, key: str, context: str):
     return doc[key]
 
 
-def _numeric_array(doc: dict, key: str, context: str) -> np.ndarray:
-    raw = _require(doc, key, context)
-    try:
-        arr = np.array(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{context}: field '{key}' is not a numeric array") from exc
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # .flo flow fields
 
+def _check_float32(path, field: FlowField) -> None:
+    """Refuse a field float32 cannot hold; rounding is monotonic, so the extremes decide."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float32([field.uv.min(), field.uv.max()])).all():
+            raise InvalidInputError(f"{path}: flow value beyond float32 range")
+
+
 def write_flo(path, field: FlowField) -> None:
-    """Write a flow field; values are stored at float32 precision."""
+    """Write a flow field at float32 precision; a value beyond it is refused."""
+    _check_float32(path, field)
     header = struct.pack("<f", FLO_MAGIC) + struct.pack("<ii", field.width, field.height)
     _atomic_write_bytes(path, header + field.uv.astype("<f4").tobytes())
 
@@ -155,10 +154,12 @@ def read_flow_dir(path) -> list[FlowField]:
 
 
 def write_flow_dir(path, flows) -> None:
-    """Write ``flow_000000.flo``, ... and remove every other .flo file there."""
+    """Check every field, then write ``flow_000000.flo``, ... and remove other .flo files."""
     d = Path(path)
-    d.mkdir(parents=True, exist_ok=True)
     written = [d / f"flow_{i:06d}.flo" for i in range(len(flows))]
+    for flo, f in zip(written, flows):
+        _check_float32(flo, f)
+    d.mkdir(parents=True, exist_ok=True)
     for flo, f in zip(written, flows):
         write_flo(flo, f)
     for stale in set(d.glob("*.flo")).difference(written):
@@ -178,7 +179,7 @@ def write_track(path, track, units: str | None = None) -> None:
            "units": units if units is not None else default_units}
     doc.update({d: getattr(track, d) for d in dims})
     doc.update({f.name: getattr(track, f.name).tolist() for f in fields(track)})
-    _atomic_write_text(path, _dump_json(doc))
+    _write_json(path, doc)
 
 
 def read_track(path, kind: str | None = None):
@@ -201,7 +202,10 @@ def read_track(path, kind: str | None = None):
         shape = tuple(_count(_require(doc, d, ctx), d) for d in dims)
         arrays = []
         for f in fields(cls):
-            arrays.append(_numeric_array(doc, f.name, ctx))
+            try:
+                arrays.append(np.array(_require(doc, f.name, ctx), dtype=np.float64))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(f"{ctx}: field '{f.name}' is not a numeric array") from exc
             if arrays[-1].shape[:len(dims)] != shape:
                 raise SchemaError(f"{ctx}: {f.name} shape {arrays[-1].shape} does not match "
                                   + ", ".join(f"{d}={n}" for d, n in zip(dims, shape)))
@@ -218,7 +222,7 @@ def write_topology(path, topo: SkeletonTopology) -> None:
            "bones": [list(b) for b in topo.bones],
            "names": list(topo.names) if topo.names is not None else None,
            "eval_subset": list(topo.eval_subset) if topo.eval_subset is not None else None}
-    _atomic_write_text(path, _dump_json(doc))
+    _write_json(path, doc)
 
 
 def read_topology(path) -> SkeletonTopology:
@@ -226,9 +230,6 @@ def read_topology(path) -> SkeletonTopology:
     ctx = str(path)
     if _require(doc, "format", ctx) != "topology-v1":
         raise SchemaError(f"{ctx}: unsupported format {doc['format']!r}")
-    for key in ("bones", "names", "eval_subset"):     # names and eval_subset may be null
-        if not isinstance(doc.get(key), (list, type(None))):
-            raise SchemaError(f"{ctx}: {key} must be a JSON array, got {doc[key]!r}")
     try:
         return SkeletonTopology(
             joint_count=_require(doc, "joint_count", ctx), bones=_require(doc, "bones", ctx),
@@ -242,12 +243,13 @@ def read_topology(path) -> SkeletonTopology:
 
 def write_bundle(dirpath, bundle: SceneBundle) -> None:
     """Write a scene as a directory of track files plus a flow subdirectory,
-    removing the scene files of an older scene there; other files stay."""
+    removing the scene files of an older scene there; other files stay.  The
+    flows go first, so a field that ``write_flo`` refuses writes nothing."""
     d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
+    write_flow_dir(d / "flows", bundle.flows)
     meta = {"format": "bundle-v1", "mode": bundle.mode, "width": bundle.width,
             "height": bundle.height, "frames": bundle.frames}
-    _atomic_write_text(d / "meta.json", _dump_json(meta))
+    _write_json(d / "meta.json", meta)
     write_topology(d / "topology.json", bundle.topology)
     write_track(d / "detections.json", bundle.detections)
     for name, track in (("pose.json", bundle.pose), ("camera.json", bundle.camera)):
@@ -255,7 +257,6 @@ def write_bundle(dirpath, bundle: SceneBundle) -> None:
             write_track(d / name, track)
         else:
             (d / name).unlink(missing_ok=True)
-    write_flow_dir(d / "flows", bundle.flows)
 
 
 def read_bundle(dirpath, mode: str | None = None) -> SceneBundle:
@@ -353,10 +354,6 @@ def config_from_dict(doc: dict, context: str = "config") -> RunConfig:
         raise SchemaError(f"{context}: {exc}") from exc
 
 
-def write_config(path, cfg: RunConfig) -> None:
-    _atomic_write_text(path, _dump_json(config_to_dict(cfg)))
-
-
 def read_config(path) -> RunConfig:
     return config_from_dict(_load_json(path), context=str(path))
 
@@ -366,14 +363,13 @@ def read_config(path) -> RunConfig:
 
 def write_report(path, records) -> None:
     """Per-stage metrics report mirroring the pipeline log."""
-    doc = {"format": "report-v1", "stages": [asdict(r) for r in records]}
-    _atomic_write_text(path, _dump_json(doc))
+    _write_json(path, {"format": "report-v1", "stages": [asdict(r) for r in records]})
 
 
 __all__ = [
     "FLO_MAGIC", "RunConfig",
     "read_flo", "write_flo", "read_flow_dir", "write_flow_dir",
     "read_track", "write_track", "read_topology", "write_topology",
-    "read_bundle", "write_bundle", "read_config", "write_config",
+    "read_bundle", "write_bundle", "read_config",
     "config_to_dict", "config_from_dict", "write_report",
 ]

@@ -24,7 +24,7 @@ from math import ceil
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import FlowField, _count, _epoch_history, _finite_number
+from .geometry import FlowField, _count, _finite_number, _zeros
 from .optim import adam_step, descend
 from .raster import TargetFlow
 
@@ -60,17 +60,17 @@ def _gauss_kernel(sigma: float, reach: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _axis_operator(n_out: int, stride: int, n_in: int, sigma: float,
-                   transposed: bool = False) -> np.ndarray:
-    """``(n_out, n_in)`` matrix ``M = U @ S`` of one image axis, or a
+def _axis_operator(n_out: int, stride: int, n_in: int,
+                   sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(n_out, n_in)`` matrix ``M = U @ S`` of one image axis and a
     contiguous copy of ``M.T``, which a matmul reads about twice as fast as
-    the strided view.
+    the strided view; both cached and read-only.
 
     ``S`` is the Gaussian blur renormalized at the borders: each output is
     the kernel-weighted average of the in-range neighbors, so a constant
     grid stays constant (``sigma = 0`` is no blur).  ``U`` is the bilinear
-    upsampling that puts output pixel centers at ``(i + 0.5) / stride - 0.5``
-    in grid units, clamped to the grid.  The result is cached and read-only.
+    upsampling: the hat ``max(0, 1 - |c - j|)`` of grid cell ``j`` at output
+    pixel center ``c = (i + 0.5) / stride - 0.5``, clamped to the grid.
     """
     if sigma > 0:
         # a tap farther than n_in - 1 cells never lands on the grid
@@ -83,15 +83,11 @@ def _axis_operator(n_out: int, stride: int, n_in: int, sigma: float,
     else:
         blur = np.eye(n_in)
     c = np.clip((np.arange(n_out) + 0.5) / stride - 0.5, 0.0, n_in - 1.0)
-    i0 = np.minimum(np.floor(c).astype(np.intp), max(n_in - 2, 0))
-    frac = c - i0
-    rows = np.arange(n_out)
-    upsample = np.zeros((n_out, n_in))
-    np.add.at(upsample, (rows, i0), 1.0 - frac)
-    np.add.at(upsample, (rows, np.minimum(i0 + 1, n_in - 1)), frac)
-    op = (upsample @ blur).T.copy() if transposed else upsample @ blur
-    op.setflags(write=False)
-    return op
+    op = np.maximum(0.0, 1.0 - np.abs(c[:, None] - np.arange(n_in))) @ blur
+    pair = op, op.T.copy()
+    for m in pair:
+        m.setflags(write=False)
+    return pair
 
 
 def refiner_apply(values: np.ndarray, base: FlowField, stride: int,
@@ -99,8 +95,8 @@ def refiner_apply(values: np.ndarray, base: FlowField, stride: int,
     """Base flow plus the smoothed, bilinearly upsampled correction, given as
     the ``(2, gh, gw)`` grid planes of ``grid_shape``."""
     gh, gw = values.shape[1:]
-    m_y = _axis_operator(base.height, int(stride), gh, float(sigma), False)
-    m_xt = _axis_operator(base.width, int(stride), gw, float(sigma), True)
+    m_y, _ = _axis_operator(base.height, stride, gh, sigma)
+    _, m_xt = _axis_operator(base.width, stride, gw, sigma)
     uv = np.empty_like(base.uv)       # the correction, written through its planes
     np.matmul(m_y @ values, m_xt, out=uv.transpose(2, 0, 1))
     return FlowField(np.add(uv, base.uv, out=uv))
@@ -117,8 +113,8 @@ def flow_objective(base_uv: np.ndarray, target_uv: np.ndarray, stride: int,
     """
     height, width = base_uv.shape[:2]
     gh, gw = grid_shape(width, height, stride)
-    m_y, m_x, m_yt, m_xt = (_axis_operator(n, int(stride), c, float(sigma), t)
-                            for t in (False, True) for n, c in ((height, gh), (width, gw)))
+    m_y, m_yt = _axis_operator(height, stride, gh, sigma)
+    m_x, m_xt = _axis_operator(width, stride, gw, sigma)
     d = np.subtract(base_uv.transpose(2, 0, 1), target_uv.transpose(2, 0, 1), order="C")
     half = np.empty((2, height, gw))                   # M_y V, then g M_x
     r, g = np.empty_like(d), np.empty_like(d)
@@ -153,7 +149,7 @@ def refine_flow(base: FlowField, target: TargetFlow, epochs: int,
     if epochs == 0:
         return base, np.zeros(0)
 
-    losses = _epoch_history(epochs, 1)
+    losses = _zeros((epochs, 1), "epochs")
     evaluate = flow_objective(base.uv, target.flow.uv, params.stride, params.sigma)
     values = np.zeros((2, *grid_shape(base.width, base.height, params.stride)))
     moments = np.zeros((2, *values.shape))

@@ -72,22 +72,22 @@ def _mode(value) -> str:
     return value
 
 
-def _epoch_history(epochs: int, *row: int, what: str = "epochs") -> np.ndarray:
-    """Zeroed ``(epochs, *row)`` array, a per-epoch record or any other; a
-    size too large to allocate is bad input, named by ``what``."""
+def _zeros(shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Zeroed float array of ``shape``; a size too large to allocate is bad
+    input, named by ``what``."""
     try:
-        return np.zeros((epochs, *row))
+        return np.zeros(shape)
     except (ValueError, MemoryError):
-        raise InvalidInputError(f"{what}: cannot allocate a {(epochs, *row)} array") from None
+        raise InvalidInputError(f"{what}: cannot allocate a {shape} array") from None
 
 
 def _numbers(values, count: int | None, name: str, each=_finite_number) -> tuple:
-    """``values`` as a tuple of exactly ``count`` items (of any number if
-    ``None``), each passed through ``each`` (by default a finite real number)."""
-    try:
-        items = tuple(values)
-    except TypeError:
-        raise InvalidInputError(f"{name} must be a sequence, got {values!r}") from None
+    """``values``, a list, tuple or array (no string, set or other iterable), as
+    a tuple of exactly ``count`` items (of any number if ``None``), each passed
+    through ``each`` (by default a finite real number)."""
+    if not isinstance(values, (list, tuple, np.ndarray)) or getattr(values, "ndim", 1) == 0:
+        raise InvalidInputError(f"{name} must be a sequence, got {values!r}")
+    items = tuple(values)
     if count is not None and len(items) != count:
         raise InvalidInputError(f"{name} needs {count} values, got {len(items)}")
     return tuple(each(v, name) for v in items)

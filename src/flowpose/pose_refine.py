@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .geometry import (CameraTrack, DetectionTrack, FlowField, PoseTrack,
-                       SkeletonTopology, _count, _epoch_history, _finite_number, _sampler)
+                       SkeletonTopology, _count, _finite_number, _sampler, _zeros)
 from .optim import _huber_parts, adam_step, descend
 
 _NORM_EPS = 1e-12  # guards the bone-direction derivative at zero length
@@ -262,7 +262,7 @@ def _refine(x_init: np.ndarray, det: DetectionTrack, flows: Sequence[FlowField],
                                topo.bone_array(), camera=camera is not None)
     params = _to_params(x_init) if camera is None else _to_params(x_init, camera)
     moments = np.zeros((2, *params.shape))
-    history = _epoch_history(_count(epochs, "epochs"), 5)
+    history = _zeros((_count(epochs, "epochs"), 5), "epochs")
     scales = params[n_x:n_x + frames] if camera is not None else None
     for e, grad in descend(evaluate, params, history, what,
                            ("flow", "anchor", "det", "temporal")):

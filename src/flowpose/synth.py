@@ -11,15 +11,15 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import (MODE_3D, CameraTrack, DetectionTrack, FlowField,
                        PoseTrack, SceneBundle, SkeletonTopology, _bone_tree, _count,
-                       _epoch_history, _finite_number, _numbers, _positive_array,
-                       _sampler, default_topology, project_track)
+                       _finite_number, _numbers, _positive_array, _sampler, _zeros,
+                       default_topology, project_track)
 from .raster import bone_flow, compose_target_flow
 
 
@@ -117,8 +117,8 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
     root_freq = rng.integers(1, 3, size=3)
     root_phase = rng.uniform(0.0, 2.0 * np.pi, size=3)
 
-    X = _epoch_history(frames, joint_count, 3, what="frames")
-    root = min({j for bone in topo.bones for j in bone}, default=0)
+    X = _zeros((frames, joint_count, 3), "frames")
+    root = tree[0][1] if tree else 0
     for t in range(frames):
         tau = 2.0 * np.pi * t / _MOTION_PERIOD
         X[t, root] = root_amp * np.sin(root_freq * tau + root_phase)
@@ -144,7 +144,7 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
     joints2d = project_track(pose, camera)
     detections = DetectionTrack(joints2d, np.ones((frames, joint_count)))
 
-    bg = _epoch_history(height, width, 2, what="image size")
+    bg = _zeros((height, width, 2), "height and width")
     bg[...] = background
     flows = []
     for i in range(frames - 1):
@@ -185,10 +185,8 @@ def perturb(gt: GroundTruthBundle, cfg: NoiseConfig) -> SceneBundle:
             uv[y0:y0 + h, x0:x0 + w] = cfg.corrupt_flow
         flows.append(FlowField(uv))
 
-    return SceneBundle(topology=scene.topology, width=scene.width,
-                       height=scene.height, detections=detections,
-                       flows=tuple(flows), mode=MODE_3D, pose=pose,
-                       camera=camera)
+    return replace(scene, detections=detections, flows=tuple(flows), pose=pose,
+                   camera=camera)
 
 
 def mpjpe(pred: PoseTrack, gt: PoseTrack,

@@ -1,9 +1,11 @@
 """Brute-force reference implementations used to verify the fast paths.
 
 Everything here is written as plain per-pixel Python loops, independent of
-the vectorized library code, except five numpy references:
+the vectorized library code, except six numpy references:
 ``raster_full_image``, too slow for the library but fast enough for property
-tests at full image sizes; ``interleaved_pose_objective``, the pose
+tests at full image sizes; ``scatter_axis_operator``, a refiner axis with
+its upsampling scattered entry by entry, which the library's hat form must
+match bit for bit; ``interleaved_pose_objective``, the pose
 objective on the public ``(T, J, D)`` layout with the flow term from the
 per-pair loop; ``allocating_pose_objective``, the planar objective
 written plainly, every array built per call, which the library's workspace
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from flowpose.flow_refine import _axis_operator
+from flowpose.flow_refine import _axis_operator, _gauss_kernel
 from flowpose.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
@@ -261,6 +263,29 @@ def axis_operator_oracle(n_out, stride, n_in, sigma):
     return [[columns[j][o] for j in range(n_in)] for o in range(n_out)]
 
 
+def scatter_axis_operator(n_out, stride, n_in, sigma):
+    """``(n_out, n_in)`` matrix ``U @ S`` of one refiner axis, with ``S`` the
+    library's border-renormalized blur and ``U`` scattered with ``np.add.at``:
+    weight ``1 - f`` on cell ``i0`` and ``f`` on ``i0 + 1`` of each output row."""
+    if sigma > 0:
+        k = _gauss_kernel(sigma, n_in - 1)
+        r = len(k) // 2
+        i = np.arange(n_in)
+        offset = i[None, :] - i[:, None]
+        blur = np.where(np.abs(offset) <= r, k[np.clip(offset + r, 0, 2 * r)], 0.0)
+        blur /= blur.sum(axis=1, keepdims=True)
+    else:
+        blur = np.eye(n_in)
+    c = np.clip((np.arange(n_out) + 0.5) / stride - 0.5, 0.0, n_in - 1.0)
+    i0 = np.minimum(np.floor(c).astype(np.intp), max(n_in - 2, 0))
+    frac = c - i0
+    rows = np.arange(n_out)
+    upsample = np.zeros((n_out, n_in))
+    np.add.at(upsample, (rows, i0), 1.0 - frac)
+    np.add.at(upsample, (rows, np.minimum(i0 + 1, n_in - 1)), frac)
+    return upsample @ blur
+
+
 def interleaved_flow_objective(grid_values, base_uv, target_uv, stride, sigma,
                                beta=1.0):
     """Reference flow objective on the interleaved layout.
@@ -272,8 +297,8 @@ def interleaved_flow_objective(grid_values, base_uv, target_uv, stride, sigma,
     """
     height, width = base_uv.shape[:2]
     gh, gw = grid_values.shape[:2]
-    m_y = _axis_operator(height, stride, gh, sigma)
-    m_x = _axis_operator(width, stride, gw, sigma)
+    m_y, _ = _axis_operator(height, stride, gh, sigma)
+    m_x, _ = _axis_operator(width, stride, gw, sigma)
     corr = (m_y @ grid_values.transpose(2, 0, 1) @ m_x.T).transpose(1, 2, 0)
     vals, g = _huber_parts(base_uv + corr - target_uv, beta)
     n = height * width

@@ -41,7 +41,7 @@ def test_bootstrap_empty_schedule_outputs_equal_inputs(tmp_path):
     gt = _synth(tmp_path)
     cfg = fileio.RunConfig(schedule=__import__("flowpose").CycleSchedule(()))
     cfg_path = tmp_path / "cfg.json"
-    fileio.write_config(cfg_path, cfg)
+    cfg_path.write_text(fileio._dump_json(fileio.config_to_dict(cfg)))
     out = tmp_path / "out"
     assert main(["bootstrap", "--config", str(cfg_path), "--in", str(gt),
                  "--out", str(out)]) == 0
@@ -506,7 +506,7 @@ def test_numerical_failure_exit_4(tmp_path):
     cfg = fileio.RunConfig(schedule=fp.CycleSchedule((fp.PoseStage(50),)),
                            pose_params=fp.PoseHyperParams(lr=50.0))
     cfg_path = tmp_path / "cfg.json"
-    fileio.write_config(cfg_path, cfg)
+    cfg_path.write_text(fileio._dump_json(fileio.config_to_dict(cfg)))
     assert main(["bootstrap", "--config", str(cfg_path), "--in", str(gt),
                  "--out", str(tmp_path / "out")]) == 4
 
@@ -521,7 +521,9 @@ def test_check_grads_command(tmp_path, capsys):
 # a value below its bound is named with the bound and the value
 _BOUND_MESSAGES = {"synth --width 3": "width must be an integer >= 4, got 3\n",
                    "perturb --pose-sigma -1": "pose_sigma must be >= 0, got -1.0\n",
-                   "check-grads --scenes 0": "scenes must be an integer >= 1, got 0\n"}
+                   "check-grads --scenes 0": "scenes must be an integer >= 1, got 0\n",
+                   "synth --height 1000000000000":
+                   "height and width: cannot allocate a (1000000000000, 128, 2) array\n"}
 
 
 @pytest.mark.parametrize("flags", [
@@ -545,6 +547,22 @@ def test_bad_flag_value_exit_3(tmp_path, capsys, flags):
     assert main([command, *io, *rest]) == 3
     assert capsys.readouterr().err.startswith("error: " + _BOUND_MESSAGES.get(flags, ""))
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_flow_float32_cannot_hold_exit_3(tmp_path, capsys):
+    # .flo stores float32, so such a scene could be written but never read:
+    # it is refused before any of its files is written
+    big = tmp_path / "big"
+    assert main(["synth", "--out", str(big), "--frames", "3", "--width", "16",
+                 "--height", "16", "--background", "1e308", "1e308"]) == 3
+    noisy = tmp_path / "noisy"
+    assert main(["perturb", "--in", str(_synth(tmp_path, size=16)), "--out", str(noisy),
+                 "--corrupt-flow", "1e308", "1e308", "--corrupt-rect", "0", "0", "4", "4"]) == 3
+    assert not (big / "meta.json").exists() and not (noisy / "meta.json").exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {d / 'flows' / 'flow_000000.flo'}: flow value beyond float32 range"
+        for d in (big, noisy)]
 
 
 def test_print_config(capsys):

@@ -11,10 +11,10 @@ from hypothesis.extra.numpy import arrays
 from flowpose import (CameraTrack, DetectionTrack, FlowField, FormatError,
                       InvalidInputError, PoseTrack, SchemaError, default_topology)
 from flowpose import fileio
-from flowpose.fileio import (RunConfig, config_from_dict, config_to_dict,
+from flowpose.fileio import (RunConfig, _dump_json, config_from_dict, config_to_dict,
                              read_bundle, read_config, read_flo, read_topology,
-                             read_track, write_bundle, write_config, write_flo,
-                             write_topology, write_track)
+                             read_track, write_bundle, write_flo, write_topology,
+                             write_track)
 from flowpose.pipeline import FlowStage, PoseStage
 from flowpose.synth import generate_scene
 
@@ -94,6 +94,20 @@ def test_flo_1x1_file_is_20_bytes(tmp_path):
     assert len(data) == 20
     assert struct.unpack("<f", data[:4])[0] == struct.unpack("<f", struct.pack("<f", 202021.25))[0]
     assert struct.unpack("<ii", data[4:12]) == (1, 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_flo_refuses_a_value_float32_cannot_hold(tmp_path):
+    # a value that rounds to float32's largest is kept; one that rounds past
+    # it would read back as infinity, so no file of the directory is written
+    edge = 2.0**128 - 2.0**103
+    write_flo(tmp_path / "max.flo", FlowField(np.full((1, 1, 2), np.nextafter(edge, 0))))
+    assert read_flo(tmp_path / "max.flo").uv.max() == np.finfo(np.float32).max
+    flows = [FlowField(np.zeros((2, 2, 2))), FlowField(np.full((2, 2, 2), -edge))]
+    with pytest.raises(InvalidInputError,
+                       match=r"flow_000001\.flo: flow value beyond float32 range$"):
+        fileio.write_flow_dir(tmp_path / "flows", flows)
+    assert not (tmp_path / "flows").exists()
 
 
 def test_flo_bad_magic_rejected(tmp_path):
@@ -185,6 +199,11 @@ def test_track_schema_errors(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=r"confidence\[0\]\[0\]"):
         read_track(path)
+    # an integer too large for a float is no number
+    path.write_text(json.dumps({**doc, "kind": "pose", "units": "meters"}).replace(
+        '"pixels": [[[0.0, 0.0]]]', '"positions": [[[1' + "0" * 400 + ', 0.0, 0.0]]]'))
+    with pytest.raises(SchemaError, match="'positions' is not a numeric array"):
+        read_track(path)
 
 
 def test_topology_roundtrip(tmp_path):
@@ -231,7 +250,7 @@ def test_config_defaults_match_shipping_settings():
 def test_config_roundtrip(tmp_path):
     cfg = RunConfig(mode="2d", seed=9)
     path = tmp_path / "cfg.json"
-    write_config(path, cfg)
+    path.write_text(_dump_json(config_to_dict(cfg)))
     back = read_config(path)
     assert back.mode == "2d" and back.seed == 9
     assert back.schedule.stages == cfg.schedule.stages

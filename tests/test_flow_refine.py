@@ -8,7 +8,7 @@ from flowpose import (FlowField, FlowRefineParams, InvalidInputError, NumericalE
 from flowpose.flow_refine import _axis_operator, flow_objective, grid_shape, refiner_apply
 
 from oracles import (axis_operator_oracle, bilinear_oracle, functional_adam_step,
-                     interleaved_flow_objective)
+                     interleaved_flow_objective, scatter_axis_operator)
 
 
 def _target(uv, mask=None):
@@ -180,7 +180,7 @@ _SIGMAS = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
 @given(st.integers(1, 40), st.integers(1, 9), st.integers(1, 8), _SIGMAS,
        st.integers(0, 2**32 - 1))
 def test_axis_operator_adjoint(n_out, stride, n_in, sigma, seed):
-    op = _axis_operator(n_out, stride, n_in, sigma)
+    op, _ = _axis_operator(n_out, stride, n_in, sigma)
     assert op.shape == (n_out, n_in)
     # the matrix is the blur-then-upsample pipeline it replaces
     assert np.allclose(op, axis_operator_oracle(n_out, stride, n_in, sigma),
@@ -194,8 +194,21 @@ def test_axis_operator_adjoint(n_out, stride, n_in, sigma, seed):
 @pytest.mark.parametrize("n_in", [1, 2, 5])
 def test_axis_operator_with_a_blur_wider_than_the_grid(n_in):
     # every tap is 1 on the grid, so each output is the grid's mean
-    op = _axis_operator(12, 4, n_in, 1e30)
+    op, _ = _axis_operator(12, 4, n_in, 1e30)
     assert np.allclose(op, 1.0 / n_in, rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 140), st.integers(1, 16),
+       st.one_of(st.just(0.0), st.floats(0.3, 3.0), st.just(1e30)))
+def test_hat_upsampler_matches_the_scatter_oracle(n_out, stride, sigma):
+    # on the refiner's grid for the axis, the hat is the scatter bit for bit,
+    # and the transpose comes from the same build
+    n_in = grid_shape(n_out, 1, stride)[1]
+    m, m_t = _axis_operator(n_out, stride, n_in, sigma)
+    assert m.tobytes() == scatter_axis_operator(n_out, stride, n_in, sigma).tobytes()
+    assert m_t.flags.c_contiguous and m_t.tobytes() == m.T.copy().tobytes()
+    assert not m.flags.writeable and not m_t.flags.writeable
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,8 +218,8 @@ def test_correction_adjoint(height, width, stride, sigma, seed):
     # the planar pair V -> M_y V M_x.T and G -> M_y.T G M_x, with the cached
     # contiguous transposes, are each other's adjoints
     gh, gw = grid_shape(width, height, stride)
-    m_y, m_x, m_yt, m_xt = (_axis_operator(n, stride, g, sigma, t) for t in (False, True)
-                            for n, g in ((height, gh), (width, gw)))
+    m_y, m_yt = _axis_operator(height, stride, gh, sigma)
+    m_x, m_xt = _axis_operator(width, stride, gw, sigma)
     assert np.array_equal(m_yt, m_y.T) and np.array_equal(m_xt, m_x.T)
     assert m_yt.flags.c_contiguous and m_xt.flags.c_contiguous
     rng = np.random.default_rng(seed)
@@ -254,8 +267,8 @@ def _oracle_refine(base_uv, target_uv, epochs, lr, stride, sigma):
                                                 stride, sigma, 1.0)
         losses.append(loss)
         values, m, v = functional_adam_step(values, grad, m, v, t, lr)
-    m_y = _axis_operator(height, stride, values.shape[0], sigma)
-    m_x = _axis_operator(width, stride, values.shape[1], sigma)
+    m_y, _ = _axis_operator(height, stride, values.shape[0], sigma)
+    m_x, _ = _axis_operator(width, stride, values.shape[1], sigma)
     corr = (m_y @ values.transpose(2, 0, 1) @ m_x.T).transpose(1, 2, 0)
     return base_uv + corr, np.array(losses)
 

@@ -180,6 +180,8 @@ def test_topology_invariants():
 @pytest.mark.parametrize("setting", [
     {"eval_subset": 5}, {"bones": 5}, {"names": 5}, {"bones": ((0, 1, 2),)},
     {"names": ([1], {}, "c")}, {"names": ("a", None, "c")},
+    # a string, a dict or a set is no sequence, even where its items would pass
+    {"names": "abc"}, {"bones": {(0, 1): None}}, {"eval_subset": {0, 2}},
 ])
 def test_topology_rejects_a_malformed_sequence(setting):
     with pytest.raises(InvalidInputError, match=next(iter(setting))):

@@ -112,7 +112,7 @@ def test_perturb_names_the_missing_pose_track():
     {"camera_sigma": (0.0, "x", 0.0)},
     {"corrupt_flow": ("x", 0)}, {"corrupt_flow": (float("nan"), 0.0)},
     {"corrupt_flow": (0.0,)}, {"camera_sigma": None}, {"corrupt_flow": 5},
-    {"corrupt_rect": 5}, {"corrupt_rect": (0, 0, 4)},
+    {"corrupt_rect": 5}, {"corrupt_rect": (0, 0, 4)}, {"corrupt_rect": {0, 1, 2, 3}},
 ])
 def test_noise_config_rejects_bad_values(setting):
     # every sigma and replacement flow is checked on construction, whether
@@ -179,7 +179,7 @@ def test_epe_rejects_a_nan_point():
         epe(f, f, points=[[np.nan, 1.0]])
 
 
-@pytest.mark.parametrize("subset", [(1.5,), (True,), 5])
+@pytest.mark.parametrize("subset", [(1.5,), (True,), 5, {0, 1}])
 def test_mpjpe_rejects_a_non_index_subset(subset):
     x = PoseTrack(np.zeros((2, 3, 3)))
     with pytest.raises(InvalidInputError, match="subset"):
