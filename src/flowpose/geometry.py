@@ -19,7 +19,13 @@ from .errors import InvalidInputError
 
 
 def _finite_array(data, dtype, name: str) -> np.ndarray:
-    arr = np.array(data, dtype=dtype)
+    try:  # the dtype tells complex data, so an array is not scanned for it
+        arr = np.asarray(data)
+        if arr.dtype.kind == "c":
+            raise TypeError
+        arr = np.array(arr, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"{name}: not an array of real numbers") from None
     if not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise InvalidInputError(f"{name}: non-finite value at index {tuple(int(i) for i in bad)}")
@@ -299,7 +305,7 @@ class SceneBundle:
         _mode(self.mode)
         object.__setattr__(self, "width", _count(self.width, "width", 1))
         object.__setattr__(self, "height", _count(self.height, "height", 1))
-        object.__setattr__(self, "flows", tuple(self.flows))
+        object.__setattr__(self, "flows", _numbers(self.flows, None, "flows", each=lambda f, _: f))
         t = self.detections.frames
         if self.detections.joints != self.topology.joint_count:
             raise InvalidInputError("detections joint count does not match topology")

@@ -21,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .geometry import MODE_3D, SceneBundle, _count, project_track
+from .geometry import MODE_3D, SceneBundle, _count, _numbers, project_track
 from .flow_refine import FlowRefineParams, refine_flow
 from .pose_refine import PoseHyperParams, refine_pose, refine_pose_2d
 from .raster import bone_flow, compose_target_flow
@@ -54,7 +54,7 @@ class CycleSchedule:
     stages: tuple[FlowStage | PoseStage, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
+        object.__setattr__(self, "stages", _numbers(self.stages, None, "stages", each=lambda s, _: s))
         for s in self.stages:
             if not isinstance(s, (FlowStage, PoseStage)):
                 raise InvalidInputError(f"unknown stage type {type(s).__name__}")

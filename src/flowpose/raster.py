@@ -8,19 +8,20 @@ outside the frame leaves the raster empty.
 
 Each bone is measured only inside its window, its bounding box grown by
 ``radius + 1`` and clipped to the image; this gives the same bits as
-measuring every bone over the whole image (see ``rasterize_skeleton``).
+measuring every bone over the whole image (see ``rasterize_skeleton``),
+merged in place by ``np.copyto``.  The fraction is clamped by ``np.clip``,
+which keeps the ``-0.0`` that ``np.maximum`` turns into ``0.0``.  Each arm
+of the dilation doubles its reach per step: ``ceil(log2(r + 1))`` steps.
 
 Every raster pixel knows its owning bone (the bone with the nearest
 centerline, ties to the lower bone index) and the arc-length fraction of
 the nearest centerline point, which is what lets bone motion be splatted
 into a sparse flow map: a pixel at fraction ``a`` of bone ``(j, k)`` moves
 by ``(1 - a) * d_j + a * d_k`` where ``d_*`` are the joint displacements
-between the two frames.
-"""
+between the two frames; the splat writes them through their flat indices."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,42 +86,48 @@ def rasterize_skeleton(joints2d, topo: SkeletonTopology, width: int, height: int
     owner = np.full((height, width), -1, dtype=np.int32)
     frac = np.full((height, width), np.nan)
 
+    # an arm as long as the image reaches every pixel of its row and column
+    radius = min(radius, max(width, height))
     # The windows are exact: a masked pixel lies within radius + 0.5 of its
     # nearest bone, so a bone whose window excludes it can neither own it nor
-    # tie, and the element-wise arithmetic gives the same bits in a window.
-    reach = radius + 1
-    for b, (j, k) in enumerate(topo.bones):
-        px, py = pts[j]
-        qx, qy = pts[k]
-        x0 = max(math.floor(min(px, qx)) - reach, 0)
-        x1 = min(math.ceil(max(px, qx)) + reach + 1, width)
-        y0 = max(math.floor(min(py, qy)) - reach, 0)
-        y1 = min(math.ceil(max(py, qy)) + reach + 1, height)
+    # tie, and the element-wise arithmetic gives the same bits in a window;
+    # float rounding moves only bounds beyond 2**52, which the clip removes.
+    bones = topo.bone_array()
+    p, q = pts[bones[:, 0]], pts[bones[:, 1]]
+    lo = np.clip(np.floor(np.minimum(p, q)) - (radius + 1), 0, (width, height))
+    hi = np.clip(np.ceil(np.maximum(p, q)) + (radius + 2), 0, (width, height))
+    xs, ys = np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64)[:, None]
+    for b, ((x0, y0), (x1, y1), (px, py), (qx, qy)) in enumerate(zip(
+            lo.astype(int).tolist(), hi.astype(int).tolist(), p, q)):
         if x0 >= x1 or y0 >= y1:
             continue
-        xx = np.arange(x0, x1, dtype=np.float64)
-        yy = np.arange(y0, y1, dtype=np.float64)[:, None]
-        d2 = (qx - px) ** 2 + (qy - py) ** 2
+        xx, yy = xs[x0:x1], ys[y0:y1]
+        dx, dy = qx - px, qy - py
+        d2 = dx ** 2 + dy ** 2
         if d2 > 0:
-            t = ((xx - px) * (qx - px) + (yy - py) * (qy - py)) / d2
+            t = ((xx - px) * dx + (yy - py) * dy) / d2
             t = np.clip(t, 0.0, 1.0)
         else:
             t = np.zeros((y1 - y0, x1 - x0))
-        dist = np.hypot(xx - (px + t * (qx - px)), yy - (py + t * (qy - py)))
+        dist = np.hypot(xx - (px + t * dx), yy - (py + t * dy))
         window = np.s_[y0:y1, x0:x1]
         centerline[window] |= dist <= 0.5
         closer = dist < best_d[window]
-        best_d[window][closer] = dist[closer]
-        owner[window][closer] = b
-        frac[window][closer] = t[closer]
+        np.copyto(best_d[window], dist, where=closer)
+        np.copyto(owner[window], b, where=closer)
+        np.copyto(frac[window], t, where=closer)
 
-    mask = centerline.copy()
-    # an arm as long as the image reaches every pixel of its row and column
-    for r in range(1, min(radius, max(width, height)) + 1):
-        mask[:, r:] |= centerline[:, :-r]
-        mask[:, :-r] |= centerline[:, r:]
-        mask[r:, :] |= centerline[:-r, :]
-        mask[:-r, :] |= centerline[r:, :]
+    # each arm grows from reach k to k + s, s <= k + 1, so the two shifted
+    # ORs leave no gap; numpy buffers each overlapping in-place OR
+    rows, cols, k = centerline.copy(), centerline, 0
+    while k < radius:
+        s = min(k + 1, radius - k)
+        rows[:, s:] |= rows[:, :-s]
+        rows[:, :-s] |= rows[:, s:]
+        cols[s:] |= cols[:-s]
+        cols[:-s] |= cols[s:]
+        k += s
+    mask = rows | cols
 
     owner = np.where(mask, owner, np.int32(-1))
     frac = np.where(mask, frac, np.nan)
@@ -136,19 +143,19 @@ def bone_flow(joints2d_t, joints2d_t1, topo: SkeletonTopology, width: int,
     bone's endpoint displacements.  Returns the flow (zero off the mask) and
     the frame-``t`` raster mask.
     """
-    a = _check_joints2d(joints2d_t, topo)
     b = _check_joints2d(joints2d_t1, topo)
-    raster = rasterize_skeleton(a, topo, width, height, radius)
-    disp = b - a  # (J, 2)
+    raster = rasterize_skeleton(joints2d_t, topo, width, height, radius)
+    disp = b - np.asarray(joints2d_t, dtype=np.float64)  # (J, 2)
 
     m = raster.mask
-    uv = np.zeros((*m.shape, 2))
-    if m.any():
+    idx = np.flatnonzero(m)
+    uv = np.zeros((m.size, 2))
+    if idx.size:
         bones = topo.bone_array()
-        o = raster.owner[m]
-        t = raster.frac[m][:, None]
-        uv[m] = (1.0 - t) * disp[bones[o, 0]] + t * disp[bones[o, 1]]
-    return FlowField(uv), m.copy()
+        o = raster.owner.take(idx)
+        t = raster.frac.take(idx)[:, None]
+        uv[idx] = (1.0 - t) * disp[bones[o, 0]] + t * disp[bones[o, 1]]
+    return FlowField(uv.reshape(*m.shape, 2)), m.copy()
 
 
 def compose_target_flow(base: FlowField, bone: FlowField, mask) -> TargetFlow:
@@ -158,5 +165,7 @@ def compose_target_flow(base: FlowField, bone: FlowField, mask) -> TargetFlow:
         raise InvalidInputError("bone flow dimensions do not match the base flow")
     if m.shape != base.uv.shape[:2]:
         raise InvalidInputError("mask dimensions do not match the base flow")
-    uv = np.where(m[:, :, None], bone.uv, base.uv)
-    return TargetFlow(flow=FlowField(uv), overlay_mask=m)
+    idx = np.flatnonzero(m)
+    uv = base.uv.reshape(-1, 2).copy()
+    uv[idx] = bone.uv.reshape(-1, 2).take(idx, axis=0)
+    return TargetFlow(flow=FlowField(uv.reshape(base.uv.shape)), overlay_mask=m)

@@ -67,14 +67,6 @@ class NoiseConfig:
             object.__setattr__(self, "corrupt_rect", rect)
 
 
-def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit axis."""
-    x, y, z = axis
-    c, s = np.cos(angle), np.sin(angle)
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
-
-
 _MOTION_PERIOD = 32  # frames per sinusoid period; keeps per-frame motion video-like
 
 
@@ -117,14 +109,17 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
     root_freq = rng.integers(1, 3, size=3)
     root_phase = rng.uniform(0.0, 2.0 * np.pi, size=3)
 
+    # each bone's Rodrigues matrices I + sin(a) K + (1 - cos a) K^2, all frames at once
     X = _zeros((frames, joint_count, 3), "frames")
-    root = tree[0][1] if tree else 0
-    for t in range(frames):
-        tau = 2.0 * np.pi * t / _MOTION_PERIOD
-        X[t, root] = root_amp * np.sin(root_freq * tau + root_phase)
-        for b, parent, child in tree:
-            rot = _rotation(axes[b], swing[b] * np.sin(freq[b] * tau + phase[b]))
-            X[t, child] = X[t, parent] + rot @ (lengths[b] * dirs[b])
+    tau = 2.0 * np.pi * np.arange(frames) / _MOTION_PERIOD
+    X[:, tree[0][1] if tree else 0] = root_amp * np.sin(root_freq * tau[:, None] + root_phase)
+    for b, parent, child in tree:
+        x, y, z = axes[b]
+        k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        angle = swing[b] * np.sin(freq[b] * tau + phase[b])
+        rot = (np.eye(3) + np.sin(angle)[:, None, None] * k
+               + (1.0 - np.cos(angle))[:, None, None] * (k @ k))
+        X[:, child] = X[:, parent] + rot @ (lengths[b] * dirs[b])
 
     # Fit the camera so projections stay comfortably inside the image.
     # Camera pan and zoom scale with the motion amplitude too, so a zero
@@ -132,7 +127,6 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
     extent = max(float(np.abs(X[:, :, :2]).max()), 0.1)
     s0 = 0.35 * min(width, height) / extent
     cam_phase = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    tau = 2.0 * np.pi * np.arange(frames) / _MOTION_PERIOD
     cams = np.stack([
         s0 * (1.0 + 0.02 * amplitude * np.sin(tau + cam_phase[0])),
         width / 2.0 + 0.02 * amplitude * width * np.sin(tau + cam_phase[1]),
@@ -146,10 +140,11 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
 
     bg = _zeros((height, width, 2), "height and width")
     bg[...] = background
+    bg = FlowField(bg)
     flows = []
     for i in range(frames - 1):
         sparse, mask = bone_flow(joints2d[i], joints2d[i + 1], topo, width, height, radius)
-        flows.append(compose_target_flow(FlowField(bg), sparse, mask).flow)
+        flows.append(compose_target_flow(bg, sparse, mask).flow)
 
     scene = SceneBundle(topology=topo, width=width, height=height,
                         detections=detections, flows=tuple(flows),

@@ -1,25 +1,27 @@
 """Brute-force reference implementations used to verify the fast paths.
 
 Everything here is written as plain per-pixel Python loops, independent of
-the vectorized library code, except six numpy references:
+the vectorized library code, except nine numpy references:
 ``raster_full_image``, too slow for the library but fast enough for property
-tests at full image sizes; ``scatter_axis_operator``, a refiner axis with
-its upsampling scattered entry by entry, which the library's hat form must
-match bit for bit; ``interleaved_pose_objective``, the pose
-objective on the public ``(T, J, D)`` layout with the flow term from the
-per-pair loop; ``allocating_pose_objective``, the planar objective
-written plainly, every array built per call, which the library's workspace
-objective must match bit for bit; ``interleaved_flow_objective``, the
-flow refiner's objective on the ``(H, W, 2)`` layout, with the residual
-formed whole every call; and ``functional_adam_step``, Adam returning new
-arrays, which the library's in-place step must match bit for bit.
-"""
+tests at full image sizes; ``masked_bone_flow`` and ``masked_compose``, the
+sketch splat and overlay written with 2-D boolean masks and ``np.where``;
+``rodrigues_pose_track``, the scene generator's joint track posed frame by
+frame with one Rodrigues matrix per bone and frame;
+``scatter_axis_operator``, a refiner axis with its upsampling scattered
+entry by entry; ``interleaved_pose_objective``, the pose objective on the
+public ``(T, J, D)`` layout with the flow term from the per-pair loop;
+``allocating_pose_objective``, the planar objective written plainly, every
+array built per call; ``interleaved_flow_objective``, the flow refiner's
+objective on the ``(H, W, 2)`` layout, with the residual formed whole every
+call; and ``functional_adam_step``, Adam returning new arrays.  The library
+matches all but the two interleaved objectives bit for bit."""
 
 import math
 
 import numpy as np
 
 from flowpose.flow_refine import _axis_operator, _gauss_kernel
+from flowpose.geometry import _bone_tree
 from flowpose.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
@@ -154,6 +156,60 @@ def bone_flow_oracle(joints_t, joints_t1, bones, width, height, radius):
             dky = joints_t1[k][1] - joints_t[k][1]
             flow[y][x] = ((1 - a) * djx + a * dkx, (1 - a) * djy + a * dky)
     return flow, mask
+
+
+def masked_bone_flow(raster, joints_t, joints_t1, bones):
+    """Sparse bone flow ``(H, W, 2)`` of a raster, splatted through its 2-D
+    boolean mask."""
+    disp = np.asarray(joints_t1, dtype=np.float64) - np.asarray(joints_t, dtype=np.float64)
+    m = raster.mask
+    uv = np.zeros((*m.shape, 2))
+    if m.any():
+        bones = np.asarray(bones, dtype=np.intp).reshape(-1, 2)
+        o = raster.owner[m]
+        t = raster.frac[m][:, None]
+        uv[m] = (1.0 - t) * disp[bones[o, 0]] + t * disp[bones[o, 1]]
+    return uv
+
+
+def masked_compose(base_uv, bone_uv, mask):
+    """The bone flow over the base flow where ``mask`` is set."""
+    return np.where(np.asarray(mask, dtype=bool)[:, :, None], bone_uv, base_uv)
+
+
+def rodrigues_pose_track(seed, frames, topo, amplitude=1.0, period=32):
+    """The joint track ``(T, J, 3)`` of ``generate_scene(seed, frames, topo,
+    amplitude=amplitude)``, from the same draws, posed one frame and one bone
+    at a time with a fresh Rodrigues matrix each."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = len(topo.bones)
+    dirs = rng.normal(size=(n, 3))
+    dirs[:, 2] *= 0.3
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    lengths = rng.uniform(0.15, 0.35, size=n)
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    swing = amplitude * rng.uniform(0.1, 0.3, size=n)
+    freq = rng.integers(1, 3, size=n)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    root_amp = amplitude * np.array([0.25, 0.15, 0.10])
+    root_freq = rng.integers(1, 3, size=3)
+    root_phase = rng.uniform(0.0, 2.0 * np.pi, size=3)
+
+    tree = _bone_tree(topo.bones)
+    X = np.zeros((frames, topo.joint_count, 3))
+    root = tree[0][1] if tree else 0
+    for t in range(frames):
+        tau = 2.0 * np.pi * t / period
+        X[t, root] = root_amp * np.sin(root_freq * tau + root_phase)
+        for b, parent, child in tree:
+            x, y, z = axes[b]
+            angle = swing[b] * np.sin(freq[b] * tau + phase[b])
+            c, s = np.cos(angle), np.sin(angle)
+            k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+            rot = np.eye(3) + s * k + (1.0 - c) * (k @ k)
+            X[t, child] = X[t, parent] + rot @ (lengths[b] * dirs[b])
+    return X
 
 
 def bilinear_oracle(grid, gh, gw, stride, x, y):

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -208,6 +209,26 @@ def test_track_invariants():
         FlowField(np.zeros((0, 4, 2)))
 
 
+@pytest.mark.parametrize("data", [
+    "abc", [[["1", "x", "2"]]], [[[1.0, 2.0], [3.0]]], [[[10**400, 0, 0]]],
+    [[[1 + 2j, 0, 0]]], np.zeros((1, 1, 3), complex), [np.zeros((1, 3), complex)],
+], ids=["string", "word", "ragged", "huge-int", "complex", "complex-array", "complex-rows"])
+def test_a_non_real_array_is_invalid_input_named_by_its_field(data):
+    # none escapes as a plain TypeError or ValueError, and no imaginary part
+    # is dropped with only a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="^positions: not an array of real numbers$"):
+            PoseTrack(data)
+
+
+def test_a_complex_flow_is_invalid_input():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="^uv: not an array of real numbers$"):
+            FlowField(np.zeros((2, 2, 2), complex))
+
+
 def test_tracks_are_immutable():
     pose = PoseTrack(np.zeros((1, 1, 3)))
     with pytest.raises(ValueError):
@@ -236,7 +257,10 @@ def test_scene_bundle_validation():
             ({"mode": "4d"}, "mode must be '3d' or '2d', got '4d'"),
             # a 2-D scene holds neither track, so none can stand in for its result
             ({"mode": "2d"}, "2d mode holds no pose or camera track"),
-            ({"mode": "2d", "pose": None}, "2d mode holds no pose or camera track")):
+            ({"mode": "2d", "pose": None}, "2d mode holds no pose or camera track"),
+            # the pairs are in frame order, which a set or an iterator does not keep
+            ({"flows": set(flows)}, "flows must be a sequence"),
+            ({"flows": (f for f in flows)}, "flows must be a sequence")):
         with pytest.raises(InvalidInputError, match=message):
             replace(bundle, **change)
     two_d = replace(bundle, mode="2d", pose=None, camera=None)

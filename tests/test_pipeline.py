@@ -8,6 +8,7 @@ from flowpose import (CameraTrack, CycleSchedule, DetectionTrack, FlowField,
                       FlowRefineParams, FlowStage, InvalidInputError, NumericalError,
                       PoseHyperParams, PoseStage, PoseTrack, SkeletonTopology, bootstrap,
                       mpjpe, sequence_joint_epe, standard_benchmark)
+from flowpose.synth import joint2d_error
 
 
 def _small_scene():
@@ -29,6 +30,12 @@ def test_stage_validation():
         FlowStage(-1)
     with pytest.raises(InvalidInputError):
         CycleSchedule(("flow",))
+    # stages run in order, which a set or an iterator does not keep
+    for stages in (5, {FlowStage(1), PoseStage(2)}, (s for s in [FlowStage(1)])):
+        with pytest.raises(InvalidInputError, match="^stages must be a sequence"):
+            CycleSchedule(stages)
+    for stages in ([FlowStage(1), PoseStage(2)], np.array([FlowStage(1), PoseStage(2)])):
+        assert CycleSchedule(stages).stages == (FlowStage(1), PoseStage(2))
 
 
 @pytest.mark.parametrize("stage", [FlowStage, PoseStage])
@@ -122,6 +129,22 @@ def test_bootstrap_2d_mode():
     err0 = np.linalg.norm(noisy.detections.pixels - gt.scene.detections.pixels,
                           axis=-1).mean()
     assert records[1].mpjpe < err0  # refined 2-D track beats the noisy one
+
+
+def test_default_2d_bootstrap_pins_its_errors():
+    # the default 2-D schedule on the standard benchmark, whose 50-epoch flow
+    # stages rebuild every sketch from the current track
+    gt, noisy, _ = standard_benchmark(77)
+    noisy = replace(noisy, mode="2d", pose=None, camera=None)
+    start = (joint2d_error(noisy.detections, gt.scene.detections),
+             sequence_joint_epe(noisy.flows, gt.scene.flows, gt.joints2d))
+    assert start == (pytest.approx(0.59186, rel=1e-4), pytest.approx(2.61136, rel=1e-4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, records = bootstrap(noisy, gt=gt)
+    end = (records[-1].mpjpe, records[-1].epe)
+    assert end == (pytest.approx(0.49975, rel=0.05), pytest.approx(1.49402, rel=0.05))
+    assert end[0] < start[0] and end[1] < start[1]
 
 
 def test_3d_run_needs_3d_ground_truth():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from flowpose import (FlowField, InvalidInputError, SkeletonTopology, TargetFlow,
                       bone_flow, compose_target_flow, rasterize_skeleton)
 
-from oracles import bone_flow_oracle, raster_full_image, raster_oracle
+from oracles import (bone_flow_oracle, masked_bone_flow, masked_compose, raster_full_image,
+                     raster_oracle)
 
 
 def _line_topo():
@@ -144,6 +145,13 @@ def _skeletons(draw):
 @example(case=(24, 24, 3, ((0, 1), (0, 2), (2, 3)),
                [(12.0, 12.0), (12.0, 12.0), (4.0, 12.0), (12.0, 4.0)]))
 @example(case=(17, 9, 0, ((0, 1), (1, 2)), [(0.5, 0.5), (8.5, 8.5), (16.5, 0.5)]))
+# arms past the drawn radii: the doubling steps of 16 and 100 end short
+# (1 + 2 + 4 + 8 + 1 and 1 + ... + 32 + 37), those of 31 do not; and an image
+# narrower than its radius, with joints beyond it
+@example(case=(96, 80, 16, ((0, 1), (1, 2)), [(10.0, 20.0), (50.5, 40.0), (90.0, 70.25)]))
+@example(case=(70, 64, 31, ((0, 1), (0, 2)), [(35.0, 30.5), (-20.0, 10.0), (60.25, 63.0)]))
+@example(case=(120, 100, 100, ((0, 1), (1, 2)), [(-90.0, 50.0), (3.5, 3.5), (30.0, 190.0)]))
+@example(case=(9, 50, 20, ((0, 1), (1, 2)), [(-25.0, 4.0), (4.5, 25.0), (30.0, 45.5)]))
 def test_raster_matches_full_image_reference(case):
     width, height, radius, bones, joints = case
     topo = SkeletonTopology(joint_count=len(joints), bones=bones)
@@ -227,6 +235,28 @@ def test_compose_rejects_mismatch():
         compose_target_flow(base, base, np.zeros((4, 5), bool))
     with pytest.raises(InvalidInputError, match="overlay mask dimensions"):
         TargetFlow(base, np.zeros((5, 4), bool))
+
+
+@pytest.mark.parametrize("case", ["skeleton", "no-bones", "off-image"])
+def test_sketch_matches_the_boolean_mask_expressions(case):
+    # the flat-index splat and overlay give the bytes of the 2-D mask forms
+    rng = np.random.default_rng(11)
+    topo = _random_tree_topo(rng, 6)
+    a = rng.uniform(-5, 45, size=(6, 2))
+    b = a + rng.normal(0.0, 2.0, size=(6, 2))
+    if case == "no-bones":
+        topo, a, b = SkeletonTopology(joint_count=1, bones=()), a[:1], b[:1]
+    elif case == "off-image":
+        a, b = a + (200.0, -150.0), b + (200.0, -150.0)
+    raster = rasterize_skeleton(a, topo, 40, 30, 4)
+    flow, mask = bone_flow(a, b, topo, 40, 30, 4)
+    assert mask.tobytes() == raster.mask.tobytes()
+    assert mask.any() == (case == "skeleton")
+    assert flow.uv.tobytes() == masked_bone_flow(raster, a, b, topo.bones).tobytes()
+    base = FlowField(rng.normal(size=(30, 40, 2)))
+    target = compose_target_flow(base, flow, mask)
+    assert target.flow.uv.tobytes() == masked_compose(base.uv, flow.uv, mask).tobytes()
+    assert target.overlay_mask.tobytes() == mask.tobytes()
 
 
 def test_joints_must_match_the_topology():

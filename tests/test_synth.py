@@ -9,6 +9,8 @@ from flowpose import (MODE_2D, FlowField, GroundTruthBundle, InvalidInputError, 
                       standard_benchmark)
 from flowpose.pose_refine import _only, _planes, _pose_objective
 
+from oracles import rodrigues_pose_track
+
 
 def test_zero_amplitude_gives_static_scene_and_background_flow():
     gt = generate_scene(seed=3, frames=4, width=48, height=48, amplitude=0.0)
@@ -58,6 +60,22 @@ def test_generate_scene_rejects_bad_values(name, value):
     # each value is named, not truncated or left to fail deeper down
     with pytest.raises(InvalidInputError, match=name):
         generate_scene(**{"seed": 0, "frames": 3, "width": 32, "height": 32, name: value})
+
+
+_TREE = SkeletonTopology(joint_count=7, bones=((3, 1), (1, 0), (1, 4), (4, 6), (3, 2), (2, 5)))
+
+
+@pytest.mark.parametrize("seed, frames, width, height, amplitude, topo", [
+    (0, 2, 128, 128, 1.0, None), (1, 3, 64, 40, 1.0, None), (7, 10, 33, 71, 2.5, None),
+    (77, 10, 128, 128, 1.0, None), (12, 5, 48, 48, 0.0, None), (5, 6, 40, 90, 1.0, _TREE),
+    (31, 9, 100, 17, 0.5, _TREE),
+])
+def test_generate_scene_matches_the_rodrigues_loop(seed, frames, width, height, amplitude,
+                                                   topo):
+    # every frame of a bone posed in one batch gives the per-frame loop's bits
+    gt = generate_scene(seed, frames, topo, width, height, amplitude=amplitude)
+    want = rodrigues_pose_track(seed, frames, topo or default_topology(), amplitude)
+    assert gt.scene.pose.positions.tobytes() == want.tobytes()
 
 
 def test_background_fills_every_off_skeleton_pixel():
