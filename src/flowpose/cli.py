@@ -108,8 +108,6 @@ def _cmd_bootstrap(args) -> int:
         cfg = fileio.read_config(args.config)
         if args.mode:
             cfg = replace(cfg, mode=args.mode)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     return _run(cfg, args.input, args.out, args.gt)
 
 
@@ -222,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output scene directory")
     p.add_argument("--gt", help="ground-truth scene directory for per-stage metrics")
     p.add_argument("--mode", choices=[MODE_3D, MODE_2D])
-    p.add_argument("--seed", type=int)
     p.add_argument("--print-config", action="store_true",
                    help="print the full default configuration and exit")
     p.set_defaults(func=_cmd_bootstrap)

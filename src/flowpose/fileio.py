@@ -300,14 +300,12 @@ class RunConfig:
     scene it reads and the directory it writes are the caller's."""
 
     mode: str = MODE_3D
-    seed: int = 0
     schedule: CycleSchedule | None = None
     pose_params: PoseHyperParams = PoseHyperParams()
     flow_params: FlowRefineParams = FlowRefineParams()
 
     def __post_init__(self):
         _mode(self.mode)
-        object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if self.schedule is None:
             object.__setattr__(self, "schedule", CycleSchedule.default(self.mode))
 
@@ -316,7 +314,7 @@ _STAGES = {stage.kind: stage for stage in (FlowStage, PoseStage)}
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    return {"format": "config-v2", "mode": cfg.mode, "seed": cfg.seed,
+    return {"format": "config-v3", "mode": cfg.mode,
             "schedule": [{"kind": s.kind, "epochs": s.epochs} for s in cfg.schedule.stages],
             "pose": asdict(cfg.pose_params), "flow": asdict(cfg.flow_params)}
 
@@ -328,7 +326,7 @@ def _known_fields(doc: dict, known: dict, context: str) -> None:
 
 
 def config_from_dict(doc: dict, context: str = "config") -> RunConfig:
-    if _require(doc, "format", context) != "config-v2":
+    if _require(doc, "format", context) != "config-v3":
         raise SchemaError(f"{context}: unsupported format {doc['format']!r}")
     known = config_to_dict(RunConfig())
     _known_fields(doc, known, context)
@@ -346,7 +344,6 @@ def config_from_dict(doc: dict, context: str = "config") -> RunConfig:
             stages.append(_STAGES[kind](_require(s, "epochs", f"{context}: schedule[{i}]")))
         return RunConfig(
             mode=_require(doc, "mode", context),
-            seed=doc.get("seed", 0),
             schedule=CycleSchedule(tuple(stages)),
             pose_params=PoseHyperParams(**doc["pose"]),
             flow_params=FlowRefineParams(**doc["flow"]))

@@ -1,15 +1,15 @@
 """Orchestration of the alternating flow/pose refinement cycles.
 
-A schedule is an ordered list of stages.  A flow stage rebuilds the target
-flow of every frame pair from the current pose (projected joints in 3-D
-mode, the current 2-D track otherwise) and refines each field toward it; a
-pose stage refines the pose (or the 2-D track) against the current flows.
-Stage outputs feed the next stage; the bundle itself is never mutated.
+A schedule is an ordered list of stages, and each stage kind runs in its own
+function.  ``_flow_stage`` rebuilds the target flow of every frame pair from
+the current pose (projected joints in 3-D mode, the current 2-D track
+otherwise) and refines each field toward it; ``_pose_stage`` refines the pose
+(or the 2-D track) against the current flows.  Each returns the new scene and
+the stage's facts; the bundle itself is never mutated.
 
 When ground truth is attached, the per-stage log carries the pose and flow
 errors after every stage and flags stages that made the logged error worse
-(the drift that appears when bootstrapping continues past its useful
-point).
+(the drift that appears when bootstrapping continues past its useful point).
 """
 
 from __future__ import annotations
@@ -92,6 +92,35 @@ def _errors(scene: SceneBundle, gt: GroundTruthBundle) -> dict[str, float]:
     return {"pose": pose, "flow": sequence_joint_epe(scene.flows, gt.scene.flows, gt.joints2d)}
 
 
+def _flow_stage(scene: SceneBundle, stage: FlowStage, fp: FlowRefineParams):
+    """Refine each flow toward a sketch drawn at ``fp.radius`` from the current
+    pose: the projected joints in 3-D mode, the current track in 2-D mode."""
+    joints2d = (project_track(scene.pose, scene.camera) if scene.mode == MODE_3D
+                else scene.detections.pixels)
+    flows, finals = [], []
+    for i, flow in enumerate(scene.flows):
+        sparse, mask = bone_flow(joints2d[i], joints2d[i + 1], scene.topology,
+                                 scene.width, scene.height, fp.radius)
+        flow, losses = refine_flow(flow, compose_target_flow(flow, sparse, mask),
+                                   stage.epochs, fp)
+        flows.append(flow)
+        finals.extend(losses[-1:])
+    return replace(scene, flows=flows), {"final_loss": float(np.mean(finals)) if finals else None}
+
+
+def _pose_stage(scene: SceneBundle, bundle: SceneBundle, stage: PoseStage, hp):
+    """Refine ``bundle``'s pose (its track in 2-D mode) against the current flows."""
+    if scene.mode == MODE_3D:
+        pose, camera, history = refine_pose(bundle.pose, bundle.camera, bundle.detections,
+                                            scene.flows, scene.topology, hp, stage.epochs)
+        scene = replace(scene, pose=pose, camera=camera)
+    else:
+        track, history = refine_pose_2d(bundle.detections, bundle.detections, scene.flows,
+                                        scene.topology, hp, stage.epochs)
+        scene = replace(scene, detections=track)
+    return scene, {"final_loss": float(history[-1, 0]) if history.size else None}
+
+
 def bootstrap(bundle: SceneBundle, schedule: CycleSchedule | None = None,
               hp: PoseHyperParams | None = None,
               flow_params: FlowRefineParams | None = None,
@@ -107,8 +136,13 @@ def bootstrap(bundle: SceneBundle, schedule: CycleSchedule | None = None,
     drift enters through the accumulating flow refinement, not through
     compounding pose updates).  Flow stages pass ``flow_params`` to
     ``refine_flow`` and draw overlays at its ``radius``.  An empty schedule
-    returns ``bundle`` itself.
+    returns ``bundle`` itself.  An argument of the wrong class raises ``TypeError``.
     """
+    for name, value, cls in (("schedule", schedule, CycleSchedule), ("hp", hp, PoseHyperParams),
+                             ("flow_params", flow_params, FlowRefineParams),
+                             ("gt", gt, GroundTruthBundle)):
+        if value is not None and not isinstance(value, cls):
+            raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
     schedule = schedule if schedule is not None else CycleSchedule.default(bundle.mode)
     fp = flow_params or FlowRefineParams()
     if not schedule.stages:
@@ -122,47 +156,19 @@ def bootstrap(bundle: SceneBundle, schedule: CycleSchedule | None = None,
     for idx, stage in enumerate(schedule.stages):
         kind = stage.kind
         try:
-            if kind == "flow":
-                joints2d = (project_track(scene.pose, scene.camera) if scene.mode == MODE_3D
-                            else scene.detections.pixels)
-                flows, finals = [], []
-                for i, flow in enumerate(scene.flows):
-                    sparse, mask = bone_flow(joints2d[i], joints2d[i + 1], scene.topology,
-                                             scene.width, scene.height, fp.radius)
-                    flow, losses = refine_flow(flow, compose_target_flow(flow, sparse, mask),
-                                               stage.epochs, fp)
-                    flows.append(flow)
-                    if losses.size:
-                        finals.append(losses[-1])
-                scene = replace(scene, flows=flows)
-                final_loss = float(np.mean(finals)) if finals else None
-            else:
-                if scene.mode == MODE_3D:
-                    pose, camera, history = refine_pose(
-                        bundle.pose, bundle.camera, bundle.detections, scene.flows,
-                        scene.topology, hp, stage.epochs)
-                    scene = replace(scene, pose=pose, camera=camera)
-                else:
-                    track, history = refine_pose_2d(
-                        bundle.detections, bundle.detections, scene.flows,
-                        scene.topology, hp, stage.epochs)
-                    scene = replace(scene, detections=track)
-                final_loss = float(history[-1, 0]) if history.size else None
+            scene, facts = (_flow_stage(scene, stage, fp) if kind == "flow"
+                            else _pose_stage(scene, bundle, stage, hp))
         except NumericalError as exc:
             raise NumericalError(f"stage {idx} ({kind}): {exc}") from exc
-
-        record = StageRecord(index=idx, kind=kind, epochs=stage.epochs,
-                             final_loss=final_loss)
+        record = StageRecord(index=idx, kind=kind, epochs=stage.epochs, **facts)
         if gt is not None:
             after = _errors(scene, gt)
             record.mpjpe, record.epe = after["pose"], after["flow"]
             if after[kind] > before[kind] + 1e-12:
                 record.drift_warning = True
-                warnings.warn(
-                    f"stage {idx} ({kind}) increased the {kind} error "
-                    f"from {before[kind]:.6g} to {after[kind]:.6g}; the schedule may be "
-                    f"drifting past its useful length", RuntimeWarning,
-                    stacklevel=2)
+                warnings.warn(f"stage {idx} ({kind}) increased the {kind} error from "
+                              f"{before[kind]:.6g} to {after[kind]:.6g}; the schedule may be "
+                              "drifting past its useful length", RuntimeWarning, stacklevel=2)
             before = after
         records.append(record)
     return scene, records

@@ -102,14 +102,24 @@ def rasterize_skeleton(joints2d, topo: SkeletonTopology, width: int, height: int
         if x0 >= x1 or y0 >= y1:
             continue
         xx, yy = xs[x0:x1], ys[y0:y1]
-        dx, dy = qx - px, qy - py
-        d2 = dx ** 2 + dy ** 2
-        if d2 > 0:
-            t = ((xx - px) * dx + (yy - py) * dy) / d2
-            t = np.clip(t, 0.0, 1.0)
+        with np.errstate(over="ignore"):
+            dx, dy = qx - px, qy - py
+            d2 = dx ** 2 + dy ** 2
+        if np.isfinite(d2):
+            t = (np.clip(((xx - px) * dx + (yy - py) * dy) / d2, 0.0, 1.0) if d2 > 0
+                 else np.zeros((y1 - y0, x1 - x0)))
+            nx, ny = px + t * dx, py + t * dy
         else:
-            t = np.zeros((y1 - y0, x1 - x0))
-        dist = np.hypot(xx - (px + t * dx), yy - (py + t * dy))
+            # too long to square: measure from the end nearer the image, in
+            # units of the largest coordinate, and interpolate the ends
+            s = max(abs(px), abs(py), abs(qx), abs(qy))
+            flip = max(abs(qx), abs(qy)) < max(abs(px), abs(py))
+            (ax, ay), (bx, by) = ((qx, qy), (px, py)) if flip else ((px, py), (qx, qy))
+            ux, uy = bx / s - ax / s, by / s - ay / s
+            a = np.clip(((xx - ax) / s * ux + (yy - ay) / s * uy) / (ux ** 2 + uy ** 2), 0.0, 1.0)
+            nx, ny = (1 - a) * ax + a * bx, (1 - a) * ay + a * by
+            t = 1 - a if flip else a
+        dist = np.hypot(xx - nx, yy - ny)
         window = np.s_[y0:y1, x0:x1]
         centerline[window] |= dist <= 0.5
         closer = dist < best_d[window]

@@ -1,10 +1,12 @@
 """Brute-force reference implementations used to verify the fast paths.
 
 Everything here is written as plain per-pixel Python loops, independent of
-the vectorized library code, except nine numpy references:
+the vectorized library code, except ten numpy references:
 ``raster_full_image``, too slow for the library but fast enough for property
-tests at full image sizes; ``masked_bone_flow`` and ``masked_compose``, the
-sketch splat and overlay written with 2-D boolean masks and ``np.where``;
+tests at full image sizes; ``norm_epe``, the whole-image endpoint error as a
+norm over the interleaved ``(H, W, 2)`` layout; ``masked_bone_flow`` and
+``masked_compose``, the sketch splat and overlay written with 2-D boolean
+masks and ``np.where``;
 ``rodrigues_pose_track``, the scene generator's joint track posed frame by
 frame with one Rodrigues matrix per bone and frame;
 ``scatter_axis_operator``, a refiner axis with its upsampling scattered
@@ -175,6 +177,11 @@ def masked_bone_flow(raster, joints_t, joints_t1, bones):
 def masked_compose(base_uv, bone_uv, mask):
     """The bone flow over the base flow where ``mask`` is set."""
     return np.where(np.asarray(mask, dtype=bool)[:, :, None], bone_uv, base_uv)
+
+
+def norm_epe(pred_uv, gt_uv):
+    """Mean endpoint error of two ``(H, W, 2)`` fields, reduced over the last axis."""
+    return float(np.linalg.norm(pred_uv - gt_uv, axis=-1).mean())
 
 
 def rodrigues_pose_track(seed, frames, topo, amplitude=1.0, period=32):

@@ -238,7 +238,7 @@ def test_acceptance_9_determinism(tmp_path, capsys):
         out = tmp_path / run
         capsys.readouterr()
         assert main(["bootstrap", "--config", str(cfg), "--in", str(noisy_dir),
-                     "--out", str(out), "--gt", str(gt_dir), "--seed", "1"]) == 0
+                     "--out", str(out), "--gt", str(gt_dir)]) == 0
         stdout = capsys.readouterr().out
         files = {p.relative_to(out): p.read_bytes()
                  for p in sorted(out.rglob("*")) if p.is_file()}

@@ -500,6 +500,27 @@ def test_config_v1_exit_3(tmp_path, capsys):
     assert "'config-v1'" in capsys.readouterr().err
 
 
+def test_config_v2_exit_3(tmp_path, capsys):
+    # the format that held a run seed is refused by name, like config-v1
+    gt = _synth(tmp_path, size=16)
+    doc = {**fileio.config_to_dict(fileio.RunConfig()), "format": "config-v2", "seed": 0}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["bootstrap", "--config", str(cfg_path), "--in", str(gt),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "unsupported format 'config-v2'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bootstrap_has_no_seed_flag_exit_2(tmp_path, capsys):
+    # a bootstrap draws no random number: --seed is not a bootstrap flag
+    gt = _synth(tmp_path, size=16)
+    assert main(["bootstrap", "--in", str(gt), "--out", str(tmp_path / "out"),
+                 "--seed", "1"]) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_failure_exit_4(tmp_path):
     gt = _synth(tmp_path)
     fp = __import__("flowpose")
@@ -533,7 +554,7 @@ _BOUND_MESSAGES = {"synth --width 3": "width must be an integer >= 4, got 3\n",
     # sizes past the 128 TiB address space: no machine can allocate them
     "synth --frames 1000000000000", "synth --height 1000000000000",
     "synth --width 1000000000000000000",
-    "bootstrap --seed -1", "perturb --corrupt-flow nan 0", "perturb --pose-sigma nan",
+    "perturb --corrupt-flow nan 0", "perturb --pose-sigma nan",
     "synth --width 3", "perturb --pose-sigma -1",
 ])
 def test_bad_flag_value_exit_3(tmp_path, capsys, flags):
@@ -541,7 +562,7 @@ def test_bad_flag_value_exit_3(tmp_path, capsys, flags):
     command, *rest = flags.split()
     out = tmp_path / "out"
     io = [] if command == "check-grads" else ["--out", str(out)]
-    if command in ("perturb", "bootstrap"):
+    if command == "perturb":
         io += ["--in", str(_synth(tmp_path, frames=2, size=16))]
     capsys.readouterr()
     assert main([command, *io, *rest]) == 3
@@ -751,7 +772,6 @@ _NUMERIC_FLAGS = {
                 "--corrupt-flow": ["0", "0"]},
     "refine-flow": {"--epochs": ["1"]},
     "refine-pose": {"--epochs": ["1"]},
-    "bootstrap": {"--seed": ["0"]},
     "check-grads": {"--scenes": ["1"], "--seed": ["0"], "--step": ["1e-5"],
                     "--threshold": ["1e-4"]},
 }
@@ -768,7 +788,7 @@ def test_bad_flag_value_is_exit_0_2_or_3(valid_run, tmp_path_factory, data):
     # one numeric flag of one command gets one bad value; the command runs,
     # rejects the value (exit 3) or fails to parse it (exit 2), and never
     # raises or reports a numerical failure
-    scene, cfg = valid_run
+    scene, _ = valid_run
     command = data.draw(st.sampled_from(sorted(_NUMERIC_FLAGS)), label="command")
     flags = _NUMERIC_FLAGS[command]
     flag = data.draw(st.sampled_from(sorted(flags)), label="flag")
@@ -777,7 +797,6 @@ def test_bad_flag_value_is_exit_0_2_or_3(valid_run, tmp_path_factory, data):
         st.sampled_from(_BAD_NUMBERS), label="value")
     out = tmp_path_factory.mktemp("flag") / "out"
     io = {"synth": ["--out", str(out)],
-          "bootstrap": ["--config", str(cfg), "--in", str(scene), "--out", str(out)],
           "check-grads": []}.get(command, ["--in", str(scene), "--out", str(out)])
     argv = [command, *io]
     for name, default in flags.items():

@@ -235,7 +235,7 @@ def test_bundle_roundtrip(tmp_path):
 def test_config_defaults_match_shipping_settings():
     cfg = RunConfig()
     doc = config_to_dict(cfg)
-    assert doc["format"] == "config-v2"
+    assert doc["format"] == "config-v3"
     assert doc["pose"] == {"lam_opt": 0.01, "lam_3d": 400.0, "lam_2d": 0.01,
                            "lam_pos": 300.0, "lam_cam": 0.1, "lam_bone": 1e4,
                            "lr": 0.001}
@@ -248,11 +248,11 @@ def test_config_defaults_match_shipping_settings():
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = RunConfig(mode="2d", seed=9)
+    cfg = RunConfig(mode="2d")
     path = tmp_path / "cfg.json"
     path.write_text(_dump_json(config_to_dict(cfg)))
     back = read_config(path)
-    assert back.mode == "2d" and back.seed == 9
+    assert back.mode == "2d"
     assert back.schedule.stages == cfg.schedule.stages
     assert back.pose_params == cfg.pose_params
     assert back.flow_params == cfg.flow_params
@@ -262,22 +262,26 @@ def test_config_schema_errors():
     with pytest.raises(SchemaError):
         config_from_dict({"format": "nope"})
     with pytest.raises(SchemaError, match="unknown kind"):
-        config_from_dict({"format": "config-v2", "mode": "3d",
+        config_from_dict({"format": "config-v3", "mode": "3d",
                           "schedule": [{"kind": "warp", "epochs": 1}],
                           "pose": {}, "flow": {}})
 
 
 @pytest.mark.parametrize("edit, message", [
-    ({"seed": -7}, "seed"),
     ({"sede": 1}, "unknown field 'sede'"),
     ({"schedule": [{"kind": "pose", "epochs": 1, "epocs": 99}]},
      r"schedule\[0\]: unknown field 'epocs'"),
-], ids=["negative-seed", "unknown-field", "unknown-stage-field"])
+], ids=["unknown-field", "unknown-stage-field"])
 def test_config_rejects_fields_it_does_not_write(edit, message):
-    # the fields config_to_dict writes are the only ones a config may hold,
-    # and a negative seed is no seed
+    # the fields config_to_dict writes are the only ones a config may hold
     with pytest.raises(SchemaError, match=message):
         config_from_dict({**config_to_dict(RunConfig()), **edit})
+
+
+def test_a_run_config_holds_no_seed():
+    # a bootstrap draws no random number, so a run has no seed to set
+    with pytest.raises(TypeError, match="seed"):
+        RunConfig(seed=1)
 
 
 def test_atomic_write_failure_leaves_no_output(tmp_path, monkeypatch):
@@ -383,9 +387,8 @@ _REPORT = '''{
 '''
 
 _CONFIG_3D = '''{
-  "format": "config-v2",
+  "format": "config-v3",
   "mode": "3d",
-  "seed": 0,
   "schedule": [
     {
       "kind": "flow",

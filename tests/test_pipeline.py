@@ -118,6 +118,20 @@ def test_stage_errors_are_annotated():
         bootstrap(noisy, CycleSchedule((PoseStage(5),)), hp=hp)
 
 
+@pytest.mark.parametrize("argument, value", [
+    ("schedule", [FlowStage(1)]), ("schedule", 5), ("hp", 5), ("hp", FlowRefineParams()),
+    ("flow_params", 5), ("flow_params", PoseHyperParams()), ("gt", 5), ("gt", "scene"),
+])
+def test_bootstrap_names_an_argument_of_the_wrong_class(argument, value):
+    # a library object of the wrong class is refused at the entry, by name;
+    # None stays the default of each
+    _, noisy = _small_scene()
+    with pytest.raises(TypeError, match=f"^{argument} must be a "):
+        bootstrap(noisy, **{argument: value})
+    if argument != "schedule":
+        assert bootstrap(noisy, CycleSchedule((FlowStage(0),)), **{argument: None})[1]
+
+
 def test_bootstrap_2d_mode():
     gt, noisy = _small_scene()
     b2d = replace(noisy, mode="2d", pose=None, camera=None)

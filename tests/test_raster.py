@@ -26,6 +26,22 @@ def test_single_bone_radius_zero_centerline():
         assert raster.owner[5, x] == 0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("far", [1e10, 1e300, 1.7e308])
+@pytest.mark.parametrize("reverse", [False, True], ids=["out", "in"])
+def test_a_bone_too_long_to_square_still_draws_its_segment(far, reverse):
+    # from pixel (0, 0) toward a far joint on the diagonal, in either
+    # direction: the diagonal is drawn whether or not d2 overflows
+    joints = [[0.0, 0.0], [far, far]]
+    raster = rasterize_skeleton(joints[::-1] if reverse else joints, _line_topo(),
+                                width=16, height=16, radius=0)
+    assert np.array_equal(raster.mask, np.eye(16, dtype=bool))
+    assert np.all(raster.owner[raster.mask] == 0)
+    frac = np.arange(16) / far
+    assert np.allclose(raster.frac[raster.mask], 1 - frac if reverse else frac,
+                       rtol=1e-12, atol=0)
+
+
 def test_empty_topology_empty_mask():
     topo = SkeletonTopology(joint_count=1, bones=())
     raster = rasterize_skeleton(np.zeros((1, 2)), topo, 8, 8, radius=3)

@@ -9,7 +9,7 @@ from flowpose import (MODE_2D, FlowField, GroundTruthBundle, InvalidInputError, 
                       standard_benchmark)
 from flowpose.pose_refine import _only, _planes, _pose_objective
 
-from oracles import rodrigues_pose_track
+from oracles import norm_epe, rodrigues_pose_track
 
 
 def test_zero_amplitude_gives_static_scene_and_background_flow():
@@ -189,6 +189,16 @@ def test_epe_examples():
         epe(f, FlowField(np.zeros((5, 8, 2))))
     with pytest.raises(InvalidInputError):
         epe(f, f, points=[[100.0, 0.0]])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (48, 64), (256, 256), (7, 3)])
+def test_whole_image_epe_matches_the_norm_over_the_last_axis(shape):
+    # the planar form gives the interleaved norm's float, bit for bit, over
+    # fields from sub-pixel to large motions
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for scale in (1e-3, 1e-1, 1.0, 1e2):
+        a, b = (FlowField(rng.normal(size=(*shape, 2)) * scale) for _ in range(2))
+        assert epe(a, b) == norm_epe(a.uv, b.uv)
 
 
 def test_epe_rejects_a_nan_point():
