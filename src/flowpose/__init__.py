@@ -12,7 +12,7 @@ from .geometry import (EVAL_JOINTS_14, MODE_2D, MODE_3D, CameraTrack,
                        SkeletonTopology, average_tracks, default_topology,
                        project_track)
 from .optim import finite_diff_check
-from .raster import BoneRaster, TargetFlow, bone_flow, compose_target_flow, rasterize_skeleton
+from .raster import BoneRaster, bone_flow, compose_target_flow, rasterize_skeleton
 from .flow_refine import FlowRefineParams, refine_flow
 from .pose_refine import PoseHyperParams, refine_pose, refine_pose_2d
 from .pipeline import CycleSchedule, FlowStage, PoseStage, StageRecord, bootstrap
@@ -27,8 +27,7 @@ __all__ = [
     "FlowField", "PoseTrack", "SceneBundle", "SkeletonTopology",
     "average_tracks", "default_topology", "project_track",
     "finite_diff_check",
-    "BoneRaster", "TargetFlow", "bone_flow", "compose_target_flow",
-    "rasterize_skeleton",
+    "BoneRaster", "bone_flow", "compose_target_flow", "rasterize_skeleton",
     "refine_flow",
     "PoseHyperParams", "refine_pose", "refine_pose_2d",
     "CycleSchedule", "FlowRefineParams", "FlowStage", "PoseStage",

@@ -18,7 +18,8 @@ serialized with full precision, so a write/read round trip is exact.
 
 A scene's ``meta.json`` records its mode, which ``read_bundle`` may
 override.  Configs and stage reports are serialized from their
-dataclasses' own fields, in field order, and a config holds no others.
+dataclasses' own fields, in field order.  A reader refuses a field that its
+writer does not write, so a misspelled key is a schema error.
 """
 
 from __future__ import annotations
@@ -95,6 +96,12 @@ def _require(doc: dict, key: str, context: str):
     if key not in doc:
         raise SchemaError(f"{context}: missing field '{key}'")
     return doc[key]
+
+
+def _known_fields(doc: dict, known, context: str) -> None:
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise SchemaError(f"{context}: unknown field {unknown[0]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +216,7 @@ def read_track(path, kind: str | None = None):
             if arrays[-1].shape[:len(dims)] != shape:
                 raise SchemaError(f"{ctx}: {f.name} shape {arrays[-1].shape} does not match "
                                   + ", ".join(f"{d}={n}" for d, n in zip(dims, shape)))
+        _known_fields(doc, ("format", "kind", "units", *dims, *(f.name for f in fields(cls))), ctx)
         return cls(*arrays), units
     except InvalidInputError as exc:
         raise SchemaError(f"{ctx}: {exc}") from exc
@@ -230,6 +238,7 @@ def read_topology(path) -> SkeletonTopology:
     ctx = str(path)
     if _require(doc, "format", ctx) != "topology-v1":
         raise SchemaError(f"{ctx}: unsupported format {doc['format']!r}")
+    _known_fields(doc, ("format", "joint_count", "bones", "names", "eval_subset"), ctx)
     try:
         return SkeletonTopology(
             joint_count=_require(doc, "joint_count", ctx), bones=_require(doc, "bones", ctx),
@@ -267,6 +276,7 @@ def read_bundle(dirpath, mode: str | None = None) -> SceneBundle:
     ctx = str(d / "meta.json")
     if _require(meta, "format", ctx) != "bundle-v1":
         raise SchemaError(f"{ctx}: unsupported format {meta['format']!r}")
+    _known_fields(meta, ("format", "mode", "width", "height", "frames"), ctx)
     try:
         recorded = _mode(_require(meta, "mode", ctx))
     except InvalidInputError as exc:
@@ -317,12 +327,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return {"format": "config-v3", "mode": cfg.mode,
             "schedule": [{"kind": s.kind, "epochs": s.epochs} for s in cfg.schedule.stages],
             "pose": asdict(cfg.pose_params), "flow": asdict(cfg.flow_params)}
-
-
-def _known_fields(doc: dict, known: dict, context: str) -> None:
-    unknown = [key for key in doc if key not in known]
-    if unknown:
-        raise SchemaError(f"{context}: unknown field {unknown[0]!r}")
 
 
 def config_from_dict(doc: dict, context: str = "config") -> RunConfig:

@@ -1,4 +1,4 @@
-"""Flow refinement toward a target field via a coarse correction grid.
+"""Flow refinement toward a target flow field via a coarse correction grid.
 
 The refiner stands in for per-scene fine-tuning of a flow network: a
 zero-initialized residual grid at 1/stride resolution, Gaussian-smoothed
@@ -24,9 +24,8 @@ from math import ceil
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import FlowField, _count, _finite_number, _zeros
+from .geometry import FlowField, _count, _finite_number, _of_class, _zeros
 from .optim import adam_step, descend
-from .raster import TargetFlow
 
 
 @dataclass(frozen=True)
@@ -133,24 +132,26 @@ def flow_objective(base_uv: np.ndarray, target_uv: np.ndarray, stride: int,
     return evaluate
 
 
-def refine_flow(base: FlowField, target: TargetFlow, epochs: int,
+def refine_flow(base: FlowField, target: FlowField, epochs: int,
                 params: FlowRefineParams | None = None) -> tuple[FlowField, np.ndarray]:
-    """Run ``epochs`` Adam passes pulling the base flow toward the target, at
-    the stride, blur and rate of ``params`` (default ``FlowRefineParams()``).
+    """Run ``epochs`` Adam passes pulling the base flow toward the target
+    flow, at the stride, blur and rate of ``params`` (default
+    ``FlowRefineParams()``); an argument of the wrong class raises ``TypeError``.
 
     Returns the refined field and the per-epoch objective values (the value
     *before* each step).  ``epochs=0`` returns the base unchanged, and a
     target equal to the base is an exact fixed point for any epoch count.
     """
-    if target.flow.uv.shape != base.uv.shape:
+    base, target = _of_class(base, FlowField, "base"), _of_class(target, FlowField, "target")
+    params = _of_class(params, FlowRefineParams, "params", FlowRefineParams())
+    if target.uv.shape != base.uv.shape:
         raise InvalidInputError("target dimensions do not match the base flow")
     epochs = _count(epochs, "epochs")
-    params = params or FlowRefineParams()
     if epochs == 0:
         return base, np.zeros(0)
 
     losses = _zeros((epochs, 1), "epochs")
-    evaluate = flow_objective(base.uv, target.flow.uv, params.stride, params.sigma)
+    evaluate = flow_objective(base.uv, target.uv, params.stride, params.sigma)
     values = np.zeros((2, *grid_shape(base.width, base.height, params.stride)))
     moments = np.zeros((2, *values.shape))
     for e, grad in descend(evaluate, values, losses, "flow refinement"):

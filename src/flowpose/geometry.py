@@ -67,6 +67,16 @@ def _count(value, name: str, least: int = 0) -> int:
     return int(value)
 
 
+def _of_class(value, cls: type, name: str, default=...):
+    """``value`` if it is a ``cls``, or ``default`` for ``None`` if one is
+    given; anything else raises ``TypeError`` naming the argument."""
+    if value is None and default is not ...:
+        return default
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 MODE_3D = "3d"
 MODE_2D = "2d"
 

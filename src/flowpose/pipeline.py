@@ -21,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .geometry import MODE_3D, SceneBundle, _count, _numbers, project_track
+from .geometry import MODE_3D, SceneBundle, _count, _numbers, _of_class, project_track
 from .flow_refine import FlowRefineParams, refine_flow
 from .pose_refine import PoseHyperParams, refine_pose, refine_pose_2d
 from .raster import bone_flow, compose_target_flow
@@ -138,13 +138,11 @@ def bootstrap(bundle: SceneBundle, schedule: CycleSchedule | None = None,
     ``refine_flow`` and draw overlays at its ``radius``.  An empty schedule
     returns ``bundle`` itself.  An argument of the wrong class raises ``TypeError``.
     """
-    for name, value, cls in (("schedule", schedule, CycleSchedule), ("hp", hp, PoseHyperParams),
-                             ("flow_params", flow_params, FlowRefineParams),
-                             ("gt", gt, GroundTruthBundle)):
-        if value is not None and not isinstance(value, cls):
-            raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
-    schedule = schedule if schedule is not None else CycleSchedule.default(bundle.mode)
-    fp = flow_params or FlowRefineParams()
+    bundle = _of_class(bundle, SceneBundle, "bundle")
+    schedule = _of_class(schedule, CycleSchedule, "schedule", CycleSchedule.default(bundle.mode))
+    hp = _of_class(hp, PoseHyperParams, "hp", None)
+    fp = _of_class(flow_params, FlowRefineParams, "flow_params", FlowRefineParams())
+    gt = _of_class(gt, GroundTruthBundle, "gt", None)
     if not schedule.stages:
         return bundle, []
     if gt is not None and bundle.mode == MODE_3D and gt.scene.pose is None:

@@ -1,4 +1,4 @@
-"""Thick stick-figure rasterization and target-flow construction.
+"""Thick stick-figure rasterization and the sketch flow overlaid on a base flow.
 
 A skeleton is drawn by rasterizing each bone's centerline one pixel wide
 (pixel centers within half a pixel of the segment) and dilating the result
@@ -44,21 +44,6 @@ class BoneRaster:
     def __post_init__(self):
         for arr in (self.mask, self.owner, self.frac):
             arr.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class TargetFlow:
-    """A flow field with a record of which pixels were replaced by bone flow."""
-
-    flow: FlowField
-    overlay_mask: np.ndarray  # (H, W) bool
-
-    def __post_init__(self):
-        mask = np.array(self.overlay_mask, dtype=bool)
-        if mask.shape != (self.flow.height, self.flow.width):
-            raise InvalidInputError("overlay mask dimensions do not match the flow")
-        mask.setflags(write=False)
-        object.__setattr__(self, "overlay_mask", mask)
 
 
 def _check_joints2d(joints2d, topo: SkeletonTopology) -> np.ndarray:
@@ -151,7 +136,7 @@ def bone_flow(joints2d_t, joints2d_t1, topo: SkeletonTopology, width: int,
     Rasterizes frame ``t`` and assigns each masked pixel the displacement of
     its nearest centerline point, interpolated linearly between the owning
     bone's endpoint displacements.  Returns the flow (zero off the mask) and
-    the frame-``t`` raster mask.
+    the frame-``t`` raster's own read-only mask.
     """
     b = _check_joints2d(joints2d_t1, topo)
     raster = rasterize_skeleton(joints2d_t, topo, width, height, radius)
@@ -165,11 +150,11 @@ def bone_flow(joints2d_t, joints2d_t1, topo: SkeletonTopology, width: int,
         o = raster.owner.take(idx)
         t = raster.frac.take(idx)[:, None]
         uv[idx] = (1.0 - t) * disp[bones[o, 0]] + t * disp[bones[o, 1]]
-    return FlowField(uv.reshape(*m.shape, 2)), m.copy()
+    return FlowField(uv.reshape(*m.shape, 2)), m
 
 
-def compose_target_flow(base: FlowField, bone: FlowField, mask) -> TargetFlow:
-    """Overlay the sparse bone flow onto the base estimate where masked."""
+def compose_target_flow(base: FlowField, bone: FlowField, mask) -> FlowField:
+    """The target flow: the base estimate with the bone flow written over it where masked."""
     m = np.asarray(mask, dtype=bool)
     if bone.uv.shape != base.uv.shape:
         raise InvalidInputError("bone flow dimensions do not match the base flow")
@@ -178,4 +163,4 @@ def compose_target_flow(base: FlowField, bone: FlowField, mask) -> TargetFlow:
     idx = np.flatnonzero(m)
     uv = base.uv.reshape(-1, 2).copy()
     uv[idx] = bone.uv.reshape(-1, 2).take(idx, axis=0)
-    return TargetFlow(flow=FlowField(uv.reshape(base.uv.shape)), overlay_mask=m)
+    return FlowField(uv.reshape(base.uv.shape))

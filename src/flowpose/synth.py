@@ -144,7 +144,7 @@ def generate_scene(seed: int, frames: int, topo: SkeletonTopology | None = None,
     flows = []
     for i in range(frames - 1):
         sparse, mask = bone_flow(joints2d[i], joints2d[i + 1], topo, width, height, radius)
-        flows.append(compose_target_flow(bg, sparse, mask).flow)
+        flows.append(compose_target_flow(bg, sparse, mask))
 
     scene = SceneBundle(topology=topo, width=width, height=height,
                         detections=detections, flows=tuple(flows),

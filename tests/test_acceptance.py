@@ -17,7 +17,7 @@ import pytest
 
 import flowpose as fp
 from flowpose import (CycleSchedule, FlowField, FlowStage, FormatError,
-                      PoseHyperParams, PoseStage, PoseTrack, TargetFlow,
+                      PoseHyperParams, PoseStage, PoseTrack,
                       bootstrap, refine_flow, refine_pose, standard_benchmark)
 from flowpose.cli import main
 from flowpose.gradcheck import make_random_scene, run_gradient_checks
@@ -61,8 +61,7 @@ def test_acceptance_2_fixed_point():
     start = time.perf_counter()
     rng = np.random.default_rng(0)
     base = FlowField(rng.normal(size=(64, 64, 2)) * 3.0)
-    target = TargetFlow(flow=FlowField(base.uv.copy()),
-                        overlay_mask=np.ones((64, 64), bool))
+    target = FlowField(base.uv.copy())
     for epochs in (0, 8, 50):
         out, _ = refine_flow(base, target, epochs=epochs)
         assert np.array_equal(out.uv, base.uv), f"epochs={epochs}"

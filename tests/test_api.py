@@ -38,17 +38,31 @@ def _package_imports(path: Path) -> set:
     return found
 
 
+def _reached(module: str) -> set:
+    """The package modules that ``module`` imports, directly or through another."""
+    src = Path(flowpose.__file__).parent
+    graph = {path.stem: _package_imports(path) for path in src.glob("*.py")}
+    reached, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(graph.get(name, ()))
+    return reached
+
+
 def test_metrics_and_geometry_do_not_depend_on_the_pose_optimizer():
     # the bilinear sampler and the allocation guard live in geometry, so
     # evaluating a run needs no part of the refiners or their optimizer,
     # directly or through another module
-    src = Path(flowpose.__file__).parent
-    graph = {path.stem: _package_imports(path) for path in src.glob("*.py")}
     for module in ("synth", "geometry"):
-        reached, todo = set(), [module]
-        while todo:
-            name = todo.pop()
-            if name not in reached:
-                reached.add(name)
-                todo.extend(graph.get(name, ()))
-        assert not reached & {"pose_refine", "flow_refine", "optim"}, module
+        assert not _reached(module) & {"pose_refine", "flow_refine", "optim"}, module
+
+
+def test_the_flow_refiner_depends_on_flows_alone():
+    # a target is a FlowField: the refiner reaches neither the raster that
+    # draws sketches nor the synthetic scenes, and no target type is left
+    assert not _reached("flow_refine") & {"raster", "synth"}
+    assert "TargetFlow" not in flowpose.__all__
+    src = Path(flowpose.__file__).parent
+    assert not any("TargetFlow" in path.read_text(encoding="utf-8") for path in src.glob("*.py"))

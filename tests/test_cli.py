@@ -165,6 +165,26 @@ def test_malformed_scene_json_exit_3(tmp_path, capsys, name, pattern, replacemen
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name, key, replacement", [
+    ("topology.json", '"eval_subset"', '"eval_subest"'),
+    ("topology.json", '"names"', '"nmaes"'),
+    ("meta.json", '"height"', '"hieght"'),
+    ("detections.json", '"units"', '"unit": "px", "units"'),
+    ("pose.json", '"units"', '"confidence": [], "units"'),
+], ids=["topology-subset", "topology-names", "meta-height", "detections-extra",
+        "pose-extra"])
+def test_a_misspelled_key_in_a_scene_file_exit_3(tmp_path, capsys, name, key, replacement):
+    # a reader refuses every key its writer does not write, naming it, so a
+    # misspelled optional key is not read as a missing one
+    gt = _synth(tmp_path, size=16)
+    path = gt / name
+    path.write_text(path.read_text().replace(key, replacement, 1))
+    assert main(["eval", "--pred", str(gt), "--gt", str(gt)]) == 3
+    unknown = replacement.split('"')[1]
+    assert re.fullmatch(f"error: [^\\n]*{name}: unknown field '{unknown}'\n",
+                        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("damage", ["not-utf8", "deep"])
 @pytest.mark.parametrize("target", ["meta.json", "pose.json", "topology.json", "config",
                                     "synth-topology"])

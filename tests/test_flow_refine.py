@@ -3,19 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowpose import (FlowField, FlowRefineParams, InvalidInputError, NumericalError,
-                      TargetFlow, refine_flow)
+from flowpose import FlowField, FlowRefineParams, InvalidInputError, NumericalError, refine_flow
 from flowpose.flow_refine import _axis_operator, flow_objective, grid_shape, refiner_apply
 
 from oracles import (axis_operator_oracle, bilinear_oracle, functional_adam_step,
                      interleaved_flow_objective, scatter_axis_operator)
-
-
-def _target(uv, mask=None):
-    field = FlowField(uv)
-    if mask is None:
-        mask = np.ones(uv.shape[:2], bool)
-    return TargetFlow(flow=field, overlay_mask=mask)
 
 
 def test_grid_shape_covers_the_image():
@@ -62,7 +54,7 @@ def test_single_cell_matches_bilinear_oracle():
 def test_refine_flow_fixed_point_exact():
     rng = np.random.default_rng(1)
     base = FlowField(rng.normal(size=(32, 32, 2)))
-    target = _target(base.uv.copy())
+    target = FlowField(base.uv.copy())
     for epochs in (0, 8, 50):
         out, _ = refine_flow(base, target, epochs=epochs)
         assert np.array_equal(out.uv, base.uv)
@@ -70,7 +62,7 @@ def test_refine_flow_fixed_point_exact():
 
 def test_refine_flow_zero_epochs_returns_base():
     base = FlowField(np.ones((16, 16, 2)))
-    out, losses = refine_flow(base, _target(np.zeros((16, 16, 2))), epochs=0)
+    out, losses = refine_flow(base, FlowField(np.zeros((16, 16, 2))), epochs=0)
     assert out is base
     assert losses.size == 0
 
@@ -81,7 +73,7 @@ def test_refine_flow_converges_to_constant_target():
     base = FlowField(np.zeros((64, 64, 2)))
     uv = np.zeros((64, 64, 2))
     uv[:, :, 0] = 3.0
-    out, losses = refine_flow(base, _target(uv), epochs=200,
+    out, losses = refine_flow(base, FlowField(uv), epochs=200,
                               params=FlowRefineParams(stride=8, sigma=1.0, lr=0.05))
     epe = float(np.linalg.norm(out.uv - uv, axis=-1).mean())
     assert epe < 0.1
@@ -95,7 +87,7 @@ def test_refine_flow_converges_to_constant_target():
 def test_refine_flow_dimensions_and_finiteness():
     rng = np.random.default_rng(2)
     base = FlowField(rng.normal(size=(20, 28, 2)) * 3)
-    target = _target(rng.normal(size=(20, 28, 2)) * 3)
+    target = FlowField(rng.normal(size=(20, 28, 2)) * 3)
     out, losses = refine_flow(base, target, epochs=25)
     assert out.uv.shape == base.uv.shape
     assert np.all(np.isfinite(out.uv))
@@ -123,9 +115,9 @@ def test_smoothing_bounds_laplacian():
 def test_refine_flow_rejects_bad_input():
     base = FlowField(np.zeros((8, 8, 2)))
     with pytest.raises(InvalidInputError):
-        refine_flow(base, _target(np.zeros((8, 9, 2))), epochs=1)
+        refine_flow(base, FlowField(np.zeros((8, 9, 2))), epochs=1)
     with pytest.raises(InvalidInputError):
-        refine_flow(base, _target(np.zeros((8, 8, 2))), epochs=-1)
+        refine_flow(base, FlowField(np.zeros((8, 8, 2))), epochs=-1)
 
 
 @pytest.mark.parametrize("setting", [
@@ -144,22 +136,37 @@ def test_refine_flow_rejects_bad_settings(setting):
     name = "learning rate" if field == "lr" else field
     with pytest.raises(InvalidInputError, match=f"^{name} "):
         if "epochs" in setting:
-            refine_flow(base, _target(np.ones((8, 8, 2))), **setting)
+            refine_flow(base, FlowField(np.ones((8, 8, 2))), **setting)
         else:
             FlowRefineParams(**setting)
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("base", 5), ("base", None), ("base", np.zeros((8, 8, 2))),
+    ("target", 5), ("target", None), ("target", np.zeros((8, 8, 2))),
+    ("params", 5), ("params", FlowField(np.zeros((8, 8, 2)))),
+])
+def test_refine_flow_names_an_argument_of_the_wrong_class(argument, value):
+    # the refiner takes flow fields alone; None is the default of params only
+    args = {"base": FlowField(np.zeros((8, 8, 2))), "target": FlowField(np.ones((8, 8, 2))),
+            "epochs": 1}
+    with pytest.raises(TypeError, match=f"^{argument} must be a "):
+        refine_flow(**{**args, argument: value})
+    if argument == "params":
+        assert refine_flow(**{**args, argument: None})[1].shape == (1,)
 
 
 def test_refine_flow_rejects_an_epoch_count_too_large_to_record():
     base = FlowField(np.zeros((8, 8, 2)))
     with pytest.raises(InvalidInputError, match="epochs"):
-        refine_flow(base, _target(np.ones((8, 8, 2))), epochs=10**30)
+        refine_flow(base, FlowField(np.ones((8, 8, 2))), epochs=10**30)
 
 
 def test_divergence_inside_the_loop_names_the_epoch():
     # the first step overflows the grid, and the next evaluation sees it
     base = FlowField(np.zeros((8, 8, 2)))
     with pytest.raises(NumericalError, match=r"^flow refinement diverged at epoch 1$"):
-        refine_flow(base, _target(np.ones((8, 8, 2))), 5, FlowRefineParams(lr=1e307))
+        refine_flow(base, FlowField(np.ones((8, 8, 2))), 5, FlowRefineParams(lr=1e307))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -168,7 +175,7 @@ def test_last_step_overflow_is_a_numerical_error():
     # same way: the first lands near the largest float and the last overflows,
     # with no later evaluation to see it
     base = FlowField(np.zeros((1, 1, 2)))
-    target = _target(np.array([[[1.5e308, 0.0]]]))
+    target = FlowField(np.array([[[1.5e308, 0.0]]]))
     with pytest.raises(NumericalError, match=r"^flow refinement diverged at epoch 1$"):
         refine_flow(base, target, epochs=2, params=FlowRefineParams(lr=1e308))
 
@@ -285,10 +292,10 @@ def _oracle_refine(base_uv, target_uv, epochs, lr, stride, sigma):
 def test_refine_flow_matches_oracle_loop(shape, stride, sigma, scale, epochs):
     rng = np.random.default_rng(sum(shape) + epochs)
     base = FlowField(rng.normal(size=(*shape, 2)) * 2 / scale)
-    target = _target(rng.normal(size=(*shape, 2)) * 2 / scale)
+    target = FlowField(rng.normal(size=(*shape, 2)) * 2 / scale)
     out, losses = refine_flow(base, target, epochs,
                               FlowRefineParams(stride=stride, sigma=sigma, lr=0.1))
-    want_uv, want_losses = _oracle_refine(base.uv, target.flow.uv, epochs, 0.1,
+    want_uv, want_losses = _oracle_refine(base.uv, target.uv, epochs, 0.1,
                                           stride, sigma)
     assert np.allclose(losses, want_losses, rtol=1e-12, atol=0.0)
     assert np.allclose(out.uv, want_uv, rtol=0.0, atol=1e-12 * np.abs(want_uv).max())

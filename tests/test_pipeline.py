@@ -121,14 +121,15 @@ def test_stage_errors_are_annotated():
 @pytest.mark.parametrize("argument, value", [
     ("schedule", [FlowStage(1)]), ("schedule", 5), ("hp", 5), ("hp", FlowRefineParams()),
     ("flow_params", 5), ("flow_params", PoseHyperParams()), ("gt", 5), ("gt", "scene"),
+    ("bundle", 5), ("bundle", None),
 ])
 def test_bootstrap_names_an_argument_of_the_wrong_class(argument, value):
     # a library object of the wrong class is refused at the entry, by name;
-    # None stays the default of each
+    # None stays the default of each but the scene
     _, noisy = _small_scene()
     with pytest.raises(TypeError, match=f"^{argument} must be a "):
-        bootstrap(noisy, **{argument: value})
-    if argument != "schedule":
+        bootstrap(**{"bundle": noisy, argument: value})
+    if argument not in ("schedule", "bundle"):
         assert bootstrap(noisy, CycleSchedule((FlowStage(0),)), **{argument: None})[1]
 
 
