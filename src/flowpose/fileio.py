@@ -226,11 +226,7 @@ def read_track(path, kind: str | None = None):
 # topology files
 
 def write_topology(path, topo: SkeletonTopology) -> None:
-    doc = {"format": "topology-v1", "joint_count": topo.joint_count,
-           "bones": [list(b) for b in topo.bones],
-           "names": list(topo.names) if topo.names is not None else None,
-           "eval_subset": list(topo.eval_subset) if topo.eval_subset is not None else None}
-    _write_json(path, doc)
+    _write_json(path, {"format": "topology-v1", **asdict(topo)})
 
 
 def read_topology(path) -> SkeletonTopology:

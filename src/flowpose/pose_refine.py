@@ -50,7 +50,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .geometry import (CameraTrack, DetectionTrack, FlowField, PoseTrack,
-                       SkeletonTopology, _count, _finite_number, _sampler, _zeros)
+                       SkeletonTopology, _count, _finite_number, _numbers, _of_class,
+                       _sampler, _zeros)
 from .optim import _huber_parts, adam_step, descend
 
 _NORM_EPS = 1e-12  # guards the bone-direction derivative at zero length
@@ -243,7 +244,8 @@ def _refine(x_init: np.ndarray, det: DetectionTrack, flows: Sequence[FlowField],
     ``(T, J, D)`` track ``x_init`` (the anchor) and, in 3-D, the ``(T, 3)``
     cameras, and descend.  Returns the refined track and cameras (``None``
     without) in those layouts, and the history."""
-    hp = hp or PoseHyperParams()
+    hp = _of_class(hp, PoseHyperParams, "hp", PoseHyperParams())
+    flows = _numbers(flows, None, "flows", each=lambda f, _: f)
     frames, joints = x_init.shape[:2]
     if frames < 2:
         raise InvalidInputError("at least two frames are required")

@@ -4,7 +4,8 @@ A skeleton is drawn by rasterizing each bone's centerline one pixel wide
 (pixel centers within half a pixel of the segment) and dilating the result
 with a plus-shaped structuring element whose arm length is the radius.
 Bones are clipped to the image before thickening, so a skeleton entirely
-outside the frame leaves the raster empty.
+outside the frame leaves the raster empty.  A coordinate beyond 2**40 px
+is invalid input, past the reach where float64 measures bones to a pixel.
 
 Each bone is measured only inside its window, its bounding box grown by
 ``radius + 1`` and clipped to the image; this gives the same bits as
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import FlowField, SkeletonTopology, _count, _positive_array
+from .geometry import FlowField, SkeletonTopology, _count, _of_class, _positive_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,11 +47,18 @@ class BoneRaster:
             arr.setflags(write=False)
 
 
+# float64 spacing at 2**40 is 2**-12 px, so a bone's fractions resolve to ~2**-11 px
+_REACH = 2.0 ** 40
+
+
 def _check_joints2d(joints2d, topo: SkeletonTopology) -> np.ndarray:
+    topo = _of_class(topo, SkeletonTopology, "topo")
     pts = _positive_array(joints2d, "joints2d", ("J",), 2)
     if pts.shape[0] != topo.joint_count:
         raise InvalidInputError(
             f"joints2d: expected {topo.joint_count} joints, got {pts.shape[0]}")
+    if np.abs(pts).max() > _REACH:
+        raise InvalidInputError(f"joints2d: {np.abs(pts).max():.17g} px is beyond 2**40 px")
     return pts
 
 
@@ -76,7 +84,7 @@ def rasterize_skeleton(joints2d, topo: SkeletonTopology, width: int, height: int
     # The windows are exact: a masked pixel lies within radius + 0.5 of its
     # nearest bone, so a bone whose window excludes it can neither own it nor
     # tie, and the element-wise arithmetic gives the same bits in a window;
-    # float rounding moves only bounds beyond 2**52, which the clip removes.
+    # within the reach every bound is an exact integer.
     bones = topo.bone_array()
     p, q = pts[bones[:, 0]], pts[bones[:, 1]]
     lo = np.clip(np.floor(np.minimum(p, q)) - (radius + 1), 0, (width, height))
@@ -87,24 +95,10 @@ def rasterize_skeleton(joints2d, topo: SkeletonTopology, width: int, height: int
         if x0 >= x1 or y0 >= y1:
             continue
         xx, yy = xs[x0:x1], ys[y0:y1]
-        with np.errstate(over="ignore"):
-            dx, dy = qx - px, qy - py
-            d2 = dx ** 2 + dy ** 2
-        if np.isfinite(d2):
-            t = (np.clip(((xx - px) * dx + (yy - py) * dy) / d2, 0.0, 1.0) if d2 > 0
-                 else np.zeros((y1 - y0, x1 - x0)))
-            nx, ny = px + t * dx, py + t * dy
-        else:
-            # too long to square: measure from the end nearer the image, in
-            # units of the largest coordinate, and interpolate the ends
-            s = max(abs(px), abs(py), abs(qx), abs(qy))
-            flip = max(abs(qx), abs(qy)) < max(abs(px), abs(py))
-            (ax, ay), (bx, by) = ((qx, qy), (px, py)) if flip else ((px, py), (qx, qy))
-            ux, uy = bx / s - ax / s, by / s - ay / s
-            a = np.clip(((xx - ax) / s * ux + (yy - ay) / s * uy) / (ux ** 2 + uy ** 2), 0.0, 1.0)
-            nx, ny = (1 - a) * ax + a * bx, (1 - a) * ay + a * by
-            t = 1 - a if flip else a
-        dist = np.hypot(xx - nx, yy - ny)
+        dx, dy = qx - px, qy - py
+        d2 = dx ** 2 + dy ** 2
+        t = np.clip(((xx - px) * dx + (yy - py) * dy) / d2, 0.0, 1.0) if d2 > 0 else 0.0
+        dist = np.hypot(xx - (px + t * dx), yy - (py + t * dy))
         window = np.s_[y0:y1, x0:x1]
         centerline[window] |= dist <= 0.5
         closer = dist < best_d[window]
@@ -155,6 +149,7 @@ def bone_flow(joints2d_t, joints2d_t1, topo: SkeletonTopology, width: int,
 
 def compose_target_flow(base: FlowField, bone: FlowField, mask) -> FlowField:
     """The target flow: the base estimate with the bone flow written over it where masked."""
+    base, bone = _of_class(base, FlowField, "base"), _of_class(bone, FlowField, "bone")
     m = np.asarray(mask, dtype=bool)
     if bone.uv.shape != base.uv.shape:
         raise InvalidInputError("bone flow dimensions do not match the base flow")

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .geometry import (MODE_3D, CameraTrack, DetectionTrack, FlowField,
                        PoseTrack, SceneBundle, SkeletonTopology, _bone_tree, _count,
-                       _finite_number, _numbers, _positive_array, _sampler, _zeros,
+                       _finite_number, _numbers, _of_class, _positive_array, _sampler, _zeros,
                        default_topology, project_track)
 from .raster import bone_flow, compose_target_flow
 
@@ -28,6 +28,9 @@ class GroundTruthBundle:
     """A scene whose pose, camera, detections and flows are exact."""
 
     scene: SceneBundle
+
+    def __post_init__(self):
+        _of_class(self.scene, SceneBundle, "scene")
 
     @property
     def joints2d(self) -> np.ndarray:

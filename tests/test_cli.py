@@ -590,6 +590,33 @@ def test_bad_flag_value_exit_3(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_a_flow_holding_nan_exit_3(tmp_path, capsys):
+    gt = _synth(tmp_path, size=16)
+    flo = gt / "flows" / "flow_000000.flo"
+    blob = bytearray(flo.read_bytes())
+    blob[12:16] = np.array([np.nan], "<f4").tobytes()
+    flo.write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    assert main(["refine-flow", "--in", str(gt), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {flo}: uv: non-finite value at index (0, 0, 0)\n")
+    assert not out.exists()
+
+
+def test_a_detection_beyond_the_raster_reach_exit_3(tmp_path, capsys):
+    # the sketch of a 2-D flow stage draws the detections; float64 cannot
+    # measure a bone to a pixel past 2**40 px, so such a joint is bad input
+    gt = _synth(tmp_path, size=16)
+    det, units = fileio.read_track(gt / "detections.json")
+    pixels = det.pixels.copy()
+    pixels[0, 0] = (1e17, 5.0)
+    fileio.write_track(gt / "detections.json", type(det)(pixels, det.confidence), units)
+    out = tmp_path / "out"
+    assert main(["refine-flow", "--in", str(gt), "--out", str(out), "--mode", "2d"]) == 3
+    assert capsys.readouterr().err == "error: joints2d: 1e+17 px is beyond 2**40 px\n"
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_flow_float32_cannot_hold_exit_3(tmp_path, capsys):
     # .flo stores float32, so such a scene could be written but never read:

@@ -118,6 +118,20 @@ def test_flo_bad_magic_rejected(tmp_path):
     assert exc.value.offset == 0
 
 
+def test_flo_holding_nan_rejected(tmp_path):
+    path = tmp_path / "nan.flo"
+    path.write_bytes(struct.pack("<f", fileio.FLO_MAGIC) + struct.pack("<ii", 2, 1)
+                     + np.array([0.0, 1.0, np.nan, 2.0], "<f4").tobytes())
+    with pytest.raises(FormatError, match="nan.flo: uv: non-finite value at index"):
+        read_flo(path)
+
+
+def test_write_track_refuses_a_flow_field(tmp_path):
+    with pytest.raises(InvalidInputError, match="^unsupported track type FlowField$"):
+        write_track(tmp_path / "flow.json", FlowField(np.zeros((2, 2, 2))))
+    assert not (tmp_path / "flow.json").exists()
+
+
 def test_flo_truncation_rejected(tmp_path):
     good = tmp_path / "good.flo"
     write_flo(good, FlowField(np.ones((3, 4, 2))))

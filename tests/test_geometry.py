@@ -156,6 +156,25 @@ def test_average_rejects_mismatch():
         average_tracks(FlowField(np.zeros((2, 2, 2))), FlowField(np.zeros((3, 2, 2))))
 
 
+def test_average_refuses_different_kinds_and_non_tracks():
+    pose, camera = PoseTrack(np.zeros((2, 3, 3))), CameraTrack(np.ones((2, 3)))
+    with pytest.raises(InvalidInputError, match="^cannot average PoseTrack with CameraTrack$"):
+        average_tracks(pose, camera)
+    with pytest.raises(InvalidInputError, match="^unsupported track type ndarray$"):
+        average_tracks(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
+
+
+def test_an_eval_subset_out_of_range_is_refused():
+    for subset in ((3,), (0, -1)):
+        with pytest.raises(InvalidInputError, match="^eval_subset"):
+            SkeletonTopology(joint_count=3, bones=((0, 1),), eval_subset=subset)
+
+
+def test_a_confidence_of_another_shape_is_refused():
+    with pytest.raises(InvalidInputError, match=r"^confidence: expected shape \(1, 2\), got \(1, 3\)$"):
+        DetectionTrack(np.zeros((1, 2, 2)), np.ones((1, 3)))
+
+
 def test_topology_invariants():
     with pytest.raises(InvalidInputError):
         SkeletonTopology(joint_count=3, bones=((0, 3),))  # out of range

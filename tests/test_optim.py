@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowpose import NumericalError, finite_diff_check
+from flowpose import InvalidInputError, NumericalError, finite_diff_check
 from flowpose.optim import _huber_parts, adam_step, descend
 
 from oracles import functional_adam_step
@@ -173,3 +173,10 @@ def test_finite_diff_reports_bad_component():
 
     with pytest.raises(NumericalError, match="component 1"):
         finite_diff_check(loss, np.array([0.0, 0.5 - 1e-6]), step=1e-5)
+
+
+def test_finite_diff_refuses_a_non_finite_base_loss_and_a_misshapen_gradient():
+    with pytest.raises(NumericalError, match="non-finite at the base point"):
+        finite_diff_check(lambda p: (float("inf"), np.zeros(2)), np.zeros(2))
+    with pytest.raises(InvalidInputError, match=r"gradient shape \(3,\) != params \(2,\)"):
+        finite_diff_check(lambda p: (0.0, np.zeros(3)), np.zeros(2))

@@ -568,3 +568,39 @@ def test_nan_pixel_samples_nan_instead_of_failing():
     for a, b in zip(got, want):
         assert np.array_equal(a, b, equal_nan=True)
     assert np.isnan(got[0][:, np.isnan(q).any(axis=0)]).all()
+
+
+def _refine_either(mode, scene, flows, hp=None, epochs=3):
+    if mode == "3d":
+        pose, camera, history = refine_pose(scene.pose, scene.camera, scene.detections, flows,
+                                            scene.topology, hp, epochs)
+        return pose.positions, camera.params, history
+    track, history = refine_pose_2d(scene.detections, scene.detections, flows,
+                                    scene.topology, hp, epochs)
+    return track.pixels, history
+
+
+@pytest.mark.parametrize("mode", ["3d", "2d"])
+@pytest.mark.parametrize("wrap", [set, dict.fromkeys, iter], ids=["set", "dict", "generator"])
+def test_the_refiners_take_flows_as_a_sequence_only(mode, wrap):
+    # a set would pair the flows with frames in set order
+    scene = generate_scene(seed=1, frames=3, width=16, height=16).scene
+    with pytest.raises(InvalidInputError, match="^flows must be a sequence"):
+        _refine_either(mode, scene, wrap(scene.flows))
+
+
+@pytest.mark.parametrize("mode", ["3d", "2d"])
+@pytest.mark.parametrize("hp", [0, "", []], ids=["zero", "empty-string", "empty-list"])
+def test_the_refiners_name_an_hp_of_the_wrong_class(mode, hp):
+    scene = generate_scene(seed=1, frames=3, width=16, height=16).scene
+    with pytest.raises(TypeError, match="^hp must be a PoseHyperParams"):
+        _refine_either(mode, scene, scene.flows, hp)
+
+
+@pytest.mark.parametrize("mode", ["3d", "2d"])
+def test_no_hp_runs_the_default_hyperparameters(mode):
+    scene = generate_scene(seed=1, frames=3, width=16, height=16).scene
+    got = _refine_either(mode, scene, list(scene.flows))
+    want = _refine_either(mode, scene, scene.flows, PoseHyperParams())
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()

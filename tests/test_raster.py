@@ -31,15 +31,56 @@ def test_single_bone_radius_zero_centerline():
 @pytest.mark.parametrize("reverse", [False, True], ids=["out", "in"])
 def test_a_bone_too_long_to_square_still_draws_its_segment(far, reverse):
     # from pixel (0, 0) toward a far joint on the diagonal, in either
-    # direction: the diagonal is drawn whether or not d2 overflows
+    # direction: the diagonal is drawn within the 2**40 px reach, and a
+    # joint beyond it is refused
     joints = [[0.0, 0.0], [far, far]]
-    raster = rasterize_skeleton(joints[::-1] if reverse else joints, _line_topo(),
-                                width=16, height=16, radius=0)
+    args = (joints[::-1] if reverse else joints, _line_topo())
+    if far > 2.0 ** 40:
+        with pytest.raises(InvalidInputError, match="^joints2d: "):
+            rasterize_skeleton(*args, width=16, height=16, radius=0)
+        return
+    raster = rasterize_skeleton(*args, width=16, height=16, radius=0)
     assert np.array_equal(raster.mask, np.eye(16, dtype=bool))
     assert np.all(raster.owner[raster.mask] == 0)
     frac = np.arange(16) / far
     assert np.allclose(raster.frac[raster.mask], 1 - frac if reverse else frac,
                        rtol=1e-12, atol=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_joint_at_the_reach_draws_and_one_past_it_is_refused():
+    # a row-5 bone from -2**40 to 2**40 px marks all 16 pixels of its row;
+    # the next float past the reach, on either axis, sign or frame, raises
+    reach = 2.0 ** 40
+    raster = rasterize_skeleton([[-reach, 5.0], [reach, 5.0]], _line_topo(), 16, 16, 0)
+    want = np.zeros((16, 16), bool)
+    want[5] = True
+    assert np.array_equal(raster.mask, want)
+    past = np.nextafter(reach, np.inf)
+    for joints in ([[-past, 5.0], [reach, 5.0]], [[0.0, 5.0], [past, 5.0]],
+                   [[0.0, -past], [0.0, 5.0]], [[0.0, 5.0], [0.0, past]]):
+        with pytest.raises(InvalidInputError, match="^joints2d: .* beyond 2\\*\\*40 px$"):
+            rasterize_skeleton(joints, _line_topo(), 16, 16, 0)
+        with pytest.raises(InvalidInputError, match="^joints2d: .* beyond 2\\*\\*40 px$"):
+            bone_flow([[0.0, 5.0], [1.0, 5.0]], joints, _line_topo(), 16, 16, 0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: rasterize_skeleton(np.zeros((2, 2)), 5, 4, 4, 1), "topo"),
+    (lambda: rasterize_skeleton(np.zeros((2, 2)), None, 4, 4, 1), "topo"),
+    (lambda: bone_flow(np.zeros((2, 2)), np.zeros((2, 2)), None, 4, 4, 1), "topo"),
+    (lambda: bone_flow(np.zeros((2, 2)), np.zeros((2, 2)), ((0, 1),), 4, 4, 1), "topo"),
+    (lambda: compose_target_flow(5, None, None), "base"),
+    (lambda: compose_target_flow(np.zeros((4, 4, 2)), FlowField(np.zeros((4, 4, 2))),
+                                 np.ones((4, 4), bool)), "base"),
+    (lambda: compose_target_flow(FlowField(np.zeros((4, 4, 2))), None, None), "bone"),
+    (lambda: compose_target_flow(FlowField(np.zeros((4, 4, 2))), np.zeros((4, 4, 2)),
+                                 np.ones((4, 4), bool)), "bone"),
+], ids=["raster-int", "raster-none", "sketch-none", "sketch-bones", "compose-int",
+        "compose-array-base", "compose-none-bone", "compose-array-bone"])
+def test_the_raster_entries_name_an_argument_of_the_wrong_class(call, name):
+    with pytest.raises(TypeError, match=f"^{name} must be a "):
+        call()
 
 
 def test_empty_topology_empty_mask():
@@ -124,8 +165,8 @@ def _skeletons(draw):
 
     Coordinates mix free floats reaching past every side of the image,
     integers and half-integers (where pixels tie between bones), points in
-    the band just outside an edge, and joints that coincide with an
-    earlier one (zero-length bones).
+    the band just outside an edge, far joints anywhere within the 2**40 px
+    reach, and joints that coincide with an earlier one (zero-length bones).
     """
     width, height = draw(st.integers(1, 96)), draw(st.integers(1, 96))
     radius = draw(st.integers(0, 15))
@@ -139,7 +180,8 @@ def _skeletons(draw):
             st.integers(-reach, size - 1 + reach).map(float),
             st.integers(-reach, size - 1 + reach).map(lambda v: v + 0.5),
             st.floats(0.0, radius + 1.0).map(lambda d: -d),
-            st.floats(0.0, radius + 1.0).map(lambda d: size - 1 + d)))
+            st.floats(0.0, radius + 1.0).map(lambda d: size - 1 + d),
+            st.floats(-2.0 ** 40, 2.0 ** 40)))
 
     joints = []
     for j in range(joints_n):
@@ -168,6 +210,10 @@ def _skeletons(draw):
 @example(case=(70, 64, 31, ((0, 1), (0, 2)), [(35.0, 30.5), (-20.0, 10.0), (60.25, 63.0)]))
 @example(case=(120, 100, 100, ((0, 1), (1, 2)), [(-90.0, 50.0), (3.5, 3.5), (30.0, 190.0)]))
 @example(case=(9, 50, 20, ((0, 1), (1, 2)), [(-25.0, 4.0), (4.5, 25.0), (30.0, 45.5)]))
+# bones across the image from joints at and near the reach
+@example(case=(16, 16, 0, ((0, 1),), [(-2.0 ** 40, 5.0), (2.0 ** 40, 5.0)]))
+@example(case=(40, 30, 3, ((0, 1), (1, 2)),
+               [(-2.0 ** 40, -2.0 ** 40), (2.0 ** 40, 2.0 ** 40 - 1e6), (20.0, -1e12)]))
 def test_raster_matches_full_image_reference(case):
     width, height, radius, bones, joints = case
     topo = SkeletonTopology(joint_count=len(joints), bones=bones)

@@ -214,6 +214,13 @@ def test_mpjpe_rejects_a_non_index_subset(subset):
         mpjpe(x, x, subset)
 
 
+@pytest.mark.parametrize("subset", [(3,), (0, 7), ()], ids=["past-end", "one-past", "empty"])
+def test_mpjpe_rejects_a_subset_out_of_range(subset):
+    x = PoseTrack(np.zeros((2, 3, 3)))
+    with pytest.raises(InvalidInputError, match="^subset: joint index out of range$"):
+        mpjpe(x, x, subset)
+
+
 def test_epe_zero_iff_identical():
     rng = np.random.default_rng(9)
     uv = rng.normal(size=(5, 5, 2))
@@ -253,6 +260,27 @@ def test_sequence_joint_epe_needs_a_joint_frame_per_pair():
     gt = generate_scene(seed=12, frames=3, width=48, height=48)
     with pytest.raises(InvalidInputError, match="joints2d"):
         sequence_joint_epe(gt.scene.flows, gt.scene.flows, gt.joints2d[:1])
+
+
+@pytest.mark.parametrize("pairs", [(2, 1), (1, 2), (0, 0)], ids=["fewer-gt", "fewer-pred", "empty"])
+def test_sequence_joint_epe_needs_equal_nonempty_sequences(pairs):
+    gt = generate_scene(seed=12, frames=3, width=48, height=48)
+    flows = gt.scene.flows
+    with pytest.raises(InvalidInputError, match="^flow sequences must have equal, nonzero length$"):
+        sequence_joint_epe(flows[:pairs[0]], flows[:pairs[1]], gt.joints2d)
+
+
+def test_noise_config_refuses_an_empty_corrupt_rect():
+    for rect in ((0, 0, 0, 4), (0, 0, 4, 0)):
+        with pytest.raises(InvalidInputError, match="^corrupt_rect must be .* w, h >= 1"):
+            NoiseConfig(corrupt_rect=rect)
+
+
+@pytest.mark.parametrize("scene", [5, None, "scene"])
+def test_ground_truth_names_a_scene_of_the_wrong_class(scene):
+    # it was accepted, and bootstrap failed later with an AttributeError
+    with pytest.raises(TypeError, match="^scene must be a SceneBundle"):
+        GroundTruthBundle(scene)
 
 
 def test_fourteen_joint_subset():

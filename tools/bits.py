@@ -18,6 +18,11 @@ Cases:
   ``standard_benchmark(seed)``'s noisy scene with its ground truth: the
   flows, the pose and camera (3-D) or the detections (2-D), the stage
   records and the warnings;
+- ``raster-stress``: ``rasterize_skeleton``'s mask, owner and fraction for
+  3,000 seeded random trees (images 1-64 px, radius 0-20) whose joints mix
+  free floats around the image, integers, half-integers, bands just outside
+  an edge, far joints up to 2**40 px away and joints coincident with an
+  earlier one;
 - ``check-grads``: ``check-grads --threshold 1e-7``'s stdout and exit code;
 - ``cli-chain-files`` and ``cli-chain-streams``: synth (256x256, 10 frames),
   perturb, refine-pose (300 epochs), bootstrap ``--gt`` and eval of both
@@ -79,6 +84,33 @@ def _bootstrap(mode: str, seed: int) -> str:
                    json.dumps([asdict(r) for r in records]), *_warned(caught))
 
 
+def _raster_stress(count: int = 3000) -> str:
+    rng = np.random.Generator(np.random.PCG64(2024))
+    parts = []
+    for _ in range(count):
+        size = rng.integers(1, 65, size=2)
+        radius = int(rng.integers(0, 21))
+        joints_n = int(rng.integers(1, 9))
+        bones = tuple((int(rng.integers(0, j)), j) for j in range(1, joints_n))
+        reach = radius + 30
+        free = rng.uniform(-reach, size - 1 + reach, (joints_n, 2))
+        half = rng.integers(-reach, size + reach, (joints_n, 2)) + 0.5
+        band = np.where(rng.random((joints_n, 2)) < 0.5, -1.0, 1.0) \
+            * rng.uniform(0, radius + 1, (joints_n, 2))
+        band = np.where(band < 0, band, size - 1 + band)
+        far = rng.choice([-1.0, 1.0], (joints_n, 2)) * 2.0 ** rng.uniform(10, 40, (joints_n, 2))
+        far[rng.random((joints_n, 2)) < 0.1] = 2.0 ** 40
+        kind = rng.integers(0, 5, (joints_n, 2))
+        joints = np.choose(kind, (free, half, band, far, np.rint(free)))
+        for j in range(1, joints_n):
+            if rng.random() < 0.2:
+                joints[j] = joints[rng.integers(0, j)]
+        topo = fp.SkeletonTopology(joint_count=joints_n, bones=bones)
+        raster = fp.rasterize_skeleton(joints, topo, int(size[0]), int(size[1]), radius)
+        parts += (raster.mask, raster.owner, raster.frac)
+    return _digest(*parts)
+
+
 def _cli(argv: list[str], work: str = "<work>") -> tuple:
     """Exit code, stdout and stderr of one in-process CLI call, and its
     warnings, with the directory ``work`` masked."""
@@ -136,6 +168,7 @@ def run() -> None:
     for mode in (fp.MODE_3D, fp.MODE_2D):
         for seed in (77, 5):
             print(f"bootstrap-{mode}-seed{seed}  {_bootstrap(mode, seed)}", flush=True)
+    print(f"raster-stress  {_raster_stress()}", flush=True)
     print(f"check-grads  {_digest(*_cli(['check-grads', '--threshold', '1e-7']))}", flush=True)
     files, streams = _cli_chain()
     print(f"cli-chain-files  {files}")
